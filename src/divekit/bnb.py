@@ -188,10 +188,8 @@ class SolveConfig:
     tick_limit: float | None = None
     time_limit: float | None = None
     pool_capacity: int = 10
-    mode: str = "optimize"  # or "enumerate"
     diver: object | None = None  # callable(inst, lp, sol, lo, hi) -> list of x
     diver_period: int | None = None  # re-dive every k nodes; None = root only
-    seed: int = 0
 
     def __post_init__(self):
         if self.node_limit < 1:
@@ -259,8 +257,6 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
     """Best-bound search with depth-first plunging, bound/integrality/
     infeasibility pruning only, and an optional diver hook."""
     cfg = cfg or SolveConfig()
-    if cfg.mode == "enumerate":
-        raise ValueError("use enumerate_optima() for enumeration mode")
     lp = to_standard_form(inst)
     locks = compute_locks(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
@@ -431,7 +427,6 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
     base = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
         time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
-        seed=cfg.seed,
     ))
     if base.status != OPTIMAL_PROVEN:
         return EnumerationResult(

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--pool-capacity", type=int, default=10)
     c.add_argument("--augment", default="auto",
                    choices=["auto", "pool", "top1", "enumerate"])
-    _add_common(c)
+    c.add_argument("--jobs", type=int, default=_default_jobs())
 
     t = sub.add_parser("train", help="train the generative diving model")
     t.add_argument("--corpus", required=True)
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
         cfg = CollectConfig(
             node_limit=args.node_limit, tick_limit=args.tick_limit,
             time_limit=args.time_limit, pool_capacity=args.pool_capacity,
-            augment=args.augment, seed=args.seed, jobs=args.jobs,
+            augment=args.augment, jobs=args.jobs,
         )
         manifest = collect_corpus(args.instances, args.out, cfg)
         n_ok, n_skip = len(manifest["entries"]), len(manifest["skipped"])

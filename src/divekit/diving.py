@@ -3,9 +3,10 @@
 A dive repeatedly picks one candidate variable, tightens one of its bounds
 to an integral target, re-solves the LP (warm-started), and tries to round
 the new LP point into a feasible solution.  It stops on LP infeasibility,
-the depth limit, an LP iteration limit, an integral LP, or an objective
-cutoff.  Every recorded solution is re-checked against the original
-instance, so bound tightenings never leak unsound solutions.
+the depth limit, an LP iteration limit, an integral LP, an objective
+cutoff, or a numerical LP failure, which ends only this dive.  Every
+recorded solution is re-checked against the original instance, so bound
+tightenings never leak unsound solutions.
 
 Scorers only decide *which* variable and *which* bound; the engine owns the
 loop.  Stateful scorers (pseudocost, the learned diver) get ``begin_dive``
@@ -21,13 +22,14 @@ import numpy as np
 from .bnb import compute_locks, round_solution
 from .instances import INT_TOL, MilpInstance, StandardLp, to_standard_form
 from . import simplex
-from .simplex import LpSolution, solve_lp
+from .simplex import LpSolution, SimplexError, solve_lp
 
 TERM_INFEASIBLE = "infeasible"
 TERM_DEPTH = "depth_limit"
 TERM_ITER = "iter_limit"
 TERM_INTEGRAL = "integral"
 TERM_CUTOFF = "cutoff"
+TERM_LP_ERROR = "lp_error"
 
 DEFAULT_DEPTH = 100
 
@@ -109,7 +111,10 @@ def dive(
         hi[:n] = upper
     iters = 0
     if root_sol is None:
-        root_sol = solve_lp(lp, lower=lo, upper=hi)
+        try:
+            root_sol = solve_lp(lp, lower=lo, upper=hi)
+        except SimplexError:
+            return DiveResult(termination=TERM_LP_ERROR)
         iters += root_sol.iterations
     if root_sol.status != simplex.OPTIMAL:
         return DiveResult(termination=TERM_INFEASIBLE, lp_iterations=iters)
@@ -182,10 +187,14 @@ def dive(
         if decision.new_upper is not None:
             target = decision.new_upper if target is None else target
             hi[j] = max(min(decision.new_upper, hi[j]), lo[j])
-        sol = solve_lp(lp, warm=ctx.sol.basis, lower=lo, upper=hi,
-                       iter_limit=lp_iter_limit)
-        iters += sol.iterations
         result.depth_reached = d
+        try:
+            sol = solve_lp(lp, warm=ctx.sol.basis, lower=lo, upper=hi,
+                           iter_limit=lp_iter_limit)
+        except SimplexError:
+            result.termination = TERM_LP_ERROR
+            break
+        iters += sol.iterations
         if sol.status == simplex.INFEASIBLE:
             result.termination = TERM_INFEASIBLE
             break
@@ -403,6 +412,12 @@ class RandomScorer(_FixScorer):
         return None
 
 
+def _l2dive(**kw):
+    from .l2dive import l2dive_scorer  # l2dive imports this module
+
+    return l2dive_scorer(**kw)
+
+
 SCORERS = {
     "fractional": lambda **kw: FractionalScorer(),
     "coefficient": lambda **kw: CoefficientScorer(),
@@ -412,7 +427,12 @@ SCORERS = {
     "lower": lambda **kw: LowerScorer(),
     "upper": lambda **kw: UpperScorer(),
     "random": lambda seed=0, **kw: RandomScorer(seed=seed),
+    "l2dive": _l2dive,
 }
+
+#: divers whose dives depend on the ``seed`` passed to ``make_scorer``
+#: (``l2dive`` predicts the mode unless asked to sample)
+SEEDED_SCORERS = frozenset({"random"})
 
 
 def make_scorer(name: str, **kwargs):

@@ -26,7 +26,7 @@ from .bnb import (
     branch_and_bound,
     enumerate_optima,
 )
-from .diving import DEFAULT_DEPTH, dive, make_scorer
+from .diving import DEFAULT_DEPTH, SEEDED_SCORERS, dive, make_scorer
 from .graphnet import (
     GraphNet,
     TrainExample,
@@ -191,7 +191,6 @@ class CollectConfig:
     pool_capacity: int = 10
     augment: str = "auto"  # auto | pool | top1 | enumerate
     enum_node_limit: int = 20_000
-    seed: int = 0
     jobs: int = 1
 
 
@@ -217,7 +216,6 @@ def _collect_one(task):
     res = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
         time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
-        seed=cfg.seed,
     ))
     if len(res.pool) == 0:
         return {"instance": str(path), "skip": "no_solution"}
@@ -536,7 +534,9 @@ def _ensemble_hook(members, model, d_max, seed):
 
 
 def _eval_bnb_one(task):
-    entry, spec, seed, cfg, trace_dir = task
+    """Run one B&B under ``seeds[0]`` and report it under every seed in
+    ``seeds`` (more than one only for configs no seed can change)."""
+    entry, spec, seeds, cfg, trace_dir = task
     inst = read_instance(entry["instance_path"])
     model = load_model(cfg.model_path) if (
         cfg.model_path and any(m[0] == "l2dive" for m in spec.members)
@@ -544,21 +544,32 @@ def _eval_bnb_one(task):
     diver = None
     period = None
     if spec.members:
-        diver = _ensemble_hook(spec.members, model, spec.d_max, seed)
+        diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0])
         periods = [m[1] for m in spec.members if m[1] is not None]
         period = 1 if periods else None  # hook handles per-member schedules
     res = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
         time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
-        diver=diver, diver_period=period, seed=seed,
+        diver=diver, diver_period=period,
     ))
-    if trace_dir is not None:
-        safe = spec.name.replace(":", "_").replace("/", "_")
-        res.trace.to_csv(Path(trace_dir) / f"{entry['name']}_{safe}_s{seed}.csv")
+    safe = spec.name.replace(":", "_").replace("/", "_")
     integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
-    zt, zd = res.trace.final()
-    return (entry["name"], spec.name, seed, integral, primal_dual_gap(zt, zd),
-            res.objective, res.bound, res.status, res.nodes, res.ticks, res.dives)
+    gap = primal_dual_gap(*res.trace.final())
+    rows = []
+    for seed in seeds:
+        if trace_dir is not None:
+            res.trace.to_csv(Path(trace_dir) / f"{entry['name']}_{safe}_s{seed}.csv")
+        rows.append((entry["name"], spec.name, seed, integral, gap,
+                     res.objective, res.bound, res.status, res.nodes, res.ticks, res.dives))
+    return rows
+
+
+def _run_seeds(spec, seeds):
+    """Seed groups that each need one B&B run: one group per seed when a
+    member diver reads the seed, otherwise a single group of all seeds."""
+    if any(m[0] in SEEDED_SCORERS for m in spec.members):
+        return [(s,) for s in seeds]
+    return [tuple(seeds)] if seeds else []
 
 
 BNB_COLUMNS = ("instance", "config", "seed", "pd_integral", "pd_gap_final",
@@ -571,9 +582,9 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
     if cfg.save_traces:
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(e, spec, seed, cfg, trace_dir)
-             for e in entries for spec in cfg.specs for seed in cfg.seeds]
-    rows = _pmap(_eval_bnb_one, tasks, cfg.jobs)
+    tasks = [(e, spec, seeds, cfg, trace_dir)
+             for e in entries for spec in cfg.specs for seeds in _run_seeds(spec, cfg.seeds)]
+    rows = [r for rs in _pmap(_eval_bnb_one, tasks, cfg.jobs) for r in rs]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     meta = {
         "command": "eval-bnb",

@@ -197,14 +197,19 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
     else:
         divable_mask = np.zeros(n, dtype=bool)
         divable_mask[np.asarray(divable, dtype=np.int64)] = True
+    # one convention for infinite bounds: |v| >= INF_BOUND becomes +-inf
+    lb = np.array(lb, dtype=np.float64)
+    ub = np.array(ub, dtype=np.float64)
+    lb[lb <= -INF_BOUND] = -np.inf
+    ub[ub >= INF_BOUND] = np.inf
     inst = MilpInstance(
         name=name,
         c=c,
         A=A,
         senses=senses,
         b=b,
-        lb=np.asarray(lb, dtype=np.float64),
-        ub=np.asarray(ub, dtype=np.float64),
+        lb=lb,
+        ub=ub,
         integer=integer_mask,
         divable=divable_mask,
         var_names=list(var_names) if var_names is not None else None,

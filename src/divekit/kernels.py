@@ -1,50 +1,20 @@
-"""Hot numeric inner loops, compiled with numba when available.
-
-Every kernel has two implementations with identical semantics: a numba
-``@njit`` version and a pure-numpy fallback.  The backend is picked once at
-import time; set ``DIVEKIT_NUMBA=0`` in the environment to force the numpy
-path (useful for debugging and for the benchmark in ``benchmarks/``).
-"""
-
-import os
+"""Hot numeric inner loops, one numpy implementation each."""
 
 import numpy as np
 
-_flag = os.environ.get("DIVEKIT_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _flag not in ("0", "off", "false", "no")
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USING_NUMBA = NUMBA_REQUESTED and HAVE_NUMBA
-
 
 def backend() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # sparse row activities (COO layout)
 # ---------------------------------------------------------------------------
 
-def _row_activities_np(rows, cols, vals, x, m):
+def row_activities(rows, cols, vals, x, m):
     if len(rows) == 0:
         return np.zeros(m)
     return np.bincount(rows, weights=vals * x[cols], minlength=m)
-
-
-def _row_activities_loop(rows, cols, vals, x, m):
-    out = np.zeros(m)
-    for k in range(rows.shape[0]):
-        out[rows[k]] += vals[k] * x[cols[k]]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -58,39 +28,7 @@ def _row_activities_loop(rows, cols, vals, x, m):
 # clamped to zero rather than rejected.
 # ---------------------------------------------------------------------------
 
-def _ratio_test_loop(rate, x_b, lo_b, up_b, var_idx, tol):
-    best_t = np.inf
-    best_pos = -1
-    best_var = -1
-    hit_upper = False
-    for i in range(rate.shape[0]):
-        d = rate[i]
-        if d > tol:
-            ub = up_b[i]
-            if np.isinf(ub):
-                continue
-            r = (ub - x_b[i]) / d
-            up = True
-        elif d < -tol:
-            lb = lo_b[i]
-            if np.isinf(lb):
-                continue
-            r = (lb - x_b[i]) / d
-            up = False
-        else:
-            continue
-        if r < 0.0:
-            r = 0.0
-        if r < best_t - 1e-12 or (r <= best_t + 1e-12 and (best_pos < 0 or var_idx[i] < best_var)):
-            best_t = r
-            best_pos = i
-            best_var = var_idx[i]
-            hit_upper = up
-    return best_t, best_pos, hit_upper
-
-
-def _ratio_test_np(rate, x_b, lo_b, up_b, var_idx, tol):
-    # vectorised variant of the loop above
+def ratio_test(rate, x_b, lo_b, up_b, var_idx, tol):
     m = rate.shape[0]
     ratios = np.full(m, np.inf)
     upmask = rate > tol
@@ -117,18 +55,7 @@ def _ratio_test_np(rate, x_b, lo_b, up_b, var_idx, tol):
 # sweep used before the backward LU solve.  Both mutate ``z`` in place.
 # ---------------------------------------------------------------------------
 
-def _apply_etas_loop(z, eta_rows, etas, n_eta):
-    for k in range(n_eta):
-        r = eta_rows[k]
-        a = z[r] / etas[k, r]
-        if a != 0.0:
-            for i in range(z.shape[0]):
-                z[i] -= a * etas[k, i]
-        z[r] = a
-    return z
-
-
-def _apply_etas_np(z, eta_rows, etas, n_eta):
+def apply_etas(z, eta_rows, etas, n_eta):
     for k in range(n_eta):
         r = eta_rows[k]
         a = z[r] / etas[k, r]
@@ -138,17 +65,7 @@ def _apply_etas_np(z, eta_rows, etas, n_eta):
     return z
 
 
-def _apply_etas_t_loop(z, eta_rows, etas, n_eta):
-    for k in range(n_eta - 1, -1, -1):
-        r = eta_rows[k]
-        dot = 0.0
-        for i in range(z.shape[0]):
-            dot += etas[k, i] * z[i]
-        z[r] = z[r] + (z[r] - dot) / etas[k, r]
-    return z
-
-
-def _apply_etas_t_np(z, eta_rows, etas, n_eta):
+def apply_etas_t(z, eta_rows, etas, n_eta):
     for k in range(n_eta - 1, -1, -1):
         r = eta_rows[k]
         dot = float(etas[k] @ z)
@@ -160,47 +77,6 @@ def _apply_etas_t_np(z, eta_rows, etas, n_eta):
 # bipartite message passing: out[dst[e]] += coef[e] * h[src[e]]
 # ---------------------------------------------------------------------------
 
-def _scatter_messages_loop(dst, src, coef, h, out):
-    hd = h.shape[1]
-    for e in range(dst.shape[0]):
-        d = dst[e]
-        s = src[e]
-        c = coef[e]
-        for j in range(hd):
-            out[d, j] += c * h[s, j]
-    return out
-
-
-def _scatter_messages_np(dst, src, coef, h, out):
+def scatter_messages(dst, src, coef, h, out):
     np.add.at(out, dst, coef[:, None] * h[src])
     return out
-
-
-if USING_NUMBA:
-    row_activities = njit(cache=True)(_row_activities_loop)
-    ratio_test = njit(cache=True)(_ratio_test_loop)
-    apply_etas = njit(cache=True)(_apply_etas_loop)
-    apply_etas_t = njit(cache=True)(_apply_etas_t_loop)
-    scatter_messages = njit(cache=True)(_scatter_messages_loop)
-else:
-    row_activities = _row_activities_np
-    ratio_test = _ratio_test_np
-    apply_etas = _apply_etas_np
-    apply_etas_t = _apply_etas_t_np
-    scatter_messages = _scatter_messages_np
-
-# numpy reference implementations, exported for parity tests and benchmarks
-NUMPY_IMPLS = {
-    "row_activities": _row_activities_np,
-    "ratio_test": _ratio_test_np,
-    "apply_etas": _apply_etas_np,
-    "apply_etas_t": _apply_etas_t_np,
-    "scatter_messages": _scatter_messages_np,
-}
-ACTIVE_IMPLS = {
-    "row_activities": row_activities,
-    "ratio_test": ratio_test,
-    "apply_etas": apply_etas,
-    "apply_etas_t": apply_etas_t,
-    "scatter_messages": scatter_messages,
-}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diving import SCORERS, ScoreDecision
+from .diving import ScoreDecision
 from .graphnet import GraphNet, extract_graph
 from .instances import INT_TOL, MilpInstance, to_standard_form
 from . import simplex
@@ -144,13 +144,11 @@ class L2DiveScorer:
         return ScoreDecision(j, new_lower=None, new_upper=target, score=float(score[k]))
 
 
-def _require_model(model=None, strategy="mode", seed=None, **_kw):
+def l2dive_scorer(model=None, strategy="mode", seed=None, **_kw):
+    """Factory behind ``diving.SCORERS["l2dive"]``."""
     if model is None:
         raise ValueError("the l2dive diver needs a trained model (--model PATH)")
     return L2DiveScorer(model, strategy=strategy, seed=seed)
-
-
-SCORERS["l2dive"] = _require_model
 
 
 def verify_tightening_optimality(inst: MilpInstance, x_tilde, tol=SLACK_TOL,

@@ -92,13 +92,12 @@ def _is_free(lo, hi):
 
 
 class _Solver:
-    def __init__(self, lp: StandardLp, lower, upper, feas_tol, opt_tol, verbose=0):
+    def __init__(self, lp: StandardLp, lower, upper, feas_tol, opt_tol):
         self.lp = lp
         self.m = lp.nrows
         self.n_real = lp.ncols
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
-        self.verbose = verbose
         struct = lp.dense()
         self.art_rows = self._eq_rows()
         self.n_art = self.art_rows.size
@@ -269,15 +268,10 @@ class _Solver:
             self.xval[self.basic] = xb + t * rate
             self.xval[q] += s * t
         if t_flip <= t_block:
-            if self.verbose:
-                print(f"  pivot {self.iterations}: bound flip col {q} step {t:.3g}")
             self.stat[q] = _AT_UPPER if self.stat[q] == _AT_LOWER else _AT_LOWER
             self.xval[q] = self.ub[q] if self.stat[q] == _AT_UPPER else self.lb[q]
         else:
             leave = int(self.basic[pos])
-            if self.verbose:
-                print(f"  pivot {self.iterations}: col {q} enters, col {leave} "
-                      f"leaves (row {pos}), step {t:.3g}")
             v = up_eff[pos] if _hit_up else lo_eff[pos]
             if abs(v - self.lb[leave]) <= abs(v - self.ub[leave]):
                 self.stat[leave] = _AT_LOWER
@@ -434,16 +428,15 @@ def solve_lp(
     upper: np.ndarray | None = None,
     feas_tol: float = FEAS_TOL,
     opt_tol: float = OPT_TOL,
-    verbose: int = 0,
 ) -> LpSolution:
     """Solve the LP, optionally warm-started and with bound overrides.
 
     ``lower``/``upper`` replace the bounds of ``lp`` without mutating it
-    (used by diving and branch and bound); ``verbose`` traces pivots.
+    (used by diving and branch and bound).
     Raises :class:`SingularBasis` or :class:`NumericalBreakdown` on
     unrecoverable numerical failures.
     """
-    solver = _Solver(lp, lower, upper, feas_tol, opt_tol, verbose=verbose)
+    solver = _Solver(lp, lower, upper, feas_tol, opt_tol)
     if solver.bound_crossing > feas_tol:
         return LpSolution(
             status=INFEASIBLE, x=None, objective=np.inf, duals=None,
@@ -458,7 +451,7 @@ def solve_lp(
     except SingularBasis:
         if warm is None:
             raise
-        solver = _Solver(lp, lower, upper, feas_tol, opt_tol, verbose=verbose)
+        solver = _Solver(lp, lower, upper, feas_tol, opt_tol)
         solver.cold_start()
     status = solver.phase1(budget) if solver.m else OPTIMAL
     if status == OPTIMAL:

@@ -300,7 +300,7 @@ def run_pipeline(root):
                    params=PIPELINE_PARAMS)
     generate_batch("set-cover", 100, TEST_SEED, root / "test_inst",
                    params=PIPELINE_PARAMS)
-    ccfg = CollectConfig(node_limit=1200, pool_capacity=10, seed=0, jobs=JOBS)
+    ccfg = CollectConfig(node_limit=1200, pool_capacity=10, jobs=JOBS)
     collect_corpus(root / "train_inst", root / "train_corpus", ccfg)
     collect_corpus(root / "test_inst", root / "test_corpus", ccfg)
     train_report = train_from_corpus(

@@ -181,6 +181,31 @@ class TestBranchAndBound:
         assert dived.dives >= 1
         assert dived.objective <= plain.objective + 1e-9
 
+    def test_failing_dive_is_not_a_node_error(self, monkeypatch):
+        """A dive whose LP fails ends as lp_error; the node LPs, solved
+        through bnb's own binding, carry on unaffected."""
+        from divekit import diving
+        from divekit.simplex import NumericalBreakdown
+
+        def broken(*a, **kw):
+            raise NumericalBreakdown("injected failure")
+
+        inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
+        plain = branch_and_bound(inst, SolveConfig(node_limit=25))
+        terminations = []
+
+        def hook(inst, lp, sol, lo, hi):
+            res = diving.dive(inst, diving.make_scorer("fractional"), lp=lp, root_sol=sol,
+                              lower=lo, upper=hi)
+            terminations.append(res.termination)
+            return res.solutions
+
+        monkeypatch.setattr(diving, "solve_lp", broken)
+        dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook))
+        assert dived.dives == 1 and terminations == ["lp_error"]
+        assert dived.node_errors == 0
+        assert (dived.nodes, dived.objective) == (plain.nodes, plain.objective)
+
 
 class TestEnumerate:
     def test_set_partition_two_optima(self):

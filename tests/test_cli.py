@@ -17,7 +17,7 @@ def workspace(tmp_path_factory):
     assert rc == 0
     rc = main(["collect", "--instances", str(root / "inst"),
                "--out", str(root / "corpus"), "--node-limit", "120",
-               "--jobs", "1", "--seed", "0"])
+               "--jobs", "1"])
     assert rc == 0
     return root
 

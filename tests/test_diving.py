@@ -9,11 +9,16 @@ from divekit.diving import (
     PseudocostScorer,
     RandomScorer,
     SCORERS,
+    SEEDED_SCORERS,
     VectorlengthScorer,
     dive,
     make_scorer,
 )
+from divekit import diving
+from divekit.graphnet import GraphNet
 from divekit.instances import GeneratorConfig, generate
+from divekit.l2dive import L2DiveScorer
+from divekit.simplex import NumericalBreakdown
 from conftest import reference_feasible
 
 ALL_BASELINES = ("fractional", "coefficient", "linesearch", "vectorlength",
@@ -214,3 +219,79 @@ class TestDiveEngine:
             assert name in SCORERS
         with pytest.raises(KeyError):
             make_scorer("nope")
+
+
+def _same_dive(a, b):
+    return (a.termination == b.termination and a.depth_reached == b.depth_reached
+            and a.lp_iterations == b.lp_iterations and a.best_z == b.best_z
+            and len(a.solutions) == len(b.solutions)
+            and all(np.array_equal(x, y) for x, y in zip(a.solutions, b.solutions)))
+
+
+class TestRegistry:
+    def test_l2dive_registered_explicitly(self):
+        assert isinstance(make_scorer("l2dive", model=GraphNet(hidden=8, seed=0)),
+                          L2DiveScorer)
+        with pytest.raises(ValueError):
+            make_scorer("l2dive")
+
+    def test_unseeded_divers_ignore_the_seed(self):
+        """Every diver outside SEEDED_SCORERS dives identically under any
+        seed, which is what lets eval_bnb run such configs once."""
+        model = GraphNet(hidden=8, seed=0)
+        insts = [generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))
+                 for s in (0, 1)]
+        for name in sorted(set(SCORERS) - SEEDED_SCORERS):
+            for inst in insts:
+                a = dive(inst, make_scorer(name, seed=0, model=model), d_max=30)
+                b = dive(inst, make_scorer(name, seed=1, model=model), d_max=30)
+                assert _same_dive(a, b), name
+        assert SEEDED_SCORERS <= set(SCORERS)
+
+    def test_random_reads_the_seed(self):
+        differs = False
+        for s in range(4):
+            inst = generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))
+            a = dive(inst, make_scorer("random", seed=0), d_max=30)
+            b = dive(inst, make_scorer("random", seed=1), d_max=30)
+            differs |= not _same_dive(a, b)
+        assert "random" in SEEDED_SCORERS and differs
+
+
+def _failing_solve_lp(monkeypatch, fail_on):
+    """Make ``diving.solve_lp`` raise on the listed (1-based) calls."""
+    real = diving.solve_lp
+    calls = {"n": 0}
+
+    def solve_lp(*a, **kw):
+        calls["n"] += 1
+        if calls["n"] in fail_on:
+            raise NumericalBreakdown("injected failure")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(diving, "solve_lp", solve_lp)
+    return calls
+
+
+class TestLpFailure:
+    # seed 1 at this size has a fractional root, so the dive really runs
+    INST = GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08)
+
+    def test_root_failure_ends_dive(self, monkeypatch):
+        _failing_solve_lp(monkeypatch, {1})
+        res = dive(generate(self.INST), make_scorer("fractional"), d_max=10)
+        assert res.termination == "lp_error"
+        assert res.solutions == [] and res.lp_iterations == 0 and res.depth_reached == 0
+
+    def test_resolve_failure_keeps_progress(self, monkeypatch):
+        inst = generate(self.INST)
+        clean = dive(inst, make_scorer("lower"), d_max=1)
+        assert clean.termination == "depth_limit"  # so a second resolve follows
+        _failing_solve_lp(monkeypatch, {3})
+        res = dive(inst, make_scorer("lower"), d_max=10)
+        assert res.termination == "lp_error"
+        assert res.depth_reached == 2
+        # iterations of the root solve and the first resolve are kept
+        assert res.lp_iterations == clean.lp_iterations
+        for x in clean.solutions:
+            assert any(np.array_equal(x, y) for y in res.solutions)

@@ -100,7 +100,7 @@ def tiny_world(tmp_path_factory):
     root = tmp_path_factory.mktemp("world")
     generate_batch("set-cover", 8, 300, root / "inst",
                    params={"rows": 40, "cols": 50, "density": 0.12, "max_cost": 5})
-    cfg = CollectConfig(node_limit=150, pool_capacity=5, seed=0, jobs=1)
+    cfg = CollectConfig(node_limit=150, pool_capacity=5, jobs=1)
     manifest = collect_corpus(root / "inst", root / "corpus", cfg)
     assert len(manifest["entries"]) >= 3
     return root, manifest
@@ -116,7 +116,7 @@ class TestCollect:
 
     def test_corpus_reproducible_bytes(self, tiny_world, tmp_path):
         root, manifest = tiny_world
-        cfg = CollectConfig(node_limit=150, pool_capacity=5, seed=0, jobs=1)
+        cfg = CollectConfig(node_limit=150, pool_capacity=5, jobs=1)
         again = collect_corpus(root / "inst", tmp_path / "corpus2", cfg)
         for e1, e2 in zip(manifest["entries"], again["entries"]):
             p1 = (root / "corpus" / e1["pool"]).read_bytes()
@@ -153,6 +153,31 @@ class TestEvalDives:
         # summary covers every diver in the registry order requested
         assert sorted(r[0] for r in res["summary_rows"]) == sorted(set(cfg.divers))
 
+    def test_lp_failure_ends_one_dive(self, tiny_world, tmp_path, monkeypatch):
+        """The dives' second LP solve raises: eval_dives still returns every
+        row and records the failure as the termination of that one dive."""
+        from divekit import diving
+        from divekit.simplex import NumericalBreakdown
+
+        real = diving.solve_lp
+        calls = {"n": 0}
+
+        def solve_lp(*a, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise NumericalBreakdown("injected failure")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(diving, "solve_lp", solve_lp)
+        root, manifest = tiny_world
+        cfg = DiveEvalConfig(divers=("fractional", "lower"), d_max=20, jobs=1)
+        res = eval_dives(root / "corpus", cfg, tmp_path / "out")
+        assert calls["n"] > 2
+        assert len(res["rows"]) == 2 * len(manifest["entries"])
+        assert [r[6] for r in res["rows"]].count("lp_error") == 1
+        _, rows = read_csv_rows(tmp_path / "out" / "dives_per_instance.csv")
+        assert [r[6] for r in rows].count("lp_error") == 1
+
     def test_identical_seeds_identical_tables(self, tiny_world, tmp_path):
         root, _ = tiny_world
         cfg = DiveEvalConfig(divers=("fractional", "lower"), d_max=20, seed=0, jobs=1)
@@ -178,6 +203,46 @@ class TestEvalBnb:
         assert sum(wins.values()) >= n
         header, rows = read_csv_rows(root / "bnb_out" / "bnb_per_run.csv")
         assert len(rows) == n * len(specs) * 2
+
+    def test_seed_invariant_configs_run_once(self, tiny_world, tmp_path, monkeypatch):
+        """A config whose divers ignore the seed runs once per instance and
+        its row is reported under every seed; the rows equal those of
+        separate single-seed evaluations."""
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        specs = (
+            BnbRunSpec(name="no-diving", members=()),
+            BnbRunSpec(name="fractional", members=(("fractional", None, 0),), d_max=10),
+            BnbRunSpec(name="random", members=(("random", None, 0),), d_max=10),
+        )
+
+        def cfg(seeds, save_traces=False):
+            return BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20,
+                                 seeds=seeds, jobs=1, save_traces=save_traces)
+
+        single = []
+        for seed in (0, 1, 2):
+            single += eval_bnb(root / "corpus", cfg((seed,), True),
+                               tmp_path / f"s{seed}")["rows"]
+        real = harness.branch_and_bound
+        calls = {"n": 0}
+
+        def counting(*a, **kw):
+            calls["n"] += 1
+            return real(*a, **kw)
+
+        monkeypatch.setattr(harness, "branch_and_bound", counting)
+        res = eval_bnb(root / "corpus", cfg((0, 1, 2), True), tmp_path / "all")
+        n = len(manifest["entries"])
+        assert calls["n"] == n * (2 + 1 * 3)
+        assert res["rows"] == sorted(single, key=lambda r: (r[0], r[1], r[2]))
+        traces = sorted(p.name for p in (tmp_path / "all" / "traces").glob("*.csv"))
+        assert len(traces) == n * len(specs) * 3
+        for name in traces:
+            seed = name[-5]
+            assert (tmp_path / "all" / "traces" / name).read_bytes() == \
+                (tmp_path / f"s{seed}" / "traces" / name).read_bytes()
 
     def test_integral_within_horizon(self, tiny_world):
         root, _ = tiny_world
@@ -280,7 +345,7 @@ class TestAllFamilies:
             corpus = tmp_path / fam / "corpus"
             manifest = collect_corpus(gen_dir, corpus,
                                       CollectConfig(node_limit=120, pool_capacity=4,
-                                                    jobs=1, seed=0))
+                                                    jobs=1))
             if not manifest["entries"]:
                 continue  # every draw solved at the root: nothing to dive on
             cfg = DiveEvalConfig(divers=("fractional", "lower"), d_max=25,

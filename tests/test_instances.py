@@ -233,6 +233,20 @@ class TestMpsReader:
             read_instance(p)
         assert exc.value.line == 3
 
+    def test_huge_upper_bound_is_infinite_everywhere(self, tmp_path):
+        from divekit.graphnet import VAR_FEATURES, extract_graph
+        from divekit.simplex import OPTIMAL, solve_lp
+
+        p = tmp_path / "big.mps"
+        p.write_text(MPS_SAMPLE.replace(" UP BND       X1           4.0",
+                                        " UP BND       X1           1e30"))
+        inst = read_instance(p)
+        assert inst.ub[0] == np.inf
+        root = solve_lp(to_standard_form(inst))
+        assert root.status == OPTIMAL
+        graph = extract_graph(inst, root)
+        assert graph.var_feats[0, VAR_FEATURES.index("ub_finite")] == 0.0
+
     def test_unsupported_bound_type(self, tmp_path):
         p = tmp_path / "fr.mps"
         p.write_text(MPS_SAMPLE.replace(" UP BND       X1           4.0",
