@@ -188,7 +188,8 @@ class SolveConfig:
     tick_limit: float | None = None
     time_limit: float | None = None
     pool_capacity: int = 10
-    diver: object | None = None  # callable(inst, lp, sol, lo, hi) -> list of x
+    # callable(inst, lp, sol, lo, hi) -> one DiveResult per dive it ran
+    diver: object | None = None
     diver_period: int | None = None  # re-dive every k nodes; None = root only
 
     def __post_init__(self):
@@ -213,7 +214,7 @@ class BnbResult:
     nodes: int
     ticks: float
     node_errors: int
-    dives: int = 0
+    dives: int = 0  # dives the diver callback ran, not calls of it
 
 
 class _Node:
@@ -296,14 +297,15 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
 
     def run_diver(sol, lo, hi):
         nonlocal dives, node_errors
-        dives += 1
         try:
-            found = cfg.diver(inst, lp, sol, lo, hi)
+            results = cfg.diver(inst, lp, sol, lo, hi)
         except SimplexError:
             node_errors += 1
             return
-        for sx in found:
-            register(sx)
+        dives += len(results)
+        for res in results:
+            for sx in res.solutions:
+                register(sx)
 
     root = _Node(None, -1, False, 0.0, -np.inf, None, 0, seq)
     plunge.append(root)
@@ -446,50 +448,47 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
     seen = {}
     nodes = 0
     complete = True
-
-    def dfs(pos, lo, hi, warm):
-        nonlocal nodes, complete
-        if not complete:
-            return
+    # depth-first over (position in div, lower, upper, warm basis); children
+    # are pushed in reverse so the lowest value is visited first
+    stack = [(0, inst.lb.copy(), inst.ub.copy(), None)]
+    while stack:
+        pos, lo, hi, warm = stack.pop()
         if nodes >= cfg.node_limit:
             complete = False
-            return
+            break
         nodes += 1
         try:
             sol = solve_lp(lp, warm=warm, lower=lp_bounds(lp, lo), upper=lp_bounds(lp, hi, upper=True))
         except SimplexError:
             complete = False
-            return
+            break
         if sol.status == simplex.INFEASIBLE:
-            return
+            continue
         if sol.status != simplex.OPTIMAL:
             complete = False
-            return
+            break
         if pos == len(div):
             x = sol.x[: inst.n]
             if other_int.size:
                 oi = x[other_int]
                 if np.max(np.abs(oi - np.round(oi))) > INT_TOL:
-                    return
+                    continue
             key = tuple(int(round(v)) for v in np.asarray(lo)[div])
             if key not in seen:
                 if len(seen) >= cfg.pool_capacity:
                     complete = False
-                    return
+                    break
                 seen[key] = float(sol.objective)
-            return
+            continue
         j = div[pos]
         lo_v = int(np.ceil(lo[j] - INT_TOL))
         hi_v = int(np.floor(hi[j] + INT_TOL))
-        for v in range(lo_v, hi_v + 1):
+        for v in range(hi_v, lo_v - 1, -1):
             lo2 = lo.copy()
             hi2 = hi.copy()
             lo2[j] = hi2[j] = float(v)
-            dfs(pos + 1, lo2, hi2, sol.basis)
-            if not complete:
-                return
+            stack.append((pos + 1, lo2, hi2, sol.basis))
 
-    dfs(0, inst.lb.copy(), inst.ub.copy(), None)
     assignments = [np.asarray(k, dtype=np.int64) for k in sorted(seen)]
     return EnumerationResult(
         optimum=z_opt, assignments=assignments, complete=complete,

@@ -446,12 +446,12 @@ def make_scorer(name: str, **kwargs):
 
 
 def make_dive_hook(scorer_factory, d_max=DEFAULT_DEPTH, lp_iter_limit=None):
-    """Adapter giving branch and bound a diver callback."""
+    """Adapter giving branch and bound a diver callback that dives once per
+    call."""
 
     def hook(inst, lp, sol, lo, hi):
         scorer = scorer_factory()
-        res = dive(inst, scorer, d_max=d_max, lp_iter_limit=lp_iter_limit,
-                   lp=lp, root_sol=sol, lower=lo, upper=hi)
-        return res.solutions
+        return [dive(inst, scorer, d_max=d_max, lp_iter_limit=lp_iter_limit,
+                     lp=lp, root_sol=sol, lower=lo, upper=hi)]
 
     return hook

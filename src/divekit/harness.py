@@ -22,11 +22,15 @@ import numpy as np
 from . import __version__, simplex
 from .bnb import (
     OPTIMAL_PROVEN,
+    BnbResult,
+    NodeError,
+    SolutionPool,
     SolveConfig,
+    SolveTrace,
     branch_and_bound,
     enumerate_optima,
 )
-from .diving import DEFAULT_DEPTH, SEEDED_SCORERS, dive, make_scorer
+from .diving import DEFAULT_DEPTH, SEEDED_SCORERS, TERM_LP_ERROR, dive, make_scorer
 from .graphnet import (
     GraphNet,
     TrainExample,
@@ -50,7 +54,7 @@ from .instances import (
 )
 from .l2dive import verify_tightening_optimality
 from .oracles import enumerate_basic_solutions
-from .simplex import check_complementary_slackness, dual_objective, solve_lp
+from .simplex import SimplexError, check_complementary_slackness, dual_objective, solve_lp
 
 SYMMETRIC_FAMILIES = ("set-cover", "indep-set")
 FAILED_GAP = np.inf
@@ -206,17 +210,23 @@ def _collect_one(task):
     inst = read_instance(path)
     family = _family_of(inst.name)
     lp = to_standard_form(inst)
-    root = solve_lp(lp)
+    try:
+        root = solve_lp(lp)
+    except SimplexError:
+        return {"instance": str(path), "skip": "root_lp_error"}
     if root.status != simplex.OPTIMAL:
         return {"instance": str(path), "skip": f"root_{root.status}"}
     x = root.x[: inst.n]
     xi = x[inst.integer_index]
     if xi.size == 0 or np.max(np.abs(xi - np.round(xi))) <= INT_TOL:
         return {"instance": str(path), "skip": "solved_at_root"}
-    res = branch_and_bound(inst, SolveConfig(
-        node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-        time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
-    ))
+    try:
+        res = branch_and_bound(inst, SolveConfig(
+            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
+            time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
+        ))
+    except NodeError:
+        return {"instance": str(path), "skip": "root_lp_error"}
     if len(res.pool) == 0:
         return {"instance": str(path), "skip": "no_solution"}
     symmetric = family in SYMMETRIC_FAMILIES
@@ -330,7 +340,10 @@ def load_pool_solutions(pool_path):
 def _example_task(entry):
     inst = read_instance(entry["instance_path"])
     lp = to_standard_form(inst)
-    root = solve_lp(lp)
+    try:
+        root = solve_lp(lp)
+    except SimplexError:
+        return None
     if root.status != simplex.OPTIMAL:
         return None
     graph = extract_graph(inst, root)
@@ -419,7 +432,11 @@ def _eval_dive_one(task):
     entry, cfg = task
     inst = read_instance(entry["instance_path"])
     lp = to_standard_form(inst)
-    root = solve_lp(lp)
+    try:
+        root = solve_lp(lp)
+    except SimplexError:
+        return [(entry["name"], name, cfg.seed, FAILED_GAP, True, 0, TERM_LP_ERROR, 0,
+                 np.inf, entry["z_ref"]) for name in cfg.divers]
     rows = []
     if root.status != simplex.OPTIMAL:
         return rows
@@ -518,17 +535,16 @@ def _ensemble_hook(members, model, d_max, seed):
 
     def hook(inst, lp, sol, lo, hi):
         counter["n"] += 1
-        found = []
+        results = []
         for name, period, offset in members:
             at_root = counter["n"] == 0
             scheduled = period is not None and counter["n"] % max(period, 1) == (offset or 0)
             if not (at_root or scheduled):
                 continue
             scorer = make_scorer(name, seed=seed, model=model)
-            res = dive(inst, scorer, d_max=d_max, lp=lp, root_sol=sol,
-                       lower=lo, upper=hi)
-            found.extend(res.solutions)
-        return found
+            results.append(dive(inst, scorer, d_max=d_max, lp=lp, root_sol=sol,
+                                lower=lo, upper=hi))
+        return results
 
     return hook
 
@@ -547,11 +563,17 @@ def _eval_bnb_one(task):
         diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0])
         periods = [m[1] for m in spec.members if m[1] is not None]
         period = 1 if periods else None  # hook handles per-member schedules
-    res = branch_and_bound(inst, SolveConfig(
-        node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-        time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
-        diver=diver, diver_period=period,
-    ))
+    try:
+        res = branch_and_bound(inst, SolveConfig(
+            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
+            time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
+            diver=diver, diver_period=period,
+        ))
+    except NodeError:
+        # the root LP failed: one node, one node error, an empty trace
+        res = BnbResult(status=TERM_LP_ERROR, x=None, objective=np.inf, bound=-np.inf,
+                        pool=SolutionPool(inst), trace=SolveTrace(), nodes=1,
+                        ticks=0.0, node_errors=1)
     safe = spec.name.replace(":", "_").replace("/", "_")
     integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
     gap = primal_dual_gap(*res.trace.final())
@@ -699,7 +721,7 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
         "best_name": best_name,
         "objective": tune_cfg.objective,
         "scores": {k: scores[k] for k in sorted(scores)},
-        "solver_calls": len(specs) * n_entries * len(cfg.seeds),
+        "solver_calls": n_entries * sum(len(_run_seeds(s, cfg.seeds)) for s in specs),
         "samples": tune_cfg.samples,
         "seed": tune_cfg.seed,
     }

@@ -9,13 +9,18 @@ returns the primal point, the basis triplet and the dual triple
 
 Implementation notes:
 
+- every row has a logical column: the slack of an inequality row, or an
+  artificial column for an equality row.  Artificials are stored after the
+  real columns as ordinary columns fixed at zero, so one column matrix
+  serves pricing, ftran and the basis; cold starts take the logical columns
+  as the initial basis;
 - dense LU of the basis (scipy) with product-form eta updates, refactorized
-  every ``refactor_every`` pivots and once more before declaring optimality;
+  every ``REFACTOR_EVERY`` pivots and once more before declaring optimality;
 - phase 1 minimizes the total bound violation of basic variables using
   shifted blocking bounds, so a warm basis that became primal-infeasible
-  after a bound tightening is repaired in place, without artificials;
-- cold starts take slack columns as the initial basis and add internal
-  artificial columns only for equality rows (fixed to zero in phase 2);
+  after a bound tightening is repaired in place;
+- an LP without rows takes the same path: its basis is empty (a 0x0 LU)
+  and every iteration is a bound flip;
 - Dantzig pricing with a switch to Bland's rule after a stall; all ties are
   broken by the lowest variable index, so pivot sequences are deterministic.
 """
@@ -87,37 +92,39 @@ class LpSolution:
     infeasibility: float = 0.0
 
 
-def _is_free(lo, hi):
-    return lo <= -INF_BOUND and hi >= INF_BOUND
-
-
 class _Solver:
-    def __init__(self, lp: StandardLp, lower, upper, feas_tol, opt_tol):
+    def __init__(self, lp: StandardLp, lower, upper):
         self.lp = lp
         self.m = lp.nrows
         self.n_real = lp.ncols
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
-        struct = lp.dense()
-        self.art_rows = self._eq_rows()
-        self.n_art = self.art_rows.size
-        self.N = self.n_real + self.n_art
-        self.A = struct  # m x n_real
-        self.AT = struct.T
+        # logical column of each row: its slack, or else an artificial
+        # column appended after the real ones
+        self.logical = np.full(self.m, -1, dtype=np.int64)
+        slacks = np.arange(lp.slack_start, self.n_real)
+        self.logical[lp.slack_row[slacks]] = slacks
+        art_rows = np.flatnonzero(self.logical < 0)
+        n_art = art_rows.size
+        self.logical[art_rows] = self.n_real + np.arange(n_art)
+        self.N = self.n_real + n_art
+        self.A = lp.dense()
+        if n_art:
+            art = np.zeros((self.m, n_art))
+            art[art_rows, np.arange(n_art)] = 1.0
+            self.A = np.hstack([self.A, art])
         lo = lp.lb if lower is None else lower
         hi = lp.ub if upper is None else upper
-        self.lb = np.concatenate([np.asarray(lo, dtype=np.float64), np.zeros(self.n_art)])
-        self.ub = np.concatenate([np.asarray(hi, dtype=np.float64), np.zeros(self.n_art)])
+        self.lb = np.concatenate([np.asarray(lo, dtype=np.float64), np.zeros(n_art)])
+        self.ub = np.concatenate([np.asarray(hi, dtype=np.float64), np.zeros(n_art)])
         self.bound_crossing = float(np.max(self.lb - self.ub, initial=0.0))
         np.minimum(self.lb, self.ub, out=self.lb)
-        self.c = np.concatenate([lp.c, np.zeros(self.n_art)])
+        self.c = np.concatenate([lp.c, np.zeros(n_art)])
         self.b = lp.b
         self.stat = np.empty(self.N, dtype=np.int8)
         self.basic = np.empty(self.m, dtype=np.int64)
         self.xval = np.zeros(self.N)
         self.lu = None
         self.eta_rows = np.zeros(REFACTOR_EVERY, dtype=np.int64)
-        self.etas = np.zeros((REFACTOR_EVERY, max(self.m, 1)))
+        self.etas = np.zeros((REFACTOR_EVERY, self.m))
         self.n_eta = 0
         self.iterations = 0
         self.bland = False
@@ -125,47 +132,19 @@ class _Solver:
         self._last_obj = np.inf
         self.ray = None
 
-    def _eq_rows(self):
-        # rows without a slack column are equalities
-        has_slack = np.zeros(self.m, dtype=bool)
-        sr = self.lp.slack_row[self.lp.slack_start:]
-        if sr.size:
-            has_slack[sr] = True
-        return np.flatnonzero(~has_slack).astype(np.int64)
-
-    # -- column access -----------------------------------------------------
-
-    def col(self, j):
-        if j < self.n_real:
-            return self.A[:, j]
-        z = np.zeros(self.m)
-        z[self.art_rows[j - self.n_real]] = 1.0
-        return z
-
     # -- factorization -----------------------------------------------------
 
     def refactorize(self):
-        if self.m == 0:
-            self.lu = None
-            self.n_eta = 0
-            return
-        B = np.empty((self.m, self.m))
-        for k, j in enumerate(self.basic):
-            B[:, k] = self.col(j)
-        lu, piv = sla.lu_factor(B, check_finite=False)
+        lu, piv = sla.lu_factor(self.A[:, self.basic], check_finite=False)
         diag = np.abs(np.diag(lu))
-        if diag.min() < 1e-12 * max(1.0, diag.max()):
+        if diag.min(initial=np.inf) < 1e-12 * max(1.0, diag.max(initial=0.0)):
             raise SingularBasis("singular basis matrix")
         self.lu = (lu, piv)
         self.n_eta = 0
         # recompute basic values against the fresh factors
         x_other = self.xval.copy()
         x_other[self.basic] = 0.0
-        rhs = self.b - self.A @ x_other[: self.n_real]
-        art = x_other[self.n_real:]
-        if self.n_art:
-            rhs = rhs - np.bincount(self.art_rows, weights=art, minlength=self.m)
-        self.xval[self.basic] = self.ftran(rhs)
+        self.xval[self.basic] = self.ftran(self.b - self.A @ x_other)
 
     def ftran(self, v):
         z = sla.lu_solve(self.lu, v, check_finite=False)
@@ -173,75 +152,50 @@ class _Solver:
             apply_etas(z, self.eta_rows, self.etas, self.n_eta)
         return z
 
-    def btran(self, w):
-        z = np.asarray(w, dtype=np.float64).copy()
+    def btran(self, z):
+        """Solve ``B'y = z``; overwrites ``z``."""
         if self.n_eta:
             apply_etas_t(z, self.eta_rows, self.etas, self.n_eta)
         return sla.lu_solve(self.lu, z, trans=1, check_finite=False)
 
     # -- setup ---------------------------------------------------------------
 
+    def _place_nonbasic(self):
+        """Every column at its lower bound, at its upper bound when the lower
+        one is infinite, or free at zero when both are."""
+        has_lo = self.lb > -INF_BOUND
+        free = ~has_lo & (self.ub >= INF_BOUND)
+        self.stat[:] = np.where(has_lo, _AT_LOWER, np.where(free, _FREE, _AT_UPPER))
+        self.xval[:] = np.where(has_lo, self.lb, np.where(free, 0.0, self.ub))
+
     def cold_start(self):
-        for j in range(self.N):
-            lo, hi = self.lb[j], self.ub[j]
-            if _is_free(lo, hi):
-                self.stat[j] = _FREE
-                self.xval[j] = 0.0
-            elif lo > -INF_BOUND:
-                self.stat[j] = _AT_LOWER
-                self.xval[j] = lo
-            else:
-                self.stat[j] = _AT_UPPER
-                self.xval[j] = hi
-        # slack of each inequality row, artificial of each equality row
-        slack_of = {int(self.lp.slack_row[j]): j
-                    for j in range(self.lp.slack_start, self.n_real)}
-        art_of = {int(r): self.n_real + k for k, r in enumerate(self.art_rows)}
-        for i in range(self.m):
-            self.basic[i] = slack_of.get(i, art_of.get(i, -1))
-        if np.any(self.basic < 0):
-            raise SimplexError("row without slack or artificial column")
+        self._place_nonbasic()
+        self.basic[:] = self.logical
         self.stat[self.basic] = _BASIC
         self.refactorize()
 
     def warm_start(self, basis: Basis):
         if basis.basic.shape[0] != self.m:
             raise SimplexError("warm basis has the wrong size")
-        self.stat[:] = _AT_LOWER
-        for j in basis.at_lower:
-            if _is_free(self.lb[j], self.ub[j]):
-                self.stat[j] = _FREE
-            elif self.lb[j] <= -INF_BOUND:
-                # stale status from a different bound set: fall back sanely
-                self.stat[j] = _AT_UPPER
-            else:
-                self.stat[j] = _AT_LOWER
+        # columns listed at lower are re-placed, so a status that is stale
+        # for the current bounds falls back to a finite bound
+        self._place_nonbasic()
         self.stat[basis.at_upper] = _AT_UPPER
+        self.xval[basis.at_upper] = self.ub[basis.at_upper]
         self.basic[:] = basis.basic
         self.stat[self.basic] = _BASIC
-        nb = self.stat != _BASIC
-        self.xval[nb & (self.stat == _AT_LOWER)] = self.lb[nb & (self.stat == _AT_LOWER)]
-        self.xval[nb & (self.stat == _AT_UPPER)] = self.ub[nb & (self.stat == _AT_UPPER)]
-        self.xval[self.stat == _FREE] = 0.0
         self.refactorize()
 
     # -- pricing -------------------------------------------------------------
 
     def price(self, c_eff):
         """Row duals and reduced costs for the effective cost vector."""
-        if self.m == 0:
-            return np.zeros(0), c_eff.copy()
         y = self.btran(c_eff[self.basic])
-        d = np.empty(self.N)
-        d[: self.n_real] = c_eff[: self.n_real] - self.AT @ y
-        if self.n_art:
-            d[self.n_real:] = c_eff[self.n_real:] - y[self.art_rows]
-        return y, d
+        return y, c_eff - self.A.T @ y
 
     def _entering(self, d, etol):
         movable = self.ub - self.lb > 0
-        elig = np.zeros(self.N, dtype=bool)
-        elig |= (self.stat == _AT_LOWER) & (d < -etol) & movable
+        elig = (self.stat == _AT_LOWER) & (d < -etol) & movable
         elig |= (self.stat == _AT_UPPER) & (d > etol) & movable
         elig |= (self.stat == _FREE) & (np.abs(d) > etol)
         if not elig.any():
@@ -304,8 +258,8 @@ class _Solver:
 
     def violations(self):
         xb = self.xval[self.basic]
-        below = xb < self.lb[self.basic] - self.feas_tol
-        above = xb > self.ub[self.basic] + self.feas_tol
+        below = xb < self.lb[self.basic] - FEAS_TOL
+        above = xb > self.ub[self.basic] + FEAS_TOL
         total = float(
             np.sum(self.lb[self.basic][below] - xb[below])
             + np.sum(xb[above] - self.ub[self.basic][above])
@@ -317,7 +271,7 @@ class _Solver:
         self._stall = 0
         while True:
             below, above, total = self.violations()
-            if total <= self.feas_tol:
+            if total <= FEAS_TOL:
                 return OPTIMAL
             if self.iterations >= iter_limit:
                 return ITERATION_LIMIT
@@ -326,11 +280,11 @@ class _Solver:
             c1[self.basic[above]] = 1.0
             self._note_progress(total)
             _, d = self.price(c1)
-            q = self._entering(d, self.opt_tol)
+            q = self._entering(d, OPT_TOL)
             if q < 0:
                 return INFEASIBLE
             s = 1.0 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and d[q] < 0)) else -1.0
-            w = self.ftran(self.col(q))
+            w = self.ftran(self.A[:, q])
             lo_eff = self.lb[self.basic].copy()
             up_eff = self.ub[self.basic].copy()
             lo_eff[below] = -np.inf
@@ -348,19 +302,19 @@ class _Solver:
                 return ITERATION_LIMIT
             self._note_progress(float(self.c @ self.xval))
             _, d = self.price(self.c)
-            q = self._entering(d, self.opt_tol)
+            q = self._entering(d, OPT_TOL)
             if q < 0:
                 if self.n_eta:
                     # confirm optimality against fresh factors
                     self.refactorize()
                     _, d = self.price(self.c)
-                    q = self._entering(d, self.opt_tol)
+                    q = self._entering(d, OPT_TOL)
                     if q < 0:
                         return OPTIMAL
                 else:
                     return OPTIMAL
             s = 1.0 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and d[q] < 0)) else -1.0
-            w = self.ftran(self.col(q))
+            w = self.ftran(self.A[:, q])
             lo_eff = self.lb[self.basic]
             up_eff = self.ub[self.basic]
             if self._step(q, s, w, lo_eff, up_eff) is None:
@@ -381,33 +335,23 @@ class _Solver:
         )
 
     def extract_duals(self) -> DualValues:
-        if self.m == 0:
-            y = np.zeros(0)
-            d = self.c.copy()
-        else:
-            y, d = self.price(self.c)
-        y_lb = np.zeros(self.n_real)
-        y_ub = np.zeros(self.n_real)
-        for j in range(self.n_real):
-            if self.stat[j] in (_BASIC, _FREE):
-                continue
-            dj = d[j]
-            lo, hi = self.lb[j], self.ub[j]
-            if lo > -INF_BOUND and hi < INF_BOUND and hi - lo <= 0:
-                # fixed column: split the reduced cost exactly
-                y_lb[j] = max(dj, 0.0)
-                y_ub[j] = min(dj, 0.0)
-            elif self.stat[j] == _AT_LOWER:
-                y_lb[j] = max(dj, 0.0)
-            else:
-                y_ub[j] = min(dj, 0.0)
+        y, d = self.price(self.c)
+        n = self.n_real
+        d, stat, lo, hi = d[:n], self.stat[:n], self.lb[:n], self.ub[:n]
+        at_lower = stat == _AT_LOWER
+        at_upper = stat == _AT_UPPER
+        # a fixed column splits its reduced cost between both bound duals
+        fixed = (lo > -INF_BOUND) & (hi < INF_BOUND) & (hi - lo <= 0)
+        # np.where keeps a reduced cost of -0.0 as it is, like max(d, 0.0)
+        y_lb = np.where(at_lower | (at_upper & fixed), np.where(d < 0.0, 0.0, d), 0.0)
+        y_ub = np.where(at_upper | (at_lower & fixed), np.where(d > 0.0, 0.0, d), 0.0)
         return DualValues(y_b=y, y_lb=y_lb, y_ub=y_ub)
 
     def solution(self, status) -> LpSolution:
         x = self.xval[: self.n_real].copy()
         obj = float(self.lp.c @ x)
         duals = self.extract_duals() if status == OPTIMAL else None
-        _, _, infeas = self.violations() if self.m else (None, None, 0.0)
+        _, _, infeas = self.violations()
         return LpSolution(
             status=status,
             x=x,
@@ -426,39 +370,32 @@ def solve_lp(
     iter_limit: int | None = None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    feas_tol: float = FEAS_TOL,
-    opt_tol: float = OPT_TOL,
 ) -> LpSolution:
     """Solve the LP, optionally warm-started and with bound overrides.
 
     ``lower``/``upper`` replace the bounds of ``lp`` without mutating it
-    (used by diving and branch and bound).
+    (used by diving and branch and bound).  A warm basis that turns out
+    singular is replaced by the cold start.
     Raises :class:`SingularBasis` or :class:`NumericalBreakdown` on
     unrecoverable numerical failures.
     """
-    solver = _Solver(lp, lower, upper, feas_tol, opt_tol)
-    if solver.bound_crossing > feas_tol:
+    solver = _Solver(lp, lower, upper)
+    if solver.bound_crossing > FEAS_TOL:
         return LpSolution(
             status=INFEASIBLE, x=None, objective=np.inf, duals=None,
             basis=warm, iterations=0, infeasibility=solver.bound_crossing,
         )
     budget = iter_limit if iter_limit is not None else max(20000, 200 * (solver.m + 10))
-    try:
-        if warm is not None:
-            solver.warm_start(warm)
-        else:
-            solver.cold_start()
-    except SingularBasis:
-        if warm is None:
-            raise
-        solver = _Solver(lp, lower, upper, feas_tol, opt_tol)
+    if warm is None:
         solver.cold_start()
-    status = solver.phase1(budget) if solver.m else OPTIMAL
+    else:
+        try:
+            solver.warm_start(warm)
+        except SingularBasis:
+            solver.cold_start()
+    status = solver.phase1(budget)
     if status == OPTIMAL:
-        if solver.m == 0:
-            status = _solve_unconstrained(solver)
-        else:
-            status = solver.phase2(budget)
+        status = solver.phase2(budget)
     elif status == INFEASIBLE:
         sol = solver.solution(INFEASIBLE)
         sol.x = None
@@ -466,32 +403,6 @@ def solve_lp(
     if status == ITERATION_LIMIT and iter_limit is None:
         raise NumericalBreakdown(f"no convergence within {budget} iterations")
     return solver.solution(status)
-
-
-def _solve_unconstrained(solver) -> str:
-    """Row-free LP: every variable goes to its cost-preferred bound."""
-    c = solver.c[: solver.n_real]
-    lo = solver.lb[: solver.n_real]
-    hi = solver.ub[: solver.n_real]
-    x = np.where(c >= 0, lo, hi)
-    x[(c > 0) & (lo <= -INF_BOUND)] = np.nan
-    x[(c < 0) & (hi >= INF_BOUND)] = np.nan
-    x[(c == 0) & (lo <= -INF_BOUND)] = np.where(
-        hi[(c == 0) & (lo <= -INF_BOUND)] < INF_BOUND,
-        hi[(c == 0) & (lo <= -INF_BOUND)], 0.0,
-    )
-    if np.any(np.isnan(x)):
-        j = int(np.argmax(np.isnan(x)))
-        ray = np.zeros(solver.n_real)
-        ray[j] = -1.0 if c[j] > 0 else 1.0
-        solver.ray = ray
-        return UNBOUNDED
-    solver.xval[: solver.n_real] = x
-    solver.stat[: solver.n_real] = np.where(
-        np.isclose(x, lo) & (lo > -INF_BOUND), _AT_LOWER,
-        np.where(np.isclose(x, hi) & (hi < INF_BOUND), _AT_UPPER, _FREE),
-    )
-    return OPTIMAL
 
 
 def dual_objective(duals: DualValues, lp: StandardLp,

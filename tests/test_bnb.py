@@ -198,7 +198,7 @@ class TestBranchAndBound:
             res = diving.dive(inst, diving.make_scorer("fractional"), lp=lp, root_sol=sol,
                               lower=lo, upper=hi)
             terminations.append(res.termination)
-            return res.solutions
+            return [res]
 
         monkeypatch.setattr(diving, "solve_lp", broken)
         dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook))
@@ -239,3 +239,13 @@ class TestEnumerate:
         res = enumerate_optima(inst, SolveConfig(pool_capacity=1))
         assert not res.complete and res.status == LIMIT
         assert len(res.assignments) == 1
+
+    def test_deep_enumeration_needs_no_recursion(self):
+        # one divable variable per level: 1100 levels, a value 0 that the
+        # optimal face cuts off and a value 1 that continues, plus the root
+        inst = generate(GeneratorConfig("indep-set", seed=1, nodes=1100, affinity=0))
+        res = enumerate_optima(inst, SolveConfig())
+        assert res.complete and res.status == OPTIMAL_PROVEN
+        assert res.nodes == 2 * 1100 + 1
+        assert len(res.assignments) == 1
+        np.testing.assert_array_equal(res.assignments[0], np.ones(1100, dtype=np.int64))

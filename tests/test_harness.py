@@ -265,6 +265,119 @@ class TestEvalBnb:
         assert len(lines) >= 2
 
 
+class TestRunCounts:
+    """The counts in the outputs say what ran: ``dives`` the dives, and
+    ``solver_calls`` the branch-and-bound runs."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        import divekit.harness as harness
+
+        real = getattr(harness, name)
+        calls = {"n": 0}
+
+        def counting(*a, **kw):
+            calls["n"] += 1
+            return real(*a, **kw)
+
+        monkeypatch.setattr(harness, name, counting)
+        return calls
+
+    def test_dives_column_counts_dives(self, tiny_world, tmp_path, monkeypatch):
+        root, _ = tiny_world
+        calls = self.count_calls(monkeypatch, "dive")
+        specs = (BnbRunSpec(name="fractional:10", members=(("fractional", 10, 0),), d_max=10),)
+        cfg = BnbEvalConfig(specs=specs, tick_limit=2000.0, node_limit=60, seeds=(0,), jobs=1)
+        res = eval_bnb(root / "corpus", cfg, tmp_path / "bnb")
+        assert calls["n"] > 0
+        assert sum(r[10] for r in res["rows"]) == calls["n"]
+        _, rows = read_csv_rows(tmp_path / "bnb" / "bnb_per_run.csv")
+        assert sum(int(r[10]) for r in rows) == calls["n"]
+
+    def test_solver_calls_counts_runs(self, tiny_world, tmp_path, monkeypatch):
+        root, manifest = tiny_world
+        calls = self.count_calls(monkeypatch, "branch_and_bound")
+        tcfg = TuneConfig(divers=("fractional", "lower", "random"), samples=3, seed=0,
+                          base_period=10, d_max=10)
+        ecfg = BnbEvalConfig(specs=(), tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        report = tune_ensemble(root / "corpus", tcfg, ecfg, tmp_path / "tune.json")
+        assert report["solver_calls"] == calls["n"]
+        # one sampled config has no seed-reading diver and runs once
+        assert calls["n"] < 4 * len(manifest["entries"]) * 2
+
+
+class TestRootLpFailure:
+    """A root LP that raises costs that instance only; each command finishes
+    and records the failure."""
+
+    @staticmethod
+    def fail_first_solve(monkeypatch, module):
+        from divekit.simplex import NumericalBreakdown
+
+        real = module.solve_lp
+        calls = {"n": 0}
+
+        def solve_lp(*a, **kw):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise NumericalBreakdown("injected failure")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(module, "solve_lp", solve_lp)
+        return calls
+
+    @pytest.mark.parametrize("where", ["harness", "bnb"])
+    def test_collect_skips_the_instance(self, tiny_world, tmp_path, monkeypatch, where):
+        import divekit.bnb as bnb
+        import divekit.harness as harness
+
+        root, _ = tiny_world
+        calls = self.fail_first_solve(monkeypatch, {"harness": harness, "bnb": bnb}[where])
+        manifest = collect_corpus(root / "inst", tmp_path / "corpus",
+                                  CollectConfig(node_limit=150, pool_capacity=5, jobs=1))
+        assert calls["n"] > 1
+        reasons = [s["reason"] for s in manifest["skipped"]]
+        assert reasons.count("root_lp_error") == 1
+        assert len(manifest["entries"]) + len(reasons) == 8
+
+    def test_eval_dive_marks_every_diver(self, tiny_world, tmp_path, monkeypatch):
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        self.fail_first_solve(monkeypatch, harness)
+        cfg = DiveEvalConfig(divers=("fractional", "lower"), d_max=20, jobs=1)
+        res = eval_dives(root / "corpus", cfg, tmp_path / "out")
+        assert len(res["rows"]) == 2 * len(manifest["entries"])
+        failed = [r for r in res["rows"] if r[6] == "lp_error"]
+        assert sorted(r[1] for r in failed) == ["fractional", "lower"]
+        assert len({r[0] for r in failed}) == 1
+        assert all(r[4] and r[3] == np.inf for r in failed)
+
+    def test_train_drops_the_example(self, tiny_world, monkeypatch):
+        import divekit.harness as harness
+        from divekit.harness import build_examples
+
+        root, manifest = tiny_world
+        self.fail_first_solve(monkeypatch, harness)
+        examples, _, _ = build_examples(load_corpus(root / "corpus"))
+        assert len(examples) == len(manifest["entries"]) - 1
+
+    def test_eval_bnb_writes_one_row_per_seed(self, tiny_world, tmp_path, monkeypatch):
+        import divekit.bnb as bnb
+
+        root, manifest = tiny_world
+        self.fail_first_solve(monkeypatch, bnb)
+        cfg = BnbEvalConfig(specs=(BnbRunSpec(name="none"),), tick_limit=500.0,
+                            node_limit=20, seeds=(0, 1), jobs=1, save_traces=True)
+        res = eval_bnb(root / "corpus", cfg, tmp_path / "bnb")
+        assert len(res["rows"]) == 2 * len(manifest["entries"])
+        failed = [r for r in res["rows"] if r[7] == "lp_error"]
+        assert [r[2] for r in failed] == [0, 1]
+        # the integral of an empty trace: gap 1 over the whole horizon
+        assert all(r[3] == 500.0 and r[4] == 1.0 for r in failed)
+        assert len(list((tmp_path / "bnb" / "traces").glob("*.csv"))) == len(res["rows"])
+
+
 class TestTraining:
     def test_train_writes_model_and_history(self, tiny_world):
         root, _ = tiny_world

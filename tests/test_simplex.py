@@ -213,3 +213,101 @@ class TestPivotMachinery:
         lo[0], hi[0] = 0.8, 0.2
         sol = solve_lp(lp, lower=lo, upper=hi)
         assert sol.status == simplex.INFEASIBLE
+
+
+class TestDualExtraction:
+    @staticmethod
+    def loop_reference(solver, d):
+        """The per-column rule: a fixed column splits its reduced cost, a
+        column at one bound takes the part of matching sign."""
+        n = solver.n_real
+        y_lb, y_ub = np.zeros(n), np.zeros(n)
+        for j in range(n):
+            if solver.stat[j] not in (simplex._AT_LOWER, simplex._AT_UPPER):
+                continue
+            lo, hi = solver.lb[j], solver.ub[j]
+            if lo > -simplex.INF_BOUND and hi < simplex.INF_BOUND and hi - lo <= 0:
+                y_lb[j], y_ub[j] = max(d[j], 0.0), min(d[j], 0.0)
+            elif solver.stat[j] == simplex._AT_LOWER:
+                y_lb[j] = max(d[j], 0.0)
+            else:
+                y_ub[j] = min(d[j], 0.0)
+        return y_lb, y_ub
+
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig("set-cover", seed=3, rows=15, cols=30, density=0.15),
+        GeneratorConfig("comb-auction", seed=3, items=10, bids=20),
+        GeneratorConfig("facility-location", seed=3, customers=4, facilities=3),
+    ])
+    def test_bitwise_equal_to_the_loop(self, cfg):
+        lp = std(generate(cfg))
+        lo, hi = lp.lb.copy(), lp.ub.copy()
+        lo[0] = hi[0] = 1.0  # fixed columns at both ends of the range
+        hi[1] = 0.0
+        sol = solve_lp(lp, lower=lo, upper=hi)
+        assert sol.status == simplex.OPTIMAL
+        solver = simplex._Solver(lp, lo, hi)
+        solver.warm_start(sol.basis)
+        _, d = solver.price(solver.c)
+        y_lb, y_ub = self.loop_reference(solver, d)
+        duals = solver.extract_duals()
+        assert duals.y_lb.tobytes() == y_lb.tobytes()
+        assert duals.y_ub.tobytes() == y_ub.tobytes()
+        assert duals.y_lb.tobytes() == sol.duals.y_lb.tobytes()
+
+
+class TestSingularWarmBasis:
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_falls_back_to_the_cold_solve(self):
+        inst = generate(GeneratorConfig("set-cover", seed=4, rows=12, cols=24, density=0.2))
+        lp = std(inst)
+        hi = lp.ub.copy()
+        hi[0] = 0.0
+        # every basic position on column 0: the basis matrix is singular
+        bad = simplex.Basis(at_lower=np.arange(1, lp.ncols), basic=np.zeros(lp.nrows, np.int64),
+                            at_upper=np.zeros(0, np.int64))
+        warm = solve_lp(lp, warm=bad, upper=hi)
+        cold = solve_lp(lp, upper=hi)
+        assert warm.status == cold.status == simplex.OPTIMAL
+        np.testing.assert_array_equal(warm.x, cold.x)
+        assert warm.iterations == cold.iterations
+
+
+class TestRowFree:
+    """LPs without rows: every variable ends at its cost-preferred bound."""
+
+    def solve(self, c, lb, ub):
+        inst = make_instance("free", c=c, rows=[], senses=[], b=[], lb=lb, ub=ub, integer=[])
+        lp = std(inst)
+        return lp, solve_lp(lp)
+
+    def test_optimum_mixes_bounds_and_cost_signs(self):
+        inf = np.inf
+        c = [1.0, -1.0, 0.0, -3.0, 0.0, 0.0, 2.0, -2.0, -0.0]
+        lb = [0.0, 0.0, -inf, -inf, -2.0, -inf, 1.0, 1.0, 0.0]
+        ub = [1.0, 2.0, 3.0, 4.0, inf, inf, 1.0, 1.0, 1.0]
+        lp, sol = self.solve(c, lb, ub)
+        assert sol.status == simplex.OPTIMAL
+        np.testing.assert_array_equal(sol.x, [0.0, 2.0, 3.0, 4.0, -2.0, 0.0, 1.0, 1.0, 0.0])
+        assert sol.objective == -14.0
+        assert sol.duals.y_b.shape == (0,)
+        np.testing.assert_array_equal(sol.duals.y_lb, [1, 0, 0, 0, 0, 0, 2, 0, 0])
+        np.testing.assert_array_equal(sol.duals.y_ub, [0, -1, 0, -3, 0, 0, 0, -2, 0])
+        # a zero cost of -0.0 at the lower bound keeps its sign in y_lb
+        assert np.signbit(sol.duals.y_lb[8])
+        assert dual_objective(sol.duals, lp) == sol.objective
+        assert check_complementary_slackness(sol.x, sol.duals, lp)["holds"]
+
+    @pytest.mark.parametrize("c, lb, ub, x, ray", [
+        # positive cost, no lower bound: decreases without limit
+        ([1.0, 3.0], [0.0, -np.inf], [1.0, 5.0], [0.0, 5.0], [0.0, -1.0]),
+        # negative cost, no upper bound
+        ([-2.0, 1.0], [0.0, 0.0], [np.inf, 1.0], [0.0, 0.0], [1.0, 0.0]),
+        # free variable with a negative cost
+        ([0.0, -0.5], [0.0, -np.inf], [1.0, np.inf], [0.0, 0.0], [0.0, 1.0]),
+    ])
+    def test_unbounded_ray(self, c, lb, ub, x, ray):
+        _, sol = self.solve(c, lb, ub)
+        assert sol.status == simplex.UNBOUNDED and sol.duals is None
+        np.testing.assert_array_equal(sol.x, x)
+        np.testing.assert_array_equal(sol.ray, ray)
