@@ -2,14 +2,13 @@
 exhaustive enumeration of optimal assignments on the optimality face.
 
 The solver clock is deterministic: ``ticks`` counts simplex iterations, so
-identical inputs produce identical traces.  A wall-clock limit can be set as
-a safety rail but the node/tick limits are what reproducible runs bind on.
+identical inputs produce identical traces; the node and tick limits are the
+only stop rules.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .instances import (
     to_standard_form,
 )
 from . import simplex
-from .simplex import SimplexError, solve_lp
+from .simplex import LpSolution, SimplexError, solve_lp
 
 OPTIMAL_PROVEN = "optimal_proven"
 LIMIT = "limit"
@@ -186,19 +185,17 @@ class SolveTrace:
 class SolveConfig:
     node_limit: int = 100_000
     tick_limit: float | None = None
-    time_limit: float | None = None
     pool_capacity: int = 10
-    # callable(inst, lp, sol, lo, hi) -> one DiveResult per dive it ran
+    # callable(inst, lp, sol, lo, hi) -> one DiveResult per dive it ran; called
+    # at every node with a fractional LP point, root first, with the node's LP
+    # solution and full-column bounds; it decides itself when to dive
     diver: object | None = None
-    diver_period: int | None = None  # re-dive every k nodes; None = root only
 
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError("node_limit must be positive")
         if self.tick_limit is not None and self.tick_limit <= 0:
             raise ValueError("tick_limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
         if self.pool_capacity < 1:
             raise ValueError("pool_capacity must be >= 1")
 
@@ -215,6 +212,7 @@ class BnbResult:
     ticks: float
     node_errors: int
     dives: int = 0  # dives the diver callback ran, not calls of it
+    root: LpSolution | None = None  # the root node's LP solution
 
 
 class _Node:
@@ -231,6 +229,7 @@ class _Node:
         self.seq = seq
 
     def bounds(self, base_lo, base_hi):
+        """Full-column bounds: the base ones with this node's branchings applied."""
         lo = base_lo.copy()
         hi = base_hi.copy()
         node = self
@@ -256,18 +255,19 @@ def _most_fractional(x, idx):
 
 def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbResult:
     """Best-bound search with depth-first plunging, bound/integrality/
-    infeasibility pruning only, and an optional diver hook."""
+    infeasibility pruning only, and an optional diver callback at every node
+    with a fractional LP point."""
     cfg = cfg or SolveConfig()
     lp = to_standard_form(inst)
     locks = compute_locks(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
     trace = SolveTrace()
-    t_start = time.monotonic()
 
     ticks = 0.0
     nodes = 0
     node_errors = 0
     dives = 0
+    root_sol = None
     incumbent = None
     z_inc = np.inf
     seq = 0
@@ -316,8 +316,6 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
             break
         if cfg.tick_limit is not None and ticks >= cfg.tick_limit:
             break
-        if cfg.time_limit is not None and time.monotonic() - t_start > cfg.time_limit:
-            break
         if plunge and (len(plunge) <= PLUNGE_DEPTH or not heap):
             node = plunge.pop()
         else:
@@ -330,10 +328,9 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
             continue
         nodes += 1
         cur_bound = node.bound
-        lo, hi = node.bounds(inst.lb, inst.ub)
+        lo, hi = node.bounds(lp.lb, lp.ub)
         try:
-            sol = solve_lp(lp, warm=node.basis, lower=lp_bounds(lp, lo),
-                           upper=lp_bounds(lp, hi, upper=True))
+            sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
         except SimplexError as exc:
             node_errors += 1
             cur_bound = np.inf
@@ -341,6 +338,8 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
                 raise NodeError(f"root LP failed: {exc}") from exc
             continue
         ticks += sol.iterations
+        if node.parent is None:
+            root_sol = sol
         if sol.status == simplex.INFEASIBLE:
             cur_bound = np.inf
             continue
@@ -364,10 +363,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         rounded = round_solution(x, inst, locks)
         if rounded is not None:
             register(rounded)
-        if cfg.diver is not None and (
-            node.parent is None
-            or (cfg.diver_period is not None and nodes % cfg.diver_period == 0)
-        ):
+        if cfg.diver is not None:
             run_diver(sol, lo, hi)
         if sol.objective >= z_inc - BOUND_PRUNE_TOL:
             cur_bound = np.inf
@@ -391,15 +387,8 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
     return BnbResult(
         status=status, x=incumbent, objective=z_inc, bound=final_bound,
         pool=pool, trace=trace, nodes=nodes, ticks=ticks,
-        node_errors=node_errors, dives=dives,
+        node_errors=node_errors, dives=dives, root=root_sol,
     )
-
-
-def lp_bounds(lp, values, upper=False):
-    """Extend original-variable bounds with the untouched slack bounds."""
-    full = lp.ub.copy() if upper else lp.lb.copy()
-    full[: len(values)] = values
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +417,7 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
     cfg = cfg or SolveConfig()
     base = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-        time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
+        pool_capacity=cfg.pool_capacity,
     ))
     if base.status != OPTIMAL_PROVEN:
         return EnumerationResult(
@@ -448,9 +437,9 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
     seen = {}
     nodes = 0
     complete = True
-    # depth-first over (position in div, lower, upper, warm basis); children
-    # are pushed in reverse so the lowest value is visited first
-    stack = [(0, inst.lb.copy(), inst.ub.copy(), None)]
+    # depth-first over (position in div, full-column lower and upper bounds,
+    # warm basis); children are pushed so the lowest value is visited first
+    stack = [(0, lp.lb.copy(), lp.ub.copy(), None)]
     while stack:
         pos, lo, hi, warm = stack.pop()
         if nodes >= cfg.node_limit:
@@ -458,7 +447,7 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
             break
         nodes += 1
         try:
-            sol = solve_lp(lp, warm=warm, lower=lp_bounds(lp, lo), upper=lp_bounds(lp, hi, upper=True))
+            sol = solve_lp(lp, warm=warm, lower=lo, upper=hi)
         except SimplexError:
             complete = False
             break

@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.add_argument("--node-limit", type=int, default=1200)
     c.add_argument("--tick-limit", type=float, default=None)
-    c.add_argument("--time-limit", type=float, default=None)
     c.add_argument("--pool-capacity", type=int, default=10)
     c.add_argument("--augment", default="auto",
                    choices=["auto", "pool", "top1", "enumerate"])
@@ -90,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "empty for a no-diving run")
     b.add_argument("--tick-limit", type=float, default=200000.0)
     b.add_argument("--node-limit", type=int, default=100000)
-    b.add_argument("--time-limit", type=float, default=None,
-                   help="wall-clock safety rail in seconds (non-reproducible)")
     b.add_argument("--seeds", default="0,1,2")
     b.add_argument("--d-max", type=int, default=100)
     b.add_argument("--model", default=None)
@@ -157,8 +154,7 @@ def main(argv=None) -> int:
     if args.command == "collect":
         cfg = CollectConfig(
             node_limit=args.node_limit, tick_limit=args.tick_limit,
-            time_limit=args.time_limit, pool_capacity=args.pool_capacity,
-            augment=args.augment, jobs=args.jobs,
+            pool_capacity=args.pool_capacity, augment=args.augment, jobs=args.jobs,
         )
         manifest = collect_corpus(args.instances, args.out, cfg)
         n_ok, n_skip = len(manifest["entries"]), len(manifest["skipped"])
@@ -193,7 +189,6 @@ def main(argv=None) -> int:
         cfg = BnbEvalConfig(
             specs=_parse_bnb_specs(args.divers, args.d_max),
             tick_limit=args.tick_limit, node_limit=args.node_limit,
-            time_limit=args.time_limit,
             seeds=tuple(int(s) for s in args.seeds.split(",")),
             jobs=args.jobs, model_path=args.model,
             save_traces=args.save_traces,

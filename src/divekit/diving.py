@@ -97,18 +97,15 @@ def dive(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
 ) -> DiveResult:
-    """Run one dive from the (root or node) LP optimum under ``scorer``."""
+    """Run one dive from the (root or node) LP optimum under ``scorer``, within
+    copies of the full-column bounds ``lower``/``upper`` (default: ``lp``'s)."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     n = inst.n
     if lp is None:
         lp = to_standard_form(inst)
-    lo = lp.lb.copy()
-    hi = lp.ub.copy()
-    if lower is not None:
-        lo[:n] = lower
-    if upper is not None:
-        hi[:n] = upper
+    lo = (lp.lb if lower is None else lower).copy()
+    hi = (lp.ub if upper is None else upper).copy()
     iters = 0
     if root_sol is None:
         try:
@@ -444,14 +441,3 @@ def make_scorer(name: str, **kwargs):
         raise KeyError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}") from None
     return factory(**kwargs)
 
-
-def make_dive_hook(scorer_factory, d_max=DEFAULT_DEPTH, lp_iter_limit=None):
-    """Adapter giving branch and bound a diver callback that dives once per
-    call."""
-
-    def hook(inst, lp, sol, lo, hi):
-        scorer = scorer_factory()
-        return [dive(inst, scorer, d_max=d_max, lp_iter_limit=lp_iter_limit,
-                     lp=lp, root_sol=sol, lower=lo, upper=hi)]
-
-    return hook

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -191,7 +191,6 @@ def instance_paths(dir_or_manifest) -> list[Path]:
 class CollectConfig:
     node_limit: int = 1200
     tick_limit: float | None = None
-    time_limit: float | None = None
     pool_capacity: int = 10
     augment: str = "auto"  # auto | pool | top1 | enumerate
     enum_node_limit: int = 20_000
@@ -209,24 +208,18 @@ def _collect_one(task):
     path, cfg = task
     inst = read_instance(path)
     family = _family_of(inst.name)
-    lp = to_standard_form(inst)
-    try:
-        root = solve_lp(lp)
-    except SimplexError:
-        return {"instance": str(path), "skip": "root_lp_error"}
-    if root.status != simplex.OPTIMAL:
-        return {"instance": str(path), "skip": f"root_{root.status}"}
-    x = root.x[: inst.n]
-    xi = x[inst.integer_index]
-    if xi.size == 0 or np.max(np.abs(xi - np.round(xi))) <= INT_TOL:
-        return {"instance": str(path), "skip": "solved_at_root"}
     try:
         res = branch_and_bound(inst, SolveConfig(
             node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-            time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
+            pool_capacity=cfg.pool_capacity,
         ))
     except NodeError:
         return {"instance": str(path), "skip": "root_lp_error"}
+    if res.root.status != simplex.OPTIMAL:
+        return {"instance": str(path), "skip": f"root_{res.root.status}"}
+    xi = res.root.x[inst.integer_index]
+    if xi.size == 0 or np.max(np.abs(xi - np.round(xi))) <= INT_TOL:
+        return {"instance": str(path), "skip": "solved_at_root"}
     if len(res.pool) == 0:
         return {"instance": str(path), "skip": "no_solution"}
     symmetric = family in SYMMETRIC_FAMILIES
@@ -272,7 +265,8 @@ def _pmap(fn, tasks, jobs):
 
 def collect_corpus(instances_dir, out_dir, cfg: CollectConfig) -> dict:
     """Solve every instance under the collection budget and store its
-    solution pool; instances already integral at the root are dropped."""
+    solution pool; instances already integral at the root are dropped (read
+    from branch and bound's root solution, so each root LP is solved once)."""
     paths = instance_paths(instances_dir)
     out_dir = Path(out_dir)
     (out_dir / "pools").mkdir(parents=True, exist_ok=True)
@@ -438,8 +432,6 @@ def _eval_dive_one(task):
         return [(entry["name"], name, cfg.seed, FAILED_GAP, True, 0, TERM_LP_ERROR, 0,
                  np.inf, entry["z_ref"]) for name in cfg.divers]
     rows = []
-    if root.status != simplex.OPTIMAL:
-        return rows
     model = load_model(cfg.model_path) if (
         cfg.model_path and "l2dive" in cfg.divers
     ) else None
@@ -520,7 +512,6 @@ class BnbEvalConfig:
     specs: tuple
     tick_limit: float = 200_000.0
     node_limit: int = 100_000
-    time_limit: float | None = None  # wall-clock safety rail, non-reproducible
     pool_capacity: int = 10
     seeds: tuple = (0, 1, 2)
     jobs: int = 1
@@ -529,8 +520,9 @@ class BnbEvalConfig:
 
 
 def _ensemble_hook(members, model, d_max, seed):
-    """Diver schedule: every member dives at the root; a member with period
-    p and offset o additionally dives when its call counter hits o (mod p)."""
+    """Diver callback, called at every node with a fractional LP point; it owns
+    the schedule: every member dives at the root (call 0), and a member with
+    period p and offset o also at the calls numbered o (mod p)."""
     counter = {"n": -1}
 
     def hook(inst, lp, sol, lo, hi):
@@ -557,17 +549,11 @@ def _eval_bnb_one(task):
     model = load_model(cfg.model_path) if (
         cfg.model_path and any(m[0] == "l2dive" for m in spec.members)
     ) else None
-    diver = None
-    period = None
-    if spec.members:
-        diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0])
-        periods = [m[1] for m in spec.members if m[1] is not None]
-        period = 1 if periods else None  # hook handles per-member schedules
+    diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
     try:
         res = branch_and_bound(inst, SolveConfig(
             node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-            time_limit=cfg.time_limit, pool_capacity=cfg.pool_capacity,
-            diver=diver, diver_period=period,
+            pool_capacity=cfg.pool_capacity, diver=diver,
         ))
     except NodeError:
         # the root LP failed: one node, one node error, an empty trace
@@ -694,12 +680,7 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
     for k in range(tune_cfg.samples):
         specs.append(BnbRunSpec(name=f"sample_{k}", members=sample_ensemble(rng, tune_cfg),
                                 d_max=tune_cfg.d_max))
-    cfg = BnbEvalConfig(
-        specs=tuple(specs), tick_limit=eval_cfg.tick_limit,
-        node_limit=eval_cfg.node_limit, time_limit=eval_cfg.time_limit,
-        pool_capacity=eval_cfg.pool_capacity,
-        seeds=eval_cfg.seeds, jobs=eval_cfg.jobs, model_path=eval_cfg.model_path,
-    )
+    cfg = replace(eval_cfg, specs=tuple(specs), save_traces=False)
     out_dir = Path(out_path).parent
     result = eval_bnb(corpus_dir, cfg, out_dir / "tune_runs")
     if tune_cfg.objective == "ticks":

@@ -27,10 +27,12 @@ Implementation notes:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import LinAlgWarning
 
 from .instances import INF_BOUND, StandardLp
 from .kernels import apply_etas, apply_etas_t, ratio_test
@@ -135,7 +137,10 @@ class _Solver:
     # -- factorization -----------------------------------------------------
 
     def refactorize(self):
-        lu, piv = sla.lu_factor(self.A[:, self.basic], check_finite=False)
+        # a singular basis raises SingularBasis below instead of warning here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = sla.lu_factor(self.A[:, self.basic], check_finite=False)
         diag = np.abs(np.diag(lu))
         if diag.min(initial=np.inf) < 1e-12 * max(1.0, diag.max(initial=0.0)):
             raise SingularBasis("singular basis matrix")

@@ -22,6 +22,19 @@ from divekit.instances import (
 from conftest import brute_binary_optimum, reference_feasible
 
 
+def root_only(dive_once):
+    """Diver callback that dives through ``dive_once(inst, lp, sol, lo, hi)``
+    at its first call only, the root; branch and bound calls it at every
+    node with a fractional LP point."""
+    calls = []
+
+    def hook(inst, lp, sol, lo, hi):
+        calls.append(None)
+        return [dive_once(inst, lp, sol, lo, hi)] if len(calls) == 1 else []
+
+    return hook
+
+
 class TestLocks:
     def test_le_positive_coefficient_locks_up(self):
         inst = make_instance("t", c=[0.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
@@ -173,10 +186,11 @@ class TestBranchAndBound:
         assert res.status == INFEASIBLE and res.x is None
 
     def test_diver_solutions_enter_pool(self):
-        from divekit.diving import make_dive_hook, make_scorer
+        from divekit.diving import dive, make_scorer
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
         plain = branch_and_bound(inst, SolveConfig(node_limit=25))
-        hook = make_dive_hook(lambda: make_scorer("fractional"))
+        hook = root_only(lambda inst, lp, sol, lo, hi: dive(
+            inst, make_scorer("fractional"), lp=lp, root_sol=sol, lower=lo, upper=hi))
         dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook))
         assert dived.dives >= 1
         assert dived.objective <= plain.objective + 1e-9
@@ -194,17 +208,83 @@ class TestBranchAndBound:
         plain = branch_and_bound(inst, SolveConfig(node_limit=25))
         terminations = []
 
-        def hook(inst, lp, sol, lo, hi):
+        def dive_once(inst, lp, sol, lo, hi):
             res = diving.dive(inst, diving.make_scorer("fractional"), lp=lp, root_sol=sol,
                               lower=lo, upper=hi)
             terminations.append(res.termination)
-            return [res]
+            return res
 
+        hook = root_only(dive_once)
         monkeypatch.setattr(diving, "solve_lp", broken)
         dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook))
         assert dived.dives == 1 and terminations == ["lp_error"]
         assert dived.node_errors == 0
         assert (dived.nodes, dived.objective) == (plain.nodes, plain.objective)
+
+
+class TestDiverCallback:
+    # 35 nodes to a proven optimum
+    INST = GeneratorConfig("set-cover", seed=5, rows=40, cols=50, density=0.12, max_cost=5)
+
+    def test_called_at_every_branching_node(self, monkeypatch):
+        """The callback runs at every node with a fractional LP point, which
+        is every node that tries rounding, root first, with full-column
+        bounds."""
+        from divekit import bnb
+        from divekit.instances import to_standard_form
+
+        inst = generate(self.INST)
+        lp = to_standard_form(inst)
+        real_round = bnb.round_solution
+        rounded = []
+
+        def counting_round(x, *a, **kw):
+            rounded.append(np.array(x))
+            return real_round(x, *a, **kw)
+
+        calls = []
+
+        def hook(inst, lp_, sol, lo, hi):
+            calls.append((sol.x[: inst.n].copy(), lo.copy(), hi.copy()))
+            return []
+
+        plain = branch_and_bound(inst, SolveConfig(node_limit=40))
+        monkeypatch.setattr(bnb, "round_solution", counting_round)
+        res = branch_and_bound(inst, SolveConfig(node_limit=40, diver=hook))
+        assert res.dives == 0 and (res.nodes, res.ticks) == (plain.nodes, plain.ticks)
+        assert len(calls) > 1 and len(calls) == len(rounded)
+        for (x, lo, hi), xr in zip(calls, rounded):
+            np.testing.assert_array_equal(x, xr)
+            assert lo.shape == hi.shape == (lp.ncols,)
+            np.testing.assert_array_equal(lo[lp.slack_start:], lp.lb[lp.slack_start:])
+            np.testing.assert_array_equal(hi[lp.slack_start:], lp.ub[lp.slack_start:])
+        x0, lo0, hi0 = calls[0]
+        np.testing.assert_array_equal(x0, res.root.x[: inst.n])
+        np.testing.assert_array_equal(lo0, lp.lb)
+        np.testing.assert_array_equal(hi0, lp.ub)
+
+    def test_ensemble_schedule_lives_in_the_callback(self):
+        """A member without a period dives at the root only; one with period
+        p and offset o also at the calls numbered o (mod p)."""
+        from divekit.harness import _ensemble_hook
+
+        inst = generate(self.INST)
+        calls = {"n": 0}
+
+        def counted(hook):
+            def wrapper(*a):
+                calls["n"] += 1
+                return hook(*a)
+            return wrapper
+
+        root = branch_and_bound(inst, SolveConfig(node_limit=40, diver=counted(
+            _ensemble_hook((("fractional", None, 0),), None, 10, 0))))
+        assert calls["n"] > 1 and root.dives == 1
+        calls["n"] = 0
+        periodic = branch_and_bound(inst, SolveConfig(node_limit=40, diver=counted(
+            _ensemble_hook((("fractional", 3, 1),), None, 10, 0))))
+        assert calls["n"] > 4
+        assert periodic.dives == 1 + sum(1 for k in range(1, calls["n"]) if k % 3 == 1)
 
 
 class TestEnumerate:

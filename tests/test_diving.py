@@ -135,6 +135,37 @@ class TestScorerRules:
 
 
 class TestDiveEngine:
+    def test_full_column_bounds_reach_every_lp(self, monkeypatch):
+        """``lower``/``upper`` cover the slack columns too: a slack capped at
+        zero holds in every LP of the dive, and the caller's arrays are
+        copied, not tightened in place."""
+        from divekit.instances import to_standard_form
+
+        inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
+        lp = to_standard_form(inst)
+        free = diving.solve_lp(lp)
+        s = lp.slack_start + int(np.argmax(free.x[lp.slack_start:]))
+        assert free.x[s] > 1e-6  # the cap below cuts off the free root
+        lo, hi = lp.lb.copy(), lp.ub.copy()
+        hi[s] = 0.0
+        real = diving.solve_lp
+        solved = []
+
+        def spy(*a, **kw):
+            sol = real(*a, **kw)
+            solved.append(sol)
+            return sol
+
+        monkeypatch.setattr(diving, "solve_lp", spy)
+        res = dive(inst, make_scorer("lower"), d_max=10, lp=lp, lower=lo, upper=hi)
+        assert res.depth_reached >= 1
+        assert len(solved) >= 2
+        for sol in solved:
+            if sol.x is not None:
+                assert sol.x[s] <= 1e-9
+        np.testing.assert_array_equal(lo, lp.lb)
+        assert hi[s] == 0.0 and np.array_equal(np.delete(hi, s), np.delete(lp.ub, s))
+
     def test_root_integral_terminates_depth_zero(self):
         inst = generate(GeneratorConfig("indep-set", seed=1, nodes=5, affinity=0))
         res = dive(inst, make_scorer("fractional"))

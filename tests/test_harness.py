@@ -107,6 +107,27 @@ def tiny_world(tmp_path_factory):
 
 
 class TestCollect:
+    def test_one_root_solve_per_instance(self, tiny_world, tmp_path, monkeypatch):
+        """Branch and bound's root solve is the only cold LP solve that
+        collection makes per instance."""
+        import divekit.bnb as bnb
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        cold = []
+        for module in (bnb, harness):
+            def counting(lp, *a, _real=module.solve_lp, **kw):
+                if (a[0] if a else kw.get("warm")) is None:
+                    cold.append(lp)
+                return _real(lp, *a, **kw)
+
+            monkeypatch.setattr(module, "solve_lp", counting)
+        cfg = CollectConfig(node_limit=150, pool_capacity=5, jobs=1)
+        again = collect_corpus(root / "inst", tmp_path / "corpus", cfg)
+        assert len(cold) == 8 == len(again["entries"]) + len(again["skipped"])
+        assert ([(e["name"], e["nodes"], e["ticks"]) for e in again["entries"]]
+                == [(e["name"], e["nodes"], e["ticks"]) for e in manifest["entries"]])
+
     def test_root_integral_instances_dropped(self, tiny_world):
         root, manifest = tiny_world
         reasons = {s["reason"] for s in manifest["skipped"]}
@@ -326,13 +347,11 @@ class TestRootLpFailure:
         monkeypatch.setattr(module, "solve_lp", solve_lp)
         return calls
 
-    @pytest.mark.parametrize("where", ["harness", "bnb"])
-    def test_collect_skips_the_instance(self, tiny_world, tmp_path, monkeypatch, where):
+    def test_collect_skips_the_instance(self, tiny_world, tmp_path, monkeypatch):
         import divekit.bnb as bnb
-        import divekit.harness as harness
 
         root, _ = tiny_world
-        calls = self.fail_first_solve(monkeypatch, {"harness": harness, "bnb": bnb}[where])
+        calls = self.fail_first_solve(monkeypatch, bnb)
         manifest = collect_corpus(root / "inst", tmp_path / "corpus",
                                   CollectConfig(node_limit=150, pool_capacity=5, jobs=1))
         assert calls["n"] > 1
@@ -349,6 +368,32 @@ class TestRootLpFailure:
         res = eval_dives(root / "corpus", cfg, tmp_path / "out")
         assert len(res["rows"]) == 2 * len(manifest["entries"])
         failed = [r for r in res["rows"] if r[6] == "lp_error"]
+        assert sorted(r[1] for r in failed) == ["fractional", "lower"]
+        assert len({r[0] for r in failed}) == 1
+        assert all(r[4] and r[3] == np.inf for r in failed)
+
+    def test_eval_dive_rows_for_an_infeasible_root(self, tiny_world, tmp_path, monkeypatch):
+        """A root LP that ends non-optimal without raising still gives every
+        diver a failed row."""
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        real = harness.solve_lp
+        calls = {"n": 0}
+
+        def solve_lp(lp, *a, **kw):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                return real(lp, *a, **kw)
+            lo, hi = lp.lb.copy(), lp.ub.copy()
+            lo[0], hi[0] = 1.0, 0.0  # crossing bounds: infeasible at once
+            return real(lp, lower=lo, upper=hi)
+
+        monkeypatch.setattr(harness, "solve_lp", solve_lp)
+        cfg = DiveEvalConfig(divers=("fractional", "lower"), d_max=20, jobs=1)
+        res = eval_dives(root / "corpus", cfg, tmp_path / "out")
+        assert len(res["rows"]) == 2 * len(manifest["entries"])
+        failed = [r for r in res["rows"] if r[6] == "infeasible" and r[5] == 0]
         assert sorted(r[1] for r in failed) == ["fractional", "lower"]
         assert len({r[0] for r in failed}) == 1
         assert all(r[4] and r[3] == np.inf for r in failed)
