@@ -406,14 +406,9 @@ class EnumerationResult:
 
 def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
                      face_tol: float = 1e-6) -> EnumerationResult:
-    """All distinct optimal assignments of the divable variables.
-
-    First solves to proven optimality, then restricts the objective to the
-    optimal face (two inequality rows at ``face_tol``) and depth-first fixes
-    every divable variable, pruning only on LP infeasibility.  The result is
-    deduplicated and capped at ``cfg.pool_capacity``; hitting a limit is
-    reported as an incomplete enumeration, not an error.
-    """
+    """All distinct optimal assignments of the divable variables: solves to
+    proven optimality, then walks the optimal face
+    (``enumerate_optimal_face``)."""
     cfg = cfg or SolveConfig()
     base = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
@@ -424,7 +419,20 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
             optimum=None if base.x is None else base.objective,
             assignments=[], complete=False, nodes=base.nodes, status=base.status,
         )
-    z_opt = base.objective
+    return enumerate_optimal_face(inst, base.objective, cfg, face_tol)
+
+
+def enumerate_optimal_face(inst: MilpInstance, z_opt: float, cfg: SolveConfig,
+                           face_tol: float = 1e-6) -> EnumerationResult:
+    """All distinct assignments of the divable variables on the face of
+    proven optimum ``z_opt``.
+
+    Restricts the objective to the optimal face (two inequality rows at
+    ``face_tol``) and depth-first fixes every divable variable, pruning only
+    on LP infeasibility.  The result is deduplicated and capped at
+    ``cfg.pool_capacity``; hitting a limit is reported as an incomplete
+    enumeration, not an error.
+    """
     dense_c = inst.c.copy()
     face = inst.with_extra_rows(
         [dense_c, dense_c], [SENSE_LE, SENSE_GE],

@@ -28,7 +28,7 @@ from .bnb import (
     SolveConfig,
     SolveTrace,
     branch_and_bound,
-    enumerate_optima,
+    enumerate_optimal_face,
 )
 from .diving import DEFAULT_DEPTH, SEEDED_SCORERS, TERM_LP_ERROR, dive, make_scorer
 from .graphnet import (
@@ -228,7 +228,7 @@ def _collect_one(task):
         mode = "pool" if symmetric else "top1"
     entries = []
     if mode == "enumerate" and res.status == OPTIMAL_PROVEN:
-        enum = enumerate_optima(inst, SolveConfig(
+        enum = enumerate_optimal_face(inst, res.objective, SolveConfig(
             node_limit=cfg.enum_node_limit, pool_capacity=cfg.pool_capacity,
         ))
         if enum.assignments:
@@ -423,7 +423,7 @@ class DiveEvalConfig:
 
 
 def _eval_dive_one(task):
-    entry, cfg = task
+    entry, cfg, model = task
     inst = read_instance(entry["instance_path"])
     lp = to_standard_form(inst)
     try:
@@ -432,9 +432,6 @@ def _eval_dive_one(task):
         return [(entry["name"], name, cfg.seed, FAILED_GAP, True, 0, TERM_LP_ERROR, 0,
                  np.inf, entry["z_ref"]) for name in cfg.divers]
     rows = []
-    model = load_model(cfg.model_path) if (
-        cfg.model_path and "l2dive" in cfg.divers
-    ) else None
     for name in cfg.divers:
         scorer = make_scorer(name, seed=cfg.seed, model=model)
         res = dive(inst, scorer, d_max=cfg.d_max, lp_iter_limit=cfg.lp_iter_limit,
@@ -457,7 +454,8 @@ def eval_dives(corpus_dir, cfg: DiveEvalConfig, out_dir) -> dict:
     if len(set(cfg.divers)) != len(cfg.divers):
         raise ValueError("duplicate diver names in one comparison table")
     entries = load_corpus(corpus_dir)
-    tasks = [(e, cfg) for e in entries]
+    model = load_model(cfg.model_path) if cfg.model_path and "l2dive" in cfg.divers else None
+    tasks = [(e, cfg, model) for e in entries]
     all_rows = [r for rows in _pmap(_eval_dive_one, tasks, cfg.jobs) for r in rows]
     all_rows.sort(key=lambda r: (r[0], r[1]))
     meta = {
@@ -544,11 +542,8 @@ def _ensemble_hook(members, model, d_max, seed):
 def _eval_bnb_one(task):
     """Run one B&B under ``seeds[0]`` and report it under every seed in
     ``seeds`` (more than one only for configs no seed can change)."""
-    entry, spec, seeds, cfg, trace_dir = task
+    entry, spec, seeds, cfg, model, trace_dir = task
     inst = read_instance(entry["instance_path"])
-    model = load_model(cfg.model_path) if (
-        cfg.model_path and any(m[0] == "l2dive" for m in spec.members)
-    ) else None
     diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
     try:
         res = branch_and_bound(inst, SolveConfig(
@@ -590,7 +585,9 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
     if cfg.save_traces:
         trace_dir = Path(out_dir) / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(e, spec, seeds, cfg, trace_dir)
+    model = load_model(cfg.model_path) if cfg.model_path and any(
+        m[0] == "l2dive" for spec in cfg.specs for m in spec.members) else None
+    tasks = [(e, spec, seeds, cfg, model, trace_dir)
              for e in entries for spec in cfg.specs for seeds in _run_seeds(spec, cfg.seeds)]
     rows = [r for rs in _pmap(_eval_bnb_one, tasks, cfg.jobs) for r in rs]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))

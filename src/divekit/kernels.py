@@ -74,9 +74,9 @@ def apply_etas_t(z, eta_rows, etas, n_eta):
 
 
 # ---------------------------------------------------------------------------
-# bipartite message passing: out[dst[e]] += coef[e] * h[src[e]]
+# bipartite message passing: out += adj @ h over a sparse adjacency
 # ---------------------------------------------------------------------------
 
-def scatter_messages(dst, src, coef, h, out):
-    np.add.at(out, dst, coef[:, None] * h[src])
+def scatter_messages(adj, h, out):
+    out += adj @ h
     return out

@@ -136,6 +136,16 @@ class TestForward:
         b, _ = model.forward(make_batch([g2]), train=False)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_batch_of_two_matches_each_alone(self, small_example):
+        _, g1, _ = small_example
+        inst = generate(GeneratorConfig("comb-auction", seed=2, items=8, bids=12))
+        g2, _ = graph_for(inst)
+        model = GraphNet(hidden=8, seed=3)
+        both, _ = model.forward(make_batch([g1, g2]), train=False)
+        a, _ = model.forward(make_batch([g1]), train=False)
+        b, _ = model.forward(make_batch([g2]), train=False)
+        np.testing.assert_allclose(both, np.vstack([a, b]), rtol=0, atol=1e-12)
+
     def test_train_mode_updates_running_stats(self, small_example):
         _, g, _ = small_example
         model = GraphNet(hidden=8, seed=2)
@@ -241,6 +251,22 @@ class TestGradients:
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - gflat[i]) <= 1e-4 * max(abs(fd), abs(gflat[i]), 1e-6), name
+
+
+    def test_zero_constraint_graph(self):
+        inst = make_instance("free", c=[1.0, -2.0, 0.5], rows=[], senses=[], b=[],
+                             lb=[0, 0, 0], ub=[1, 1, 1], integer=[1, 1, 1])
+        g, _ = graph_for(inst)
+        assert g.n_cons == 0
+        target = target_distribution([(np.array([0.0, 1.0, 0.0]), -2.0)], inst,
+                                     temperature=1.0)
+        model = GraphNet(hidden=6, seed=4)
+        loss, grads = batch_loss_and_grads(model, make_batch([g]), [target])
+        assert np.isfinite(loss)
+        for name, grad in grads.items():
+            assert grad.shape == model.params[name].shape
+            assert np.all(np.isfinite(grad)), name
+        assert np.any(grads["emb_v_w1"] != 0.0)
 
 
 class TestAdam:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,88 @@ class TestRunCounts:
         assert report["solver_calls"] == calls["n"]
         # one sampled config has no seed-reading diver and runs once
         assert calls["n"] < 4 * len(manifest["entries"]) * 2
+
+
+class TestNoRepeatedWork:
+    """A command loads the checkpoint once, and collecting with enumeration
+    runs one branch and bound per instance."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, calls=None):
+        real = getattr(module, name)
+        calls = [] if calls is None else calls
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @staticmethod
+    def first_entries(tiny_world, dest, k):
+        """A corpus of the first ``k`` entries of the shared one."""
+        root, manifest = tiny_world
+        corpus = root / "corpus"
+        entries = [dict(e, instance=str((corpus / e["instance"]).resolve()),
+                        pool=str(corpus / e["pool"])) for e in manifest["entries"][:k]]
+        assert len(entries) == k
+        dest.mkdir()
+        (dest / "manifest.json").write_text(json.dumps({"entries": entries}))
+        return dest
+
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        from divekit.graphnet import GraphNet, save_model
+
+        path = tmp_path / "model.npz"
+        save_model(GraphNet(hidden=8, seed=0), path)
+        return str(path)
+
+    def test_eval_dive_loads_the_model_once(self, tiny_world, tmp_path, model_path,
+                                            monkeypatch):
+        import divekit.harness as harness
+
+        corpus = self.first_entries(tiny_world, tmp_path / "c4", 4)
+        cfg = DiveEvalConfig(divers=("l2dive", "lower"), d_max=10, jobs=1,
+                             model_path=model_path)
+        forked = eval_dives(corpus, replace(cfg, jobs=2), tmp_path / "forked")
+        calls = self.count_calls(monkeypatch, harness, "load_model")
+        res = eval_dives(corpus, cfg, tmp_path / "out")
+        assert len(calls) == 1
+        assert len(res["rows"]) == 4 * 2
+        assert res["rows"] == forked["rows"]
+
+    def test_eval_bnb_loads_the_model_once(self, tiny_world, tmp_path, model_path,
+                                           monkeypatch):
+        import divekit.harness as harness
+
+        corpus = self.first_entries(tiny_world, tmp_path / "c2", 2)
+        calls = self.count_calls(monkeypatch, harness, "load_model")
+        specs = (BnbRunSpec(name="none", members=()),
+                 BnbRunSpec(name="l2dive:20", members=(("l2dive", 20, 0),), d_max=10))
+        cfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1, 2),
+                            jobs=1, model_path=model_path)
+        res = eval_bnb(corpus, cfg, tmp_path / "bnb")
+        assert len(calls) == 1
+        assert len(res["rows"]) == 2 * 2 * 3
+
+    def test_enumerate_collect_runs_one_bnb_per_instance(self, tiny_world, tmp_path,
+                                                         monkeypatch):
+        import divekit.bnb as bnb
+        import divekit.harness as harness
+        from divekit.bnb import OPTIMAL_PROVEN
+
+        root, _ = tiny_world
+        runs = self.count_calls(monkeypatch, bnb, "branch_and_bound")
+        self.count_calls(monkeypatch, harness, "branch_and_bound", runs)
+        walks = self.count_calls(monkeypatch, harness, "enumerate_optimal_face")
+        cfg = CollectConfig(node_limit=150, pool_capacity=5, augment="enumerate",
+                            enum_node_limit=300, jobs=1)
+        manifest = collect_corpus(root / "inst", tmp_path / "corpus", cfg)
+        assert len(runs) == 8 == len(manifest["entries"]) + len(manifest["skipped"])
+        proven = [e for e in manifest["entries"] if e["status"] == OPTIMAL_PROVEN]
+        assert proven and len(walks) == len(proven)
 
 
 class TestRootLpFailure:

@@ -76,12 +76,19 @@ class TestParity:
         np.testing.assert_array_equal(
             kernels.row_activities(empty, empty, np.array([]), data["x"], 4), np.zeros(4))
 
-    def test_scatter_messages(self, data):
-        out = np.zeros(data["out_shape"])
-        kernels.scatter_messages(data["rows"], data["cols"], data["vals"], data["h"], out)
-        A = sp.coo_matrix((data["vals"], (data["rows"], data["cols"])),
-                          shape=(data["m"], data["n"]))
-        np.testing.assert_allclose(out, A @ data["h"], atol=1e-12)
+    def test_scatter_messages(self, data, rng):
+        rows, cols = data["rows"].copy(), data["cols"].copy()
+        rows[:50], cols[:50] = rows[50:100], cols[50:100]  # duplicate (dst, src) pairs
+        A = sp.coo_matrix((data["vals"], (rows, cols)), shape=(data["m"], data["n"]))
+        start = rng.normal(size=data["out_shape"])
+        out = start.copy()
+        got = kernels.scatter_messages(A.tocsr(), data["h"], out)
+        assert got is out
+        expect = start.copy()
+        for e in range(rows.size):  # out[dst] += coef * h[src], edge by edge
+            expect[rows[e]] += data["vals"][e] * data["h"][cols[e]]
+        np.testing.assert_allclose(out, expect, atol=1e-12)
+        np.testing.assert_allclose(out, start + A @ data["h"], atol=1e-12)
 
     def test_ratio_test(self, rng):
         for _ in range(300):
