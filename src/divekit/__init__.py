@@ -7,6 +7,7 @@ from .instances import (  # noqa: F401
     GeneratorConfig,
     MilpInstance,
     StandardLp,
+    compute_locks,
     generate,
     make_instance,
     read_instance,
@@ -26,7 +27,6 @@ from .bnb import (  # noqa: F401
     SolveConfig,
     SolveTrace,
     branch_and_bound,
-    compute_locks,
     enumerate_optima,
     round_solution,
 )

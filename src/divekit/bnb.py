@@ -1,4 +1,4 @@
-"""Branch and bound with a solution pool, plus rounding, variable locks and
+"""Branch and bound with a solution pool, plus lock-based rounding and
 exhaustive enumeration of optimal assignments on the optimality face.
 
 The solver clock is deterministic: ``ticks`` counts simplex iterations, so
@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import (
-    INT_TOL,
-    MilpInstance,
-    SENSE_EQ,
-    SENSE_GE,
-    SENSE_LE,
-    to_standard_form,
-)
+from .instances import INT_TOL, MilpInstance, SENSE_GE, SENSE_LE, to_standard_form
 from . import simplex
 from .simplex import LpSolution, SimplexError, solve_lp
 
@@ -37,23 +30,10 @@ class NodeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# locks and rounding
+# rounding
 # ---------------------------------------------------------------------------
 
-def compute_locks(inst: MilpInstance):
-    """Per-variable (up_locks, down_locks): the number of rows that moving
-    the variable up resp. down can violate."""
-    rows, cols, vals = inst.coo()
-    sr = inst.senses[rows]
-    nz = vals != 0
-    up_mask = nz & (((sr == SENSE_LE) & (vals > 0)) | ((sr == SENSE_GE) & (vals < 0)) | (sr == SENSE_EQ))
-    dn_mask = nz & (((sr == SENSE_LE) & (vals < 0)) | ((sr == SENSE_GE) & (vals > 0)) | (sr == SENSE_EQ))
-    up = np.bincount(cols[up_mask], minlength=inst.n).astype(np.int64)
-    down = np.bincount(cols[dn_mask], minlength=inst.n).astype(np.int64)
-    return up, down
-
-
-def round_solution(x, inst: MilpInstance, locks=None):
+def round_solution(x, inst: MilpInstance):
     """Try to turn an LP point into an integral-feasible one.
 
     Strategies, first feasible wins: (a) already integral, (b) round each
@@ -72,24 +52,14 @@ def round_solution(x, inst: MilpInstance, locks=None):
     snapped[idx] = rounded
     if np.max(frac) <= INT_TOL:
         return snapped if inst.is_feasible(snapped) else None
-    up, down = locks if locks is not None else compute_locks(inst)
+    up, down, _ = inst.column_counts()
     lock_dir = x.copy()
-    for k, j in enumerate(idx):
-        if frac[k] <= INT_TOL:
-            lock_dir[j] = rounded[k]
-        elif down[j] == 0:
-            lock_dir[j] = np.floor(xi[k])
-        elif up[j] == 0:
-            lock_dir[j] = np.ceil(xi[k])
-        else:
-            lock_dir[j] = rounded[k]
-    np.clip(lock_dir[idx], inst.lb[idx], inst.ub[idx], out=lock_dir[idx])
+    lock_dir[idx] = np.where(frac <= INT_TOL, rounded,
+                             np.where(down[idx] == 0, np.floor(xi),
+                                      np.where(up[idx] == 0, np.ceil(xi), rounded)))
     if inst.is_feasible(lock_dir):
         return lock_dir
-    np.clip(snapped[idx], inst.lb[idx], inst.ub[idx], out=snapped[idx])
-    if inst.is_feasible(snapped):
-        return snapped
-    return None
+    return snapped if inst.is_feasible(snapped) else None
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +123,6 @@ class SolveTrace:
 
     def __init__(self):
         self.points: list[tuple[float, float, float]] = []
-        self.status = None
 
     def record(self, t, primal, dual):
         if self.points:
@@ -259,7 +228,6 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
     with a fractional LP point."""
     cfg = cfg or SolveConfig()
     lp = to_standard_form(inst)
-    locks = compute_locks(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
     trace = SolveTrace()
 
@@ -360,7 +328,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
             register(x, sol.objective)
             cur_bound = np.inf
             continue
-        rounded = round_solution(x, inst, locks)
+        rounded = round_solution(x, inst)
         if rounded is not None:
             register(rounded)
         if cfg.diver is not None:
@@ -383,7 +351,6 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
 
     final_bound = z_inc if status == OPTIMAL_PROVEN else global_bound()
     trace.record(ticks, z_inc, final_bound)
-    trace.status = status
     return BnbResult(
         status=status, x=incumbent, objective=z_inc, bound=final_bound,
         pool=pool, trace=trace, nodes=nodes, ticks=ticks,

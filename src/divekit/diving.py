@@ -2,15 +2,19 @@
 
 A dive repeatedly picks one candidate variable, tightens one of its bounds
 to an integral target, re-solves the LP (warm-started), and tries to round
-the new LP point into a feasible solution.  It stops on LP infeasibility,
-the depth limit, an LP iteration limit, an integral LP, an objective
-cutoff, or a numerical LP failure, which ends only this dive.  Every
+the new LP point into a feasible solution.  It stops when the LP turns
+infeasible, at the depth limit, when a resolve hits the LP iteration limit,
+when the LP point is integral on the integer variables or no candidate is
+left, and on a numerical LP failure, which ends only this dive.  Every
 recorded solution is re-checked against the original instance, so bound
 tightenings never leak unsound solutions.
 
 Scorers only decide *which* variable and *which* bound; the engine owns the
-loop.  Stateful scorers (pseudocost, the learned diver) get ``begin_dive``
-and ``observe`` callbacks.
+loop and the resolve.  A scorer sees a ``DiveContext``: the instance (whose
+locks and column degrees ``MilpInstance.column_counts`` computes once), the
+current bounds, the current and the dive-root LP solutions, and the
+candidates.  Stateful scorers (pseudocost, the learned diver) get
+``begin_dive`` and ``observe`` callbacks.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bnb import compute_locks, round_solution
+from .bnb import round_solution
 from .instances import INT_TOL, MilpInstance, StandardLp, to_standard_form
 from . import simplex
 from .simplex import LpSolution, SimplexError, solve_lp
@@ -28,7 +32,6 @@ TERM_INFEASIBLE = "infeasible"
 TERM_DEPTH = "depth_limit"
 TERM_ITER = "iter_limit"
 TERM_INTEGRAL = "integral"
-TERM_CUTOFF = "cutoff"
 TERM_LP_ERROR = "lp_error"
 
 DEFAULT_DEPTH = 100
@@ -52,18 +55,11 @@ class ScoreDecision:
 @dataclass
 class DiveContext:
     inst: MilpInstance
-    lp: StandardLp
     lo: np.ndarray  # full column bounds, including slacks
     hi: np.ndarray
-    sol: LpSolution
-    root: LpSolution
-    cands: np.ndarray
-    depth: int
-    d_max: int
-    lp_iter_limit: int | None
-    cutoff: float | None
-    locks: tuple
-    degrees: np.ndarray
+    sol: LpSolution  # the current LP solution
+    root: LpSolution  # the LP solution the dive started from
+    cands: np.ndarray  # divable variables whose bounds are not yet equal
 
 
 @dataclass
@@ -91,7 +87,6 @@ def dive(
     scorer,
     d_max: int = DEFAULT_DEPTH,
     lp_iter_limit: int | None = None,
-    cutoff: float | None = None,
     lp: StandardLp | None = None,
     root_sol: LpSolution | None = None,
     lower: np.ndarray | None = None,
@@ -116,15 +111,9 @@ def dive(
     if root_sol.status != simplex.OPTIMAL:
         return DiveResult(termination=TERM_INFEASIBLE, lp_iterations=iters)
 
-    locks = compute_locks(inst)
-    degrees = np.diff(inst.A.tocsc().indptr).astype(np.int64)
     cands = np.flatnonzero(inst.divable & (lo[:n] + INT_TOL < hi[:n]))
     int_idx = inst.integer_index
-    ctx = DiveContext(
-        inst=inst, lp=lp, lo=lo, hi=hi, sol=root_sol, root=root_sol,
-        cands=cands, depth=0, d_max=d_max, lp_iter_limit=lp_iter_limit,
-        cutoff=cutoff, locks=locks, degrees=degrees,
-    )
+    ctx = DiveContext(inst=inst, lo=lo, hi=hi, sol=root_sol, root=root_sol, cands=cands)
     if hasattr(scorer, "begin_dive"):
         scorer.begin_dive(ctx)
 
@@ -146,7 +135,7 @@ def dive(
         result.best_z = min(result.best_z, float(inst.c @ x))
 
     def try_round(x):
-        y = round_solution(x, inst, locks)
+        y = round_solution(x, inst)
         if y is not None:
             record(y)
 
@@ -203,10 +192,6 @@ def dive(
             scorer.observe(j, target is not None and float(target) > old_x,
                            moved, max(sol.objective - old_z, 0.0))
         ctx.sol = sol
-        ctx.depth = d
-        if cutoff is not None and sol.objective > cutoff + 1e-9:
-            result.termination = TERM_CUTOFF
-            break
         x = sol.x[:n]
         try_round(x)
         if _integral_on(x, int_idx):
@@ -262,7 +247,7 @@ class CoefficientScorer:
         cands, vals, rounded, frac = _frac_candidates(ctx)
         if cands.size == 0:
             return None
-        up, down = ctx.locks
+        up, down, _ = ctx.inst.column_counts()
         lockmin = np.minimum(up[cands], down[cands]).astype(np.float64)
         k = int(np.lexsort((frac, lockmin))[0])
         j = cands[k]
@@ -311,7 +296,7 @@ class VectorlengthScorer:
         if cands.size == 0:
             return None
         c = ctx.inst.c[cands]
-        deg = np.maximum(ctx.degrees[cands], 1).astype(np.float64)
+        deg = np.maximum(ctx.inst.column_counts()[2][cands], 1).astype(np.float64)
         up_delta = c * (np.ceil(vals) - vals)
         dn_delta = c * (np.floor(vals) - vals)
         r_up = (np.maximum(up_delta, 0.0) + self.EPS) / deg
@@ -359,60 +344,33 @@ class PseudocostScorer:
         return ScoreDecision(int(j), float(np.ceil(vals[k])), None, -float(best[k]))
 
 
-class _FixScorer:
-    """Fix the lowest-index unfixed candidate to one of its bounds."""
+class FixAtBoundScorer:
+    """Fix the first candidate whose chosen bound is finite at that bound:
+    the lower one, the upper one, or (``random``) one of the two with equal
+    probability, one seeded draw per step."""
 
-    def _fix(self, ctx, j, at_lower):
-        j = int(j)
-        if at_lower:
-            v = float(ctx.lo[j])
+    def __init__(self, bound, seed=0):
+        self.bound = bound
+        self.rng = np.random.default_rng(seed) if bound == "random" else None
+
+    def __call__(self, ctx):
+        if self.rng is None:
+            at_lower = self.bound == "lower"
         else:
-            v = float(ctx.hi[j])
-        if not np.isfinite(v):
-            return None
-        return ScoreDecision(var=j, new_lower=v, new_upper=v)
-
-
-class LowerScorer(_FixScorer):
-    def __call__(self, ctx):
-        for j in ctx.cands:
-            dec = self._fix(ctx, j, at_lower=True)
-            if dec is not None:
-                return dec
-        return None
-
-
-class UpperScorer(_FixScorer):
-    def __call__(self, ctx):
-        for j in ctx.cands:
-            dec = self._fix(ctx, j, at_lower=False)
-            if dec is not None:
-                return dec
-        return None
-
-
-class RandomScorer(_FixScorer):
-    """Fix the lowest-index candidate at its lower or upper bound with equal
-    probability (seeded, reproducible)."""
-
-    def __init__(self, seed=0):
-        self.rng = np.random.default_rng(seed)
-
-    def __call__(self, ctx):
-        for j in ctx.cands:
             at_lower = bool(self.rng.random() < 0.5)
-            dec = self._fix(ctx, j, at_lower=at_lower)
-            if dec is None:
-                dec = self._fix(ctx, j, at_lower=not at_lower)
-            if dec is not None:
-                return dec
-        return None
+        values = (ctx.lo if at_lower else ctx.hi)[ctx.cands]
+        finite = np.isfinite(values)
+        if not finite.any():
+            return None
+        k = int(np.argmax(finite))
+        v = float(values[k])
+        return ScoreDecision(var=int(ctx.cands[k]), new_lower=v, new_upper=v)
 
 
-def _l2dive(**kw):
+def _l2dive(model=None, **_kw):
     from .l2dive import l2dive_scorer  # l2dive imports this module
 
-    return l2dive_scorer(**kw)
+    return l2dive_scorer(model)
 
 
 SCORERS = {
@@ -421,14 +379,14 @@ SCORERS = {
     "linesearch": lambda **kw: LinesearchScorer(),
     "vectorlength": lambda **kw: VectorlengthScorer(),
     "pseudocost": lambda **kw: PseudocostScorer(),
-    "lower": lambda **kw: LowerScorer(),
-    "upper": lambda **kw: UpperScorer(),
-    "random": lambda seed=0, **kw: RandomScorer(seed=seed),
+    "lower": lambda **kw: FixAtBoundScorer("lower"),
+    "upper": lambda **kw: FixAtBoundScorer("upper"),
+    "random": lambda seed=0, **kw: FixAtBoundScorer("random", seed),
     "l2dive": _l2dive,
 }
 
 #: divers whose dives depend on the ``seed`` passed to ``make_scorer``
-#: (``l2dive`` predicts the mode unless asked to sample)
+#: (``l2dive`` predicts the mode, so it reads none)
 SEEDED_SCORERS = frozenset({"random"})
 
 

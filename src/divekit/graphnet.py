@@ -21,12 +21,11 @@ distribution to the factorized model, with ADAM.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .bnb import compute_locks
 from .instances import INT_TOL, MilpInstance, SENSE_EQ, SENSE_GE, SENSE_LE
 from .kernels import scatter_messages
 from .simplex import LpSolution
@@ -49,6 +48,9 @@ CONS_FEATURES = (
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LOG_CLAMP = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ShapeMismatch(ValueError):
@@ -106,9 +108,9 @@ def extract_graph(inst: MilpInstance, root_sol: LpSolution) -> BipartiteGraph:
     x = root_sol.x[:n]
     duals = root_sol.duals
 
-    var_deg = np.bincount(cols, minlength=n).astype(np.float64)
+    up, down, var_deg = inst.column_counts()
+    var_deg = var_deg.astype(np.float64)
     cons_deg = np.bincount(rows, minlength=m).astype(np.float64)
-    up, down = compute_locks(inst)
 
     lb_fin = np.isfinite(inst.lb)
     ub_fin = np.isfinite(inst.ub)
@@ -381,22 +383,15 @@ class GraphNet:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(self, graph: BipartiteGraph, strategy="mode", seed=None):
-        """Assignment and its per-candidate probability.
+    def predict(self, graph: BipartiteGraph):
+        """The mode assignment and its per-candidate probability.
 
-        ``mode`` rounds each Bernoulli mean at 0.5 (exact ties to 0);
-        ``sample`` draws each bit with the seeded generator.  Bitwise heads
+        Each Bernoulli mean rounds at 0.5 (exact ties to 0).  Bitwise heads
         decode to ``lb + sum(bit_k 2^k)`` clamped into the domain.
         """
         means, _ = self.forward(make_batch([graph]), train=False)
         cm = means[graph.candidates]
-        if strategy == "mode":
-            bits = cm > 0.5
-        elif strategy == "sample":
-            rng = np.random.default_rng(seed)
-            bits = rng.random(cm.shape) < cm
-        else:
-            raise ValueError(f"unknown prediction strategy {strategy!r}")
+        bits = cm > 0.5
         values = np.empty(graph.candidates.size)
         probs = np.ones(graph.candidates.size)
         for i in range(graph.candidates.size):
@@ -511,7 +506,8 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, grads, state: AdamState, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state: AdamState, lr=1e-3, beta1=ADAM_BETA1, beta2=ADAM_BETA2,
+              eps=ADAM_EPS):
     """One bias-corrected ADAM update, applied in sorted parameter order."""
     state.t += 1
     t = state.t
@@ -535,12 +531,8 @@ def adam_step(params, grads, state: AdamState, lr=1e-3, beta1=0.9, beta2=0.999, 
 class TrainingConfig:
     temperature: float | None = None  # None: scale-aware default per corpus
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 100
     batch_size: int = 16
-    val_every: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -591,17 +583,13 @@ def train_model(model: GraphNet, examples: list[TrainExample],
             chunk = [examples[i] for i in order[start: start + cfg.batch_size]]
             batch = make_batch([e.graph for e in chunk])
             loss, grads = batch_loss_and_grads(model, batch, [e.target for e in chunk])
-            adam_step(model.params, grads, state, lr=cfg.lr,
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            adam_step(model.params, grads, state, lr=cfg.lr)
             train_loss += loss
             n_batches += 1
         train_loss /= max(n_batches, 1)
-        if (epoch + 1) % cfg.val_every == 0 or epoch == cfg.epochs - 1:
-            val_loss = batch_loss(model, val_batch, val_targets)
-        else:
-            val_loss = np.nan
+        val_loss = batch_loss(model, val_batch, val_targets)
         history.append((epoch, train_loss, val_loss))
-        if np.isfinite(val_loss) and val_loss < best_val:
+        if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in model.params.items()}

@@ -58,6 +58,8 @@ from .simplex import SimplexError, check_complementary_slackness, dual_objective
 
 SYMMETRIC_FAMILIES = ("set-cover", "indep-set")
 FAILED_GAP = np.inf
+#: the tuner's default diving period; sampled periods halve or double it
+BASE_PERIOD = 20
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +512,6 @@ class BnbEvalConfig:
     specs: tuple
     tick_limit: float = 200_000.0
     node_limit: int = 100_000
-    pool_capacity: int = 10
     seeds: tuple = (0, 1, 2)
     jobs: int = 1
     model_path: str | None = None
@@ -520,18 +521,21 @@ class BnbEvalConfig:
 def _ensemble_hook(members, model, d_max, seed):
     """Diver callback, called at every node with a fractional LP point; it owns
     the schedule: every member dives at the root (call 0), and a member with
-    period p and offset o also at the calls numbered o (mod p)."""
+    period p and offset o also at the calls numbered o (mod p).  Each member's
+    scorer is built once, so its state (pseudocosts, the random stream)
+    lives for the whole branch-and-bound run."""
     counter = {"n": -1}
+    scorers = [(make_scorer(name, seed=seed, model=model), period, offset)
+               for name, period, offset in members]
 
     def hook(inst, lp, sol, lo, hi):
         counter["n"] += 1
         results = []
-        for name, period, offset in members:
+        for scorer, period, offset in scorers:
             at_root = counter["n"] == 0
             scheduled = period is not None and counter["n"] % max(period, 1) == (offset or 0)
             if not (at_root or scheduled):
                 continue
-            scorer = make_scorer(name, seed=seed, model=model)
             results.append(dive(inst, scorer, d_max=d_max, lp=lp, root_sol=sol,
                                 lower=lo, upper=hi))
         return results
@@ -547,8 +551,7 @@ def _eval_bnb_one(task):
     diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
     try:
         res = branch_and_bound(inst, SolveConfig(
-            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-            pool_capacity=cfg.pool_capacity, diver=diver,
+            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
         ))
     except NodeError:
         # the root LP failed: one node, one node error, an empty trace
@@ -643,7 +646,6 @@ class TuneConfig:
     samples: int = 8
     seed: int = 0
     objective: str = "integral"  # or "ticks" (work to best solution)
-    base_period: int = 20
     d_max: int = DEFAULT_DEPTH
 
     def __post_init__(self):
@@ -659,8 +661,7 @@ def sample_ensemble(rng, cfg: TuneConfig):
         choice = rng.integers(0, 4)
         if choice == 0:
             continue  # off
-        period = {1: max(cfg.base_period // 2, 1), 2: cfg.base_period,
-                  3: cfg.base_period * 2}[int(choice)]
+        period = {1: BASE_PERIOD // 2, 2: BASE_PERIOD, 3: BASE_PERIOD * 2}[int(choice)]
         offset = int(rng.integers(0, 2)) * (period // 2)
         members.append((name, period, offset))
     return tuple(members)
@@ -672,7 +673,7 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
     validation corpus; returns the sampled configuration only if it beats
     the default ensemble."""
     rng = np.random.default_rng(tune_cfg.seed)
-    default_members = tuple((name, tune_cfg.base_period, 0) for name in tune_cfg.divers)
+    default_members = tuple((name, BASE_PERIOD, 0) for name in tune_cfg.divers)
     specs = [BnbRunSpec(name="default", members=default_members, d_max=tune_cfg.d_max)]
     for k in range(tune_cfg.samples):
         specs.append(BnbRunSpec(name=f"sample_{k}", members=sample_ensemble(rng, tune_cfg),

@@ -68,6 +68,7 @@ class MilpInstance:
     var_names: list[str] | None = None
     row_names: list[str] | None = None
     _coo_cache: tuple | None = field(default=None, repr=False, compare=False)
+    _counts_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -96,6 +97,14 @@ class MilpInstance:
                 coo.data[order].astype(np.float64),
             )
         return self._coo_cache
+
+    def column_counts(self):
+        """(up_locks, down_locks, degrees) per variable, computed once: the
+        locks of ``compute_locks`` and the number of rows it appears in."""
+        if self._counts_cache is None:
+            cols = self.coo()[1]
+            self._counts_cache = compute_locks(self) + (np.bincount(cols, minlength=self.n),)
+        return self._counts_cache
 
     def activities(self, x: np.ndarray) -> np.ndarray:
         rows, cols, vals = self.coo()
@@ -156,6 +165,7 @@ class MilpInstance:
             integer=self.integer.copy(),
             divable=self.divable.copy(),
             _coo_cache=None,
+            _counts_cache=None,
         )
 
     def with_extra_rows(self, rows, senses, rhs, name_suffix="aux") -> "MilpInstance":
@@ -171,7 +181,21 @@ class MilpInstance:
             b=np.concatenate([self.b, np.asarray(rhs, dtype=np.float64)]),
             row_names=None,
             _coo_cache=None,
+            _counts_cache=None,
         )
+
+
+def compute_locks(inst: MilpInstance):
+    """Per-variable (up_locks, down_locks): the number of rows that moving
+    the variable up resp. down can violate."""
+    rows, cols, vals = inst.coo()
+    sr = inst.senses[rows]
+    nz = vals != 0
+    up_mask = nz & (((sr == SENSE_LE) & (vals > 0)) | ((sr == SENSE_GE) & (vals < 0)) | (sr == SENSE_EQ))
+    dn_mask = nz & (((sr == SENSE_LE) & (vals < 0)) | ((sr == SENSE_GE) & (vals > 0)) | (sr == SENSE_EQ))
+    up = np.bincount(cols[up_mask], minlength=inst.n).astype(np.int64)
+    down = np.bincount(cols[dn_mask], minlength=inst.n).astype(np.int64)
+    return up, down
 
 
 def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
@@ -228,9 +252,9 @@ class StandardLp:
     """Equality-form LP ``min c'x s.t. Ax = b, lb <= x <= ub``.
 
     Columns ``[0, slack_start)`` are the original variables; the rest are
-    slack/surplus columns.  ``origin[j]`` is ``j`` for original columns and
-    ``-(row + 1)`` for the slack of ``row``.  LE rows carry a +1 slack in
-    [0, inf); GE rows carry a -1 surplus in [0, inf); EQ rows carry none.
+    slack/surplus columns, and ``slack_row`` names the row of each.  LE rows
+    carry a +1 slack in [0, inf); GE rows carry a -1 surplus in [0, inf); EQ
+    rows carry none.
     """
 
     c: np.ndarray
@@ -239,7 +263,6 @@ class StandardLp:
     lb: np.ndarray
     ub: np.ndarray
     slack_start: int
-    origin: np.ndarray
     slack_row: np.ndarray  # per column: owning row for slacks, -1 otherwise
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -274,7 +297,6 @@ def to_standard_form(inst: MilpInstance) -> StandardLp:
     n, m = inst.n, inst.m
     ineq = np.flatnonzero(inst.senses != SENSE_EQ)
     n_slack = ineq.size
-    cols = []
     if n_slack:
         data = np.where(inst.senses[ineq] == SENSE_LE, 1.0, -1.0)
         S = sp.csr_matrix((data, (ineq, np.arange(n_slack))), shape=(m, n_slack))
@@ -284,15 +306,12 @@ def to_standard_form(inst: MilpInstance) -> StandardLp:
     c = np.concatenate([inst.c, np.zeros(n_slack)])
     lb = np.concatenate([inst.lb, np.zeros(n_slack)])
     ub = np.concatenate([inst.ub, np.full(n_slack, np.inf)])
-    origin = np.concatenate(
-        [np.arange(n, dtype=np.int64), -(ineq.astype(np.int64) + 1)]
-    )
     slack_row = np.concatenate(
         [np.full(n, -1, dtype=np.int64), ineq.astype(np.int64)]
     )
     return StandardLp(
         c=c, A=A, b=inst.b.copy(), lb=lb, ub=ub,
-        slack_start=n, origin=origin, slack_row=slack_row,
+        slack_start=n, slack_row=slack_row,
     )
 
 

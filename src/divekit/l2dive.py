@@ -42,9 +42,6 @@ class TightenSet:
     def union(self) -> np.ndarray:
         return np.union1d(self.lower, self.upper)
 
-    def __contains__(self, j) -> bool:
-        return bool(np.isin(j, self.lower).any() or np.isin(j, self.upper).any())
-
 
 def slackness_violations(x, duals: DualValues, lb, ub, tol=SLACK_TOL):
     """Masks of columns whose lower/upper bound-slackness products are
@@ -83,46 +80,40 @@ class L2DiveScorer:
     """Score = model confidence in the predicted value, plus 1 when the
     variable currently violates slackness against the prediction.
 
-    The prediction is computed once at dive start and never changes within
-    the dive; the violation set is recomputed from the duals of the most
-    recent resolve.  Selection considers the moves that actually constrain
-    the diving LP: violation-set members and fractional candidates (a
-    candidate already integral at its predicted value is a no-op and would
-    only burn diving depth).  Direction: a prediction above the LP value
-    raises the lower bound to it, below caps the upper bound, equal fixes
-    both.
+    The prediction (the model's mode) is computed once at dive start and
+    never changes within the dive; the violation set is recomputed from the
+    duals of the most recent resolve.  Selection considers the moves that
+    actually constrain the diving LP: violation-set members and fractional
+    candidates (a candidate already integral at its predicted value is a
+    no-op and would only burn diving depth).  Direction: a prediction above
+    the LP value raises the lower bound to it, below caps the upper bound,
+    equal fixes both.
     """
 
-    def __init__(self, model: GraphNet, strategy="mode", seed=None, tol=SLACK_TOL):
+    def __init__(self, model: GraphNet):
         self.model = model
-        self.strategy = strategy
-        self.seed = seed
-        self.tol = tol
         self._values = None
         self._probs = None
-        self._pos = None
+        self._pos = None  # per variable: its index in the prediction, or -1
 
     def begin_dive(self, ctx):
         graph = extract_graph(ctx.inst, ctx.root)
-        values, probs = self.model.predict(graph, strategy=self.strategy, seed=self.seed)
-        self._values = values
-        self._probs = probs
-        self._pos = {int(j): i for i, j in enumerate(graph.candidates)}
+        self._values, self._probs = self.model.predict(graph)
+        self._pos = np.full(ctx.inst.n, -1, dtype=np.int64)
+        self._pos[graph.candidates] = np.arange(graph.candidates.size)
 
     def __call__(self, ctx):
-        if self._values is None:
-            self.begin_dive(ctx)
         if ctx.sol.duals is None:
             raise MissingDuals("l2dive scoring needs duals of the current LP")
         cands = ctx.cands
-        pos = np.array([self._pos.get(int(j), -1) for j in cands], dtype=np.int64)
+        pos = self._pos[cands]
         known = pos >= 0
         if not known.any():
             return None
         cands = cands[known]
         pos = pos[known]
         xhat = np.clip(self._values[pos], ctx.lo[cands], ctx.hi[cands])
-        tset = compute_tighten_set(xhat, ctx.sol.duals, ctx.lo, ctx.hi, cands, self.tol)
+        tset = compute_tighten_set(xhat, ctx.sol.duals, ctx.lo, ctx.hi, cands)
         in_j = np.isin(cands, tset.union)
         x_now = ctx.sol.x[cands]
         frac = np.abs(x_now - np.floor(x_now + 0.5)) > INT_TOL
@@ -144,11 +135,11 @@ class L2DiveScorer:
         return ScoreDecision(j, new_lower=None, new_upper=target, score=float(score[k]))
 
 
-def l2dive_scorer(model=None, strategy="mode", seed=None, **_kw):
+def l2dive_scorer(model):
     """Factory behind ``diving.SCORERS["l2dive"]``."""
     if model is None:
         raise ValueError("the l2dive diver needs a trained model (--model PATH)")
-    return L2DiveScorer(model, strategy=strategy, seed=seed)
+    return L2DiveScorer(model)
 
 
 def verify_tightening_optimality(inst: MilpInstance, x_tilde, tol=SLACK_TOL,

@@ -7,7 +7,6 @@ from divekit.bnb import (
     SolutionPool,
     SolveConfig,
     branch_and_bound,
-    compute_locks,
     enumerate_optima,
     round_solution,
 )
@@ -16,6 +15,7 @@ from divekit.instances import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
+    compute_locks,
     generate,
     make_instance,
 )
@@ -82,6 +82,18 @@ class TestLocks:
                         dn_ref += 1
                 assert up[j] == up_ref and down[j] == dn_ref
 
+    def test_column_counts_computed_once_per_instance(self):
+        inst = generate(GeneratorConfig("set-cover", seed=0, rows=8, cols=12, density=0.3))
+        counts = inst.column_counts()
+        up, down = compute_locks(inst)
+        np.testing.assert_array_equal(counts[0], up)
+        np.testing.assert_array_equal(counts[1], down)
+        np.testing.assert_array_equal(counts[2], np.diff(inst.A.tocsc().indptr))
+        assert inst.column_counts() is counts
+        assert inst.copy().column_counts() is not counts
+        face = inst.with_extra_rows([inst.c], [SENSE_EQ], [1.0])
+        assert face.column_counts()[0][0] == counts[0][0] + (inst.c[0] != 0)
+
 
 class TestRounding:
     def test_integral_point_returned_unchanged(self):
@@ -111,6 +123,58 @@ class TestRounding:
         _, x, _ = brute_binary_optimum(inst)
         assert x is None  # verified by enumeration: no integer point exists
         assert round_solution(np.array([0.5, 0.5]), inst) is None
+
+    def test_matches_loop_over_integer_variables(self, rng):
+        """Lock-direction rounding picks, per fractional integer variable,
+        what a loop over them picks: down without down-locks, else up
+        without up-locks, else nearest."""
+
+        def loop_round(x, inst):
+            idx = inst.integer_index
+            xi = x[idx]
+            rounded = np.floor(xi + 0.5)
+            snapped = x.copy()
+            snapped[idx] = rounded
+            up, down = compute_locks(inst)
+            lock_dir = x.copy()
+            for k, j in enumerate(idx):
+                if abs(xi[k] - rounded[k]) <= 1e-6:
+                    lock_dir[j] = rounded[k]
+                elif down[j] == 0:
+                    lock_dir[j] = np.floor(xi[k])
+                elif up[j] == 0:
+                    lock_dir[j] = np.ceil(xi[k])
+                else:
+                    lock_dir[j] = rounded[k]
+            for y in (lock_dir, snapped):
+                if reference_feasible(inst, y):
+                    return y
+            return None
+
+        found = 0
+        for trial in range(40):
+            n, m = 6, 3
+            A = np.where(rng.random((m, n)) < 0.5, rng.integers(-3, 4, (m, n)), 0).astype(float)
+            senses = rng.integers(0, 3, size=m)
+            b = np.where(senses == SENSE_LE, 20.0, np.where(senses == SENSE_GE, -20.0, 0.0))
+            eq = senses == SENSE_EQ
+            A[eq] = 0.0  # an equality row only on the last variable, which is continuous
+            A[eq, n - 1] = 1.0
+            inst = make_instance(
+                f"r{trial}", c=np.zeros(n),
+                rows=[(i, j, A[i, j]) for i in range(m) for j in range(n) if A[i, j] != 0],
+                senses=senses, b=b, lb=np.zeros(n), ub=np.full(n, 4.0), integer=range(n - 1),
+            )
+            x = rng.uniform(0.0, 4.0, size=n)
+            x[n - 1] = 0.0
+            x[rng.random(n) < 0.3] = 2.0  # some integral entries
+            out = round_solution(x, inst)
+            ref = loop_round(x, inst)
+            assert (out is None) == (ref is None)
+            if ref is not None:
+                np.testing.assert_array_equal(out, ref)
+                found += 1
+        assert found > 20
 
 
 class TestPoolAndTrace:

@@ -4,10 +4,10 @@ import pytest
 from divekit.diving import (
     CoefficientScorer,
     DiveError,
+    FixAtBoundScorer,
     FractionalScorer,
     LinesearchScorer,
     PseudocostScorer,
-    RandomScorer,
     SCORERS,
     SEEDED_SCORERS,
     VectorlengthScorer,
@@ -26,9 +26,10 @@ ALL_BASELINES = ("fractional", "coefficient", "linesearch", "vectorlength",
 
 
 class _Ctx:
-    """Minimal stand-in context for scorer unit tests."""
+    """Minimal stand-in context for scorer unit tests; ``locks`` and
+    ``degrees`` reach the scorer through ``inst.column_counts()``."""
 
-    def __init__(self, x, cands, root=None, c=None, degrees=None, locks=None,
+    def __init__(self, x, cands, root=None, c=None, degrees=None, locks=(None, None),
                  lo=None, hi=None):
         class Sol:
             pass
@@ -40,14 +41,13 @@ class _Ctx:
         if root is not None:
             self.root = Sol()
             self.root.x = np.asarray(root, dtype=np.float64)
-        self.locks = locks
-        self.degrees = degrees
 
         class Inst:
             pass
 
         self.inst = Inst()
         self.inst.c = np.asarray(c, dtype=np.float64) if c is not None else None
+        self.inst.column_counts = lambda: (*locks, degrees)
         self.lo = np.asarray(lo, dtype=np.float64) if lo is not None else None
         self.hi = np.asarray(hi, dtype=np.float64) if hi is not None else None
 
@@ -126,12 +126,47 @@ class TestScorerRules:
 
     def test_random_reproducible(self):
         ctx = _Ctx([0.5] * 6, list(range(6)), lo=[0.0] * 6, hi=[1.0] * 6)
-        picks1 = [RandomScorer(seed=9)(ctx).new_lower for _ in range(6)]
+        picks1 = [make_scorer("random", seed=9)(ctx).new_lower for _ in range(6)]
         ctx2 = _Ctx([0.5] * 6, list(range(6)), lo=[0.0] * 6, hi=[1.0] * 6)
-        picks2 = [RandomScorer(seed=9)(ctx2).new_lower for _ in range(6)]
+        picks2 = [make_scorer("random", seed=9)(ctx2).new_lower for _ in range(6)]
         assert picks1 == picks2
-        seq = [RandomScorer(seed=9)(ctx) for _ in range(1)]
+        seq = [make_scorer("random", seed=9)(ctx) for _ in range(1)]
         assert seq[0].new_lower == seq[0].new_upper  # always a fix
+
+    def test_fix_at_bound_matches_candidate_loop(self, rng):
+        """The vectorized rule fixes the first candidate whose chosen bound
+        is finite, as a loop over the candidates does, also when some
+        candidates have an infinite lower or upper bound; ``random`` draws
+        one coin per step."""
+
+        def first_finite(ctx, at_lower):
+            for j in ctx.cands:
+                v = float(ctx.lo[j] if at_lower else ctx.hi[j])
+                if np.isfinite(v):
+                    return int(j), v
+            return None
+
+        n = 8
+        for trial in range(50):
+            lo = rng.integers(-3, 1, size=n).astype(np.float64)
+            hi = lo + rng.integers(1, 4, size=n)
+            lo[rng.random(n) < 0.4] = -np.inf
+            hi[rng.random(n) < 0.4] = np.inf
+            cands = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            ctx = _Ctx(np.zeros(n), cands, lo=lo, hi=hi)
+            coins = np.random.default_rng(trial)
+            scorers = (FixAtBoundScorer("lower"), FixAtBoundScorer("upper"),
+                       FixAtBoundScorer("random", seed=trial))
+            for step in range(3):
+                for sc in scorers:
+                    at_lower = (sc.bound == "lower" if sc.bound != "random"
+                                else bool(coins.random() < 0.5))
+                    ref = first_finite(ctx, at_lower)
+                    d = sc(ctx)
+                    if ref is None:
+                        assert d is None
+                    else:
+                        assert (d.var, d.new_lower, d.new_upper) == (ref[0], ref[1], ref[1])
 
 
 class TestDiveEngine:
@@ -187,7 +222,7 @@ class TestDiveEngine:
                 res = dive(inst, make_scorer(name, seed=seed), d_max=30)
                 assert res.depth_reached <= 30
                 assert res.termination in (
-                    "infeasible", "depth_limit", "iter_limit", "integral", "cutoff")
+                    "infeasible", "depth_limit", "iter_limit", "integral")
                 for x in res.solutions:
                     assert reference_feasible(inst, x)
 
@@ -223,13 +258,6 @@ class TestDiveEngine:
             assert np.all(lo1 >= lo0) and np.all(hi1 <= hi0)
             changed = np.sum((lo1 != lo0) | (hi1 != hi0))
             assert changed <= 1
-
-    def test_cutoff_aborts(self):
-        # seed 1 at this size has a fractional root, so the dive really runs
-        inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
-        res = dive(inst, make_scorer("lower"), d_max=100, cutoff=-1e9)
-        assert res.termination == "cutoff"
-        assert res.depth_reached == 1
 
     def test_iteration_limit_termination(self):
         inst = generate(GeneratorConfig("set-cover", seed=7, rows=30, cols=60, density=0.08))

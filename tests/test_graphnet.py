@@ -296,17 +296,9 @@ class TestPredict:
         model = GraphNet(hidden=4, seed=0)
         model.params["out_w2"][:] = 0.0
         model.params["out_b2"][:] = 0.0  # every mean exactly 0.5
-        values, probs = model.predict(g, strategy="mode")
+        values, probs = model.predict(g)
         np.testing.assert_array_equal(values, np.zeros(g.candidates.size))
         np.testing.assert_allclose(probs, 0.5)
-
-    def test_sample_reproducible(self):
-        inst = generate(GeneratorConfig("set-cover", seed=5, rows=6, cols=10, density=0.3))
-        g, _ = graph_for(inst)
-        model = GraphNet(hidden=4, seed=3)
-        v1, _ = model.predict(g, strategy="sample", seed=42)
-        v2, _ = model.predict(g, strategy="sample", seed=42)
-        np.testing.assert_array_equal(v1, v2)
 
     def test_bitwise_decode_and_clamp(self):
         assert domain_bits(0, 7) == 3
@@ -327,7 +319,7 @@ class TestPredict:
 
         model.forward = types.MethodType(
             lambda self, batch, train=False, update_stats=False: (means, None), model)
-        values, probs = model.predict(g, strategy="mode")
+        values, probs = model.predict(g)
         np.testing.assert_array_equal(values, [5.0, 5.0])
 
 

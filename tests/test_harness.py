@@ -320,7 +320,7 @@ class TestRunCounts:
         root, manifest = tiny_world
         calls = self.count_calls(monkeypatch, "branch_and_bound")
         tcfg = TuneConfig(divers=("fractional", "lower", "random"), samples=3, seed=0,
-                          base_period=10, d_max=10)
+                          d_max=10)
         ecfg = BnbEvalConfig(specs=(), tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
         report = tune_ensemble(root / "corpus", tcfg, ecfg, tmp_path / "tune.json")
         assert report["solver_calls"] == calls["n"]
@@ -408,6 +408,64 @@ class TestNoRepeatedWork:
         assert len(runs) == 8 == len(manifest["entries"]) + len(manifest["skipped"])
         proven = [e for e in manifest["entries"] if e["status"] == OPTIMAL_PROVEN]
         assert proven and len(walks) == len(proven)
+
+    def test_eval_dive_computes_locks_once_per_instance(self, tiny_world, tmp_path,
+                                                        model_path, monkeypatch):
+        """Locks and column degrees are computed once per instance, however
+        many divers dive on it."""
+        import divekit.instances as instances
+        from divekit.diving import SCORERS
+
+        corpus = self.first_entries(tiny_world, tmp_path / "c3", 3)
+        calls = self.count_calls(monkeypatch, instances, "compute_locks")
+        cfg = DiveEvalConfig(divers=tuple(sorted(SCORERS)), d_max=10, jobs=1,
+                             model_path=model_path)
+        res = eval_dives(corpus, cfg, tmp_path / "out")
+        assert len(SCORERS) == 9 and len(res["rows"]) == 3 * 9
+        assert len(calls) == 3
+
+
+class TestEnsembleHook:
+    def test_pseudocosts_live_for_one_run(self, tiny_world, monkeypatch):
+        """A member's scorer is built once per branch-and-bound run, so a
+        later dive of the run reads the pseudocosts an earlier dive observed."""
+        import divekit.diving as diving
+        from divekit.bnb import SolveConfig, branch_and_bound
+        from divekit.harness import _ensemble_hook
+        from divekit.instances import read_instance
+
+        built = []
+
+        class Spy(diving.PseudocostScorer):
+            def __init__(self):
+                super().__init__()
+                self.dive_no = 0
+                self.first_seen = {}  # (var, up?) -> dive of its first observation
+                self.cross_dive_reads = 0
+                built.append(self)
+
+            def begin_dive(self, ctx):
+                self.dive_no += 1
+
+            def observe(self, j, up, moved, degradation):
+                self.first_seen.setdefault((int(j), bool(up)), self.dive_no)
+                super().observe(j, up, moved, degradation)
+
+            def estimate(self, ctx, j, up):
+                seen = self.first_seen.get((int(j), bool(up)))
+                self.cross_dive_reads += seen is not None and seen < self.dive_no
+                return super().estimate(ctx, j, up)
+
+        monkeypatch.setattr(diving, "PseudocostScorer", Spy)
+        root, _ = tiny_world
+        entries = load_corpus(root / "corpus")
+        for entry in entries:
+            hook = _ensemble_hook((("pseudocost", 1, 0),), None, 10, 0)
+            res = branch_and_bound(read_instance(entry["instance_path"]),
+                                   SolveConfig(node_limit=100, diver=hook))
+            assert res.dives == built[-1].dive_no
+        assert len(built) == len(entries)
+        assert sum(s.cross_dive_reads for s in built) > 0
 
 
 class TestRootLpFailure:
@@ -531,8 +589,7 @@ class TestTraining:
 class TestTune:
     def test_returns_default_unless_beaten(self, tiny_world):
         root, _ = tiny_world
-        tcfg = TuneConfig(divers=("fractional", "lower"), samples=2, seed=0,
-                          base_period=10, d_max=20)
+        tcfg = TuneConfig(divers=("fractional", "lower"), samples=2, seed=0, d_max=20)
         ecfg = BnbEvalConfig(specs=(), tick_limit=2000.0, node_limit=40,
                              seeds=(0,), jobs=1)
         report = tune_ensemble(root / "corpus", tcfg, ecfg, root / "tune.json")
@@ -542,7 +599,7 @@ class TestTune:
 
     def test_sample_space(self, rng):
         from divekit.harness import sample_ensemble
-        cfg = TuneConfig(divers=("a", "b", "c", "d"), base_period=20)
+        cfg = TuneConfig(divers=("a", "b", "c", "d"))
         seen_off = seen_periods = False
         for _ in range(20):
             members = sample_ensemble(rng, cfg)

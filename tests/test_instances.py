@@ -28,7 +28,7 @@ class TestStandardForm:
         assert lp.ncols == 3 and lp.slack_start == 2
         assert lp.lb[2] == 0.0 and np.isinf(lp.ub[2])
         assert lp.dense()[0, 2] == 1.0  # x1 + x2 + s = 3
-        assert lp.origin[2] == -1 and lp.slack_row[2] == 0
+        assert lp.slack_row[2] == 0
 
     def test_ge_row_gains_negative_surplus(self):
         inst = make_instance("t", c=[0.0], rows=[(0, 0, 2.0)], senses=[SENSE_GE],

@@ -36,7 +36,7 @@ class TestTightenSet:
         tset = compute_tighten_set(np.array([1.0]), duals, np.array([0.0]),
                                    np.array([1.0]), np.array([0]))
         assert list(tset.lower) == [0] and tset.upper.size == 0
-        assert 0 in tset
+        assert list(tset.union) == [0]
 
     def test_upper_violation_is_positive_product(self):
         # prediction 0 below the upper bound with a negative upper dual:
@@ -70,11 +70,12 @@ class TestTightenSet:
 class _FixedPrediction(L2DiveScorer):
     """L2Dive scorer with an injected prediction (no model call)."""
 
-    def __init__(self, values, probs, cands, **kw):
-        super().__init__(model=None, **kw)
+    def __init__(self, values, probs, cands):
+        super().__init__(model=None)
         self._values = np.asarray(values, dtype=np.float64)
         self._probs = np.asarray(probs, dtype=np.float64)
-        self._pos = {int(j): i for i, j in enumerate(cands)}
+        self._pos = np.full(int(np.max(cands)) + 1, -1, dtype=np.int64)
+        self._pos[cands] = np.arange(len(cands))
 
     def begin_dive(self, ctx):
         pass
@@ -90,7 +91,6 @@ class TestScoreRule:
 
         ctx = Ctx()
         ctx.inst = inst
-        ctx.lp = lp
         ctx.lo = lp.lb.copy()
         ctx.hi = lp.ub.copy()
         ctx.sol = sol
