@@ -7,7 +7,6 @@ from .instances import (  # noqa: F401
     GeneratorConfig,
     MilpInstance,
     StandardLp,
-    compute_locks,
     generate,
     make_instance,
     read_instance,

@@ -347,18 +347,25 @@ class PseudocostScorer:
 class FixAtBoundScorer:
     """Fix the first candidate whose chosen bound is finite at that bound:
     the lower one, the upper one, or (``random``) one of the two with equal
-    probability, one seeded draw per step."""
+    probability.  ``random`` draws one seeded coin per candidate, in order,
+    up to the first candidate with any finite bound, and falls back to that
+    candidate's other bound when the coin picks an infinite one."""
 
     def __init__(self, bound, seed=0):
         self.bound = bound
         self.rng = np.random.default_rng(seed) if bound == "random" else None
 
     def __call__(self, ctx):
+        lo, hi = ctx.lo[ctx.cands], ctx.hi[ctx.cands]
         if self.rng is None:
-            at_lower = self.bound == "lower"
+            values = lo if self.bound == "lower" else hi
         else:
-            at_lower = bool(self.rng.random() < 0.5)
-        values = (ctx.lo if at_lower else ctx.hi)[ctx.cands]
+            bounded = np.isfinite(lo) | np.isfinite(hi)
+            draws = int(np.argmax(bounded)) + 1 if bounded.any() else bounded.size
+            at_lower = self.rng.random(draws) < 0.5
+            chosen = np.where(at_lower, lo[:draws], hi[:draws])
+            values = np.where(np.isfinite(chosen), chosen,
+                              np.where(at_lower, hi[:draws], lo[:draws]))
         finite = np.isfinite(values)
         if not finite.any():
             return None

@@ -100,10 +100,19 @@ class MilpInstance:
 
     def column_counts(self):
         """(up_locks, down_locks, degrees) per variable, computed once: the
-        locks of ``compute_locks`` and the number of rows it appears in."""
+        number of rows that moving the variable up resp. down can violate,
+        and the number of rows it appears in."""
         if self._counts_cache is None:
-            cols = self.coo()[1]
-            self._counts_cache = compute_locks(self) + (np.bincount(cols, minlength=self.n),)
+            rows, cols, vals = self.coo()
+            sr = self.senses[rows]
+            nz, eq = vals != 0, sr == SENSE_EQ
+            up = nz & (eq | ((sr == SENSE_LE) & (vals > 0)) | ((sr == SENSE_GE) & (vals < 0)))
+            down = nz & (eq | ((sr == SENSE_LE) & (vals < 0)) | ((sr == SENSE_GE) & (vals > 0)))
+            self._counts_cache = (
+                np.bincount(cols[up], minlength=self.n).astype(np.int64),
+                np.bincount(cols[down], minlength=self.n).astype(np.int64),
+                np.bincount(cols, minlength=self.n),
+            )
         return self._counts_cache
 
     def activities(self, x: np.ndarray) -> np.ndarray:
@@ -183,19 +192,6 @@ class MilpInstance:
             _coo_cache=None,
             _counts_cache=None,
         )
-
-
-def compute_locks(inst: MilpInstance):
-    """Per-variable (up_locks, down_locks): the number of rows that moving
-    the variable up resp. down can violate."""
-    rows, cols, vals = inst.coo()
-    sr = inst.senses[rows]
-    nz = vals != 0
-    up_mask = nz & (((sr == SENSE_LE) & (vals > 0)) | ((sr == SENSE_GE) & (vals < 0)) | (sr == SENSE_EQ))
-    dn_mask = nz & (((sr == SENSE_LE) & (vals < 0)) | ((sr == SENSE_GE) & (vals > 0)) | (sr == SENSE_EQ))
-    up = np.bincount(cols[up_mask], minlength=inst.n).astype(np.int64)
-    down = np.bincount(cols[dn_mask], minlength=inst.n).astype(np.int64)
-    return up, down
 
 
 def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,

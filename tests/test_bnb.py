@@ -15,7 +15,6 @@ from divekit.instances import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
-    compute_locks,
     generate,
     make_instance,
 )
@@ -35,18 +34,41 @@ def root_only(dive_once):
     return hook
 
 
+def loop_locks(A, senses):
+    """(up_locks, down_locks) of a dense matrix, one row and column at a
+    time: moving a variable up increases a*x by sign(a)."""
+    m, n = A.shape
+    up, down = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        for i in range(m):
+            a = A[i, j]
+            if a == 0:
+                continue
+            s = senses[i]
+            if s == SENSE_LE:
+                up[j] += a > 0
+                down[j] += a < 0
+            elif s == SENSE_GE:
+                up[j] += a < 0
+                down[j] += a > 0
+            else:
+                up[j] += 1
+                down[j] += 1
+    return up, down
+
+
 class TestLocks:
     def test_le_positive_coefficient_locks_up(self):
         inst = make_instance("t", c=[0.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
                              b=[1.0], lb=[0], ub=[5], integer=[0])
-        up, down = compute_locks(inst)
+        up, down, _ = inst.column_counts()
         assert up[0] == 1 and down[0] == 0
 
     def test_equality_locks_both_directions(self):
         inst = make_instance("t", c=[0.0], rows=[(0, 0, 2.0), (1, 0, -1.0)],
                              senses=[SENSE_EQ, SENSE_EQ], b=[1.0, 0.0],
                              lb=[0], ub=[5], integer=[0])
-        up, down = compute_locks(inst)
+        up, down, _ = inst.column_counts()
         assert up[0] == 2 and down[0] == 2
 
     def test_locks_agree_with_perturbation_oracle(self, rng):
@@ -62,30 +84,15 @@ class TestLocks:
                 senses=senses, b=rng.integers(-2, 3, m).astype(float),
                 lb=np.zeros(n), ub=np.full(n, 4.0), integer=range(n),
             )
-            up, down = compute_locks(inst)
-            for j in range(n):
-                up_ref = dn_ref = 0
-                for i in range(m):
-                    a = A[i, j]
-                    if a == 0:
-                        continue
-                    s = senses[i]
-                    # moving up increases a*x by sign(a)
-                    if s == SENSE_LE:
-                        up_ref += a > 0
-                        dn_ref += a < 0
-                    elif s == SENSE_GE:
-                        up_ref += a < 0
-                        dn_ref += a > 0
-                    else:
-                        up_ref += 1
-                        dn_ref += 1
-                assert up[j] == up_ref and down[j] == dn_ref
+            up, down, _ = inst.column_counts()
+            up_ref, dn_ref = loop_locks(A, senses)
+            np.testing.assert_array_equal(up, up_ref)
+            np.testing.assert_array_equal(down, dn_ref)
 
     def test_column_counts_computed_once_per_instance(self):
         inst = generate(GeneratorConfig("set-cover", seed=0, rows=8, cols=12, density=0.3))
         counts = inst.column_counts()
-        up, down = compute_locks(inst)
+        up, down = loop_locks(inst.A.toarray(), inst.senses)
         np.testing.assert_array_equal(counts[0], up)
         np.testing.assert_array_equal(counts[1], down)
         np.testing.assert_array_equal(counts[2], np.diff(inst.A.tocsc().indptr))
@@ -135,7 +142,7 @@ class TestRounding:
             rounded = np.floor(xi + 0.5)
             snapped = x.copy()
             snapped[idx] = rounded
-            up, down = compute_locks(inst)
+            up, down = loop_locks(inst.A.toarray(), inst.senses)
             lock_dir = x.copy()
             for k, j in enumerate(idx):
                 if abs(xi[k] - rounded[k]) <= 1e-6:

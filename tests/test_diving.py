@@ -10,13 +10,21 @@ from divekit.diving import (
     PseudocostScorer,
     SCORERS,
     SEEDED_SCORERS,
+    ScoreDecision,
     VectorlengthScorer,
     dive,
     make_scorer,
 )
 from divekit import diving
 from divekit.graphnet import GraphNet
-from divekit.instances import GeneratorConfig, generate
+from divekit.instances import (
+    SENSE_EQ,
+    SENSE_GE,
+    SENSE_LE,
+    GeneratorConfig,
+    generate,
+    read_instance,
+)
 from divekit.l2dive import L2DiveScorer
 from divekit.simplex import NumericalBreakdown
 from conftest import reference_feasible
@@ -134,18 +142,11 @@ class TestScorerRules:
         assert seq[0].new_lower == seq[0].new_upper  # always a fix
 
     def test_fix_at_bound_matches_candidate_loop(self, rng):
-        """The vectorized rule fixes the first candidate whose chosen bound
-        is finite, as a loop over the candidates does, also when some
-        candidates have an infinite lower or upper bound; ``random`` draws
-        one coin per step."""
-
-        def first_finite(ctx, at_lower):
-            for j in ctx.cands:
-                v = float(ctx.lo[j] if at_lower else ctx.hi[j])
-                if np.isfinite(v):
-                    return int(j), v
-            return None
-
+        """The vectorized rule fixes what a loop over the candidates fixes,
+        also when some candidates have an infinite lower or upper bound or
+        both: ``lower``/``upper`` take the first candidate whose chosen
+        bound is finite; ``random`` draws one coin per candidate and falls
+        back to the other bound when the coin picks an infinite one."""
         n = 8
         for trial in range(50):
             lo = rng.integers(-3, 1, size=n).astype(np.float64)
@@ -154,19 +155,79 @@ class TestScorerRules:
             hi[rng.random(n) < 0.4] = np.inf
             cands = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             ctx = _Ctx(np.zeros(n), cands, lo=lo, hi=hi)
-            coins = np.random.default_rng(trial)
-            scorers = (FixAtBoundScorer("lower"), FixAtBoundScorer("upper"),
-                       FixAtBoundScorer("random", seed=trial))
+            loops = {"lower": _LoopFix("lower"), "upper": _LoopFix("upper"),
+                     "random": _LoopFix("random", seed=trial)}
+            scorers = {"lower": FixAtBoundScorer("lower"), "upper": FixAtBoundScorer("upper"),
+                       "random": FixAtBoundScorer("random", seed=trial)}
             for step in range(3):
-                for sc in scorers:
-                    at_lower = (sc.bound == "lower" if sc.bound != "random"
-                                else bool(coins.random() < 0.5))
-                    ref = first_finite(ctx, at_lower)
-                    d = sc(ctx)
+                for bound, sc in scorers.items():
+                    ref, d = loops[bound](ctx), sc(ctx)
                     if ref is None:
                         assert d is None
                     else:
-                        assert (d.var, d.new_lower, d.new_upper) == (ref[0], ref[1], ref[1])
+                        assert (d.var, d.new_lower, d.new_upper) == \
+                            (ref.var, ref.new_lower, ref.new_upper)
+
+
+class _LoopFix:
+    """Fix-at-bound as a loop over the candidates, one coin per candidate
+    for ``random``, which falls back to the other bound when the chosen one
+    is infinite."""
+
+    def __init__(self, bound, seed=0):
+        self.bound = bound
+        self.rng = np.random.default_rng(seed)
+
+    def __call__(self, ctx):
+        for j in ctx.cands:
+            if self.bound == "random":
+                at_lower = bool(self.rng.random() < 0.5)
+                order = (ctx.lo[j], ctx.hi[j]) if at_lower else (ctx.hi[j], ctx.lo[j])
+            else:
+                order = (ctx.lo[j] if self.bound == "lower" else ctx.hi[j],)
+            for v in order:
+                if np.isfinite(v):
+                    return ScoreDecision(int(j), float(v), float(v))
+        return None
+
+
+def _mps_without_bounds(inst):
+    """``inst`` as fixed-form MPS text with every column integer and no
+    BOUNDS section, so each integer column reads back with bounds [0, inf)."""
+    sense = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
+    A = inst.A.tocsc()
+    lines = ["NAME          unbounded", "ROWS", " N  COST"]
+    lines += [f" {sense[int(s)]}  R{i}" for i, s in enumerate(inst.senses)]
+    lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
+    for j in range(inst.n):
+        lines.append(f"    X{j}  COST  {float(inst.c[j])!r}")
+        for k in range(A.indptr[j], A.indptr[j + 1]):
+            lines.append(f"    X{j}  R{A.indices[k]}  {float(A.data[k])!r}")
+    lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
+    lines += [f"    RHS  R{i}  {float(v)!r}" for i, v in enumerate(inst.b)]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+class TestUnboundedIntegers:
+    def test_random_matches_candidate_loop_on_mps_defaults(self, tmp_path):
+        """MPS integer columns without a BOUNDS entry have no upper bound;
+        ``random`` then fixes at the lower bound whenever its coin says
+        upper, as the candidate loop does, and never leaves a fractional
+        LP point without a decision."""
+        deepest = 0
+        for s in range(3):
+            path = tmp_path / f"cover{s}.mps"
+            path.write_text(_mps_without_bounds(
+                generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))))
+            inst = read_instance(path)
+            assert inst.divable.all() and np.isinf(inst.ub).all()
+            for seed in range(3):
+                got = dive(inst, make_scorer("random", seed=seed), d_max=30)
+                ref = dive(inst, _LoopFix("random", seed=seed), d_max=30)
+                assert _same_dive(got, ref)
+                deepest = max(deepest, got.depth_reached)
+        assert deepest > 1
 
 
 class TestDiveEngine:

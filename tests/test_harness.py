@@ -413,16 +413,24 @@ class TestNoRepeatedWork:
                                                         model_path, monkeypatch):
         """Locks and column degrees are computed once per instance, however
         many divers dive on it."""
-        import divekit.instances as instances
         from divekit.diving import SCORERS
+        from divekit.instances import MilpInstance
 
         corpus = self.first_entries(tiny_world, tmp_path / "c3", 3)
-        calls = self.count_calls(monkeypatch, instances, "compute_locks")
+        real = MilpInstance.column_counts
+        fills = []
+
+        def counting(inst):
+            if inst._counts_cache is None:
+                fills.append(inst.name)
+            return real(inst)
+
+        monkeypatch.setattr(MilpInstance, "column_counts", counting)
         cfg = DiveEvalConfig(divers=tuple(sorted(SCORERS)), d_max=10, jobs=1,
                              model_path=model_path)
         res = eval_dives(corpus, cfg, tmp_path / "out")
         assert len(SCORERS) == 9 and len(res["rows"]) == 3 * 9
-        assert len(calls) == 3
+        assert len(fills) == len(set(fills)) == 3
 
 
 class TestEnsembleHook:
