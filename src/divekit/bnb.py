@@ -23,6 +23,8 @@ INFEASIBLE = "infeasible"
 
 BOUND_PRUNE_TOL = 1e-9
 PLUNGE_DEPTH = 4
+#: half-width of the objective band that ``enumerate_optimal_face`` walks
+FACE_TOL = 1e-6
 
 
 class NodeError(RuntimeError):
@@ -185,17 +187,15 @@ class BnbResult:
 
 
 class _Node:
-    __slots__ = ("parent", "var", "upper", "value", "bound", "basis", "depth", "seq")
+    __slots__ = ("parent", "var", "upper", "value", "bound", "basis")
 
-    def __init__(self, parent, var, upper, value, bound, basis, depth, seq):
+    def __init__(self, parent, var, upper, value, bound, basis):
         self.parent = parent
         self.var = var
         self.upper = upper
         self.value = value
         self.bound = bound
         self.basis = basis
-        self.depth = depth
-        self.seq = seq
 
     def bounds(self, base_lo, base_hi):
         """Full-column bounds: the base ones with this node's branchings applied."""
@@ -275,7 +275,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
             for sx in res.solutions:
                 register(sx)
 
-    root = _Node(None, -1, False, 0.0, -np.inf, None, 0, seq)
+    root = _Node(None, -1, False, 0.0, -np.inf, None)
     plunge.append(root)
     status = LIMIT
 
@@ -338,9 +338,9 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
             continue
         # children: down (upper bound floor) first so plunging goes down
         up_child = _Node(node, branch_var, False, float(np.ceil(x[branch_var])),
-                         sol.objective, sol.basis, node.depth + 1, seq)
+                         sol.objective, sol.basis)
         dn_child = _Node(node, branch_var, True, float(np.floor(x[branch_var])),
-                         sol.objective, sol.basis, node.depth + 1, seq)
+                         sol.objective, sol.basis)
         plunge.append(up_child)
         plunge.append(dn_child)
         cur_bound = np.inf
@@ -371,8 +371,7 @@ class EnumerationResult:
     status: str
 
 
-def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
-                     face_tol: float = 1e-6) -> EnumerationResult:
+def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None) -> EnumerationResult:
     """All distinct optimal assignments of the divable variables: solves to
     proven optimality, then walks the optimal face
     (``enumerate_optimal_face``)."""
@@ -386,16 +385,16 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None,
             optimum=None if base.x is None else base.objective,
             assignments=[], complete=False, nodes=base.nodes, status=base.status,
         )
-    return enumerate_optimal_face(inst, base.objective, cfg, face_tol)
+    return enumerate_optimal_face(inst, base.objective, cfg)
 
 
-def enumerate_optimal_face(inst: MilpInstance, z_opt: float, cfg: SolveConfig,
-                           face_tol: float = 1e-6) -> EnumerationResult:
+def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
+                           cfg: SolveConfig) -> EnumerationResult:
     """All distinct assignments of the divable variables on the face of
     proven optimum ``z_opt``.
 
     Restricts the objective to the optimal face (two inequality rows at
-    ``face_tol``) and depth-first fixes every divable variable, pruning only
+    ``FACE_TOL``) and depth-first fixes every divable variable, pruning only
     on LP infeasibility.  The result is deduplicated and capped at
     ``cfg.pool_capacity``; hitting a limit is reported as an incomplete
     enumeration, not an error.
@@ -403,7 +402,7 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float, cfg: SolveConfig,
     dense_c = inst.c.copy()
     face = inst.with_extra_rows(
         [dense_c, dense_c], [SENSE_LE, SENSE_GE],
-        [z_opt + face_tol, z_opt - face_tol], name_suffix="face",
+        [z_opt + FACE_TOL, z_opt - FACE_TOL], name_suffix="face",
     )
     lp = to_standard_form(face)
     div = [int(j) for j in inst.divable_index]

@@ -7,6 +7,7 @@ Every command exits 0 only when all requested work completed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -26,6 +27,12 @@ from .harness import (
     train_from_corpus,
     tune_ensemble,
 )
+from .instances import FAMILIES
+
+
+def _default(fn, name):
+    """The default of parameter ``name`` of ``fn``."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _default_jobs():
@@ -42,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate benchmark instances")
-    g.add_argument("--family", required=True,
-                   choices=["set-cover", "comb-auction", "facility-location", "indep-set"])
+    g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -53,31 +59,31 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("collect", help="solve instances and store solution pools")
     c.add_argument("--instances", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--node-limit", type=int, default=1200)
-    c.add_argument("--tick-limit", type=float, default=None)
-    c.add_argument("--pool-capacity", type=int, default=10)
-    c.add_argument("--augment", default="auto",
+    c.add_argument("--node-limit", type=int, default=CollectConfig.node_limit)
+    c.add_argument("--tick-limit", type=float, default=CollectConfig.tick_limit)
+    c.add_argument("--pool-capacity", type=int, default=CollectConfig.pool_capacity)
+    c.add_argument("--augment", default=CollectConfig.augment,
                    choices=["auto", "pool", "top1", "enumerate"])
     c.add_argument("--jobs", type=int, default=_default_jobs())
 
     t = sub.add_parser("train", help="train the generative diving model")
     t.add_argument("--corpus", required=True)
     t.add_argument("--out", required=True, help="checkpoint path (.npz)")
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--batch-size", type=int, default=16)
-    t.add_argument("--temperature", type=float, default=None)
-    t.add_argument("--hidden", type=int, default=64)
-    t.add_argument("--val-fraction", type=float, default=0.2)
+    t.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
+    t.add_argument("--lr", type=float, default=TrainingConfig.lr)
+    t.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
+    t.add_argument("--temperature", type=float, default=TrainingConfig.temperature)
+    t.add_argument("--hidden", type=int, default=_default(train_from_corpus, "hidden"))
+    t.add_argument("--val-fraction", type=float,
+                   default=_default(train_from_corpus, "val_fraction"))
     _add_common(t)
 
     d = sub.add_parser("eval-dive", help="single-dive benchmark at a shared budget")
     d.add_argument("--corpus", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--divers", default="fractional,coefficient,linesearch,vectorlength,"
-                                       "pseudocost,lower,upper,random")
-    d.add_argument("--d-max", type=int, default=100)
-    d.add_argument("--lp-iter-limit", type=int, default=None)
+    d.add_argument("--divers", default=",".join(DiveEvalConfig.divers))
+    d.add_argument("--d-max", type=int, default=DiveEvalConfig.d_max)
+    d.add_argument("--lp-iter-limit", type=int, default=DiveEvalConfig.lp_iter_limit)
     d.add_argument("--model", default=None)
     _add_common(d)
 
@@ -87,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--divers", default="",
                    help="comma list; each config 'name' or 'name:period[:offset]'; "
                         "empty for a no-diving run")
-    b.add_argument("--tick-limit", type=float, default=200000.0)
-    b.add_argument("--node-limit", type=int, default=100000)
-    b.add_argument("--seeds", default="0,1,2")
-    b.add_argument("--d-max", type=int, default=100)
+    b.add_argument("--tick-limit", type=float, default=BnbEvalConfig.tick_limit)
+    b.add_argument("--node-limit", type=int, default=BnbEvalConfig.node_limit)
+    b.add_argument("--seeds", default=",".join(map(str, BnbEvalConfig.seeds)))
+    b.add_argument("--d-max", type=int, default=BnbRunSpec.d_max)
     b.add_argument("--model", default=None)
     b.add_argument("--save-traces", action="store_true",
                    help="write one (t, primal_bound, dual_bound) CSV per run")
@@ -99,21 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     u = sub.add_parser("tune", help="random-search the diving ensemble")
     u.add_argument("--corpus", required=True)
     u.add_argument("--out", required=True, help="report path (.json)")
-    u.add_argument("--divers", default="fractional,coefficient,linesearch,vectorlength,"
-                                       "pseudocost,lower,upper,random")
-    u.add_argument("--samples", type=int, default=8)
-    u.add_argument("--objective", default="integral", choices=["integral", "ticks"])
-    u.add_argument("--d-max", type=int, default=100)
-    u.add_argument("--tick-limit", type=float, default=200000.0)
-    u.add_argument("--node-limit", type=int, default=100000)
+    u.add_argument("--divers", default=",".join(TuneConfig.divers))
+    u.add_argument("--samples", type=int, default=TuneConfig.samples)
+    u.add_argument("--objective", default=TuneConfig.objective, choices=["integral", "ticks"])
+    u.add_argument("--d-max", type=int, default=TuneConfig.d_max)
+    u.add_argument("--tick-limit", type=float, default=BnbEvalConfig.tick_limit)
+    u.add_argument("--node-limit", type=int, default=BnbEvalConfig.node_limit)
     u.add_argument("--seeds", default="0")
     u.add_argument("--model", default=None)
     _add_common(u)
 
     v = sub.add_parser("verify", help="run the LP-oracle and tighten-set suites")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--lp-count", type=int, default=200)
-    v.add_argument("--tighten-count", type=int, default=100)
+    v.add_argument("--lp-count", type=int, default=_default(run_verification, "lp_count"))
+    v.add_argument("--tighten-count", type=int,
+                   default=_default(run_verification, "tighten_count"))
 
     return ap
 

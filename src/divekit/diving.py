@@ -347,9 +347,12 @@ class PseudocostScorer:
 class FixAtBoundScorer:
     """Fix the first candidate whose chosen bound is finite at that bound:
     the lower one, the upper one, or (``random``) one of the two with equal
-    probability.  ``random`` draws one seeded coin per candidate, in order,
-    up to the first candidate with any finite bound, and falls back to that
-    candidate's other bound when the coin picks an infinite one."""
+    probability.  When no candidate has a finite chosen bound, ``lower`` and
+    ``upper`` fix at the other bound instead.  ``random`` draws one seeded
+    coin per candidate, in order, up to the first candidate with any finite
+    bound, and falls back to that candidate's other bound when the coin
+    picks an infinite one.  Only when every candidate is free is there no
+    decision."""
 
     def __init__(self, bound, seed=0):
         self.bound = bound
@@ -358,7 +361,9 @@ class FixAtBoundScorer:
     def __call__(self, ctx):
         lo, hi = ctx.lo[ctx.cands], ctx.hi[ctx.cands]
         if self.rng is None:
-            values = lo if self.bound == "lower" else hi
+            values, other = (lo, hi) if self.bound == "lower" else (hi, lo)
+            if not np.isfinite(values).any():
+                values = other
         else:
             bounded = np.isfinite(lo) | np.isfinite(hi)
             draws = int(np.argmax(bounded)) + 1 if bounded.any() else bounded.size
@@ -391,6 +396,10 @@ SCORERS = {
     "random": lambda seed=0, **kw: FixAtBoundScorer("random", seed),
     "l2dive": _l2dive,
 }
+
+#: every diver that needs no trained model
+HEURISTIC_DIVERS = ("fractional", "coefficient", "linesearch", "vectorlength",
+                    "pseudocost", "lower", "upper", "random")
 
 #: divers whose dives depend on the ``seed`` passed to ``make_scorer``
 #: (``l2dive`` predicts the mode, so it reads none)

@@ -65,26 +65,40 @@ class NonFiniteGradient(RuntimeError):
     pass
 
 
-def candidate_index(inst: MilpInstance) -> np.ndarray:
-    """Divable variables that are not fixed; the prediction targets."""
-    return np.flatnonzero(inst.divable & (inst.lb + INT_TOL < inst.ub))
+def domain_bits(lo, hi):
+    """Head width per domain [lo, hi], elementwise: enough bits for every
+    integer in it, and one bit for a domain with an infinite end."""
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    width = np.floor(np.where(finite, hi, 0.0) - np.where(finite, lo, 0.0) + 0.5) + 1
+    return np.maximum(1, np.ceil(np.log2(np.maximum(width, 2)))).astype(np.int64)
 
 
-def domain_bits(lo: float, hi: float) -> int:
-    width = int(np.floor(hi - lo + 0.5)) + 1
-    return max(1, int(np.ceil(np.log2(max(width, 2)))))
+def candidate_codec(inst: MilpInstance):
+    """What the network predicts for an instance: the candidates (divable
+    variables that are not fixed), the integer each one's zero code stands
+    for, and its head width.  A code decodes to ``anchor + code``.
+
+    The anchor is the rounded lower bound; with only the upper bound finite
+    it is one below the rounded upper bound, and 0 on a free domain, so a
+    domain with an infinite end gets a one-bit head next to its finite end.
+    """
+    lb, ub = inst.lb, inst.ub
+    cand = np.flatnonzero(inst.divable & (lb + INT_TOL < ub))
+    lo, hi = lb[cand], ub[cand]
+    anchor = np.where(np.isfinite(lo), np.floor(lo + 0.5),
+                      np.where(np.isfinite(hi), np.floor(hi + 0.5) - 1.0, 0.0))
+    return cand, anchor, domain_bits(lo, hi)
 
 
 @dataclass
 class BipartiteGraph:
-    name: str
     var_feats: np.ndarray
     cons_feats: np.ndarray
     edge_row: np.ndarray
     edge_col: np.ndarray
     edge_coef: np.ndarray
     candidates: np.ndarray
-    cand_lb: np.ndarray
+    cand_anchor: np.ndarray
     cand_ub: np.ndarray
     cand_bits: np.ndarray
     var_deg: np.ndarray
@@ -109,6 +123,9 @@ def extract_graph(inst: MilpInstance, root_sol: LpSolution) -> BipartiteGraph:
     duals = root_sol.duals
 
     up, down, var_deg = inst.column_counts()
+    cand, anchor, bits = candidate_codec(inst)
+    is_cand = np.zeros(n)
+    is_cand[cand] = 1.0
     var_deg = var_deg.astype(np.float64)
     cons_deg = np.bincount(rows, minlength=m).astype(np.float64)
 
@@ -123,7 +140,7 @@ def extract_graph(inst: MilpInstance, root_sol: LpSolution) -> BipartiteGraph:
         np.clip(np.where(lb_fin, inst.lb, 0.0), -1e4, 1e4),
         np.clip(np.where(ub_fin, inst.ub, 0.0), -1e4, 1e4),
         inst.integer.astype(np.float64),
-        (inst.divable & (inst.lb + INT_TOL < inst.ub)).astype(np.float64),
+        is_cand,
         x,
         frac,
         np.sign(redcost),
@@ -148,18 +165,15 @@ def extract_graph(inst: MilpInstance, root_sol: LpSolution) -> BipartiteGraph:
         cons_deg / (1.0 + n),
     ])
 
-    cand = candidate_index(inst)
-    bits = np.array([domain_bits(inst.lb[j], inst.ub[j]) for j in cand], dtype=np.int64)
     return BipartiteGraph(
-        name=inst.name,
         var_feats=vf,
         cons_feats=cf,
         edge_row=rows.copy(),
         edge_col=cols.copy(),
         edge_coef=(vals / row_norm[rows]).astype(np.float64),
         candidates=cand.astype(np.int64),
-        cand_lb=inst.lb[cand].copy(),
-        cand_ub=inst.ub[cand].copy(),
+        cand_anchor=anchor,
+        cand_ub=inst.ub[cand],
         cand_bits=bits,
         var_deg=np.maximum(var_deg, 1.0),
         cons_deg=np.maximum(cons_deg, 1.0),
@@ -173,8 +187,6 @@ class GraphBatch:
     to_cons: sp.csr_matrix  # constraints <- variables: D_c^-1/2 C
     to_vars: sp.csr_matrix  # variables <- constraints: D_v^-1/2 C^T
     cand_rows: list  # per graph: global variable-row indices of candidates
-    cand_bits: list
-    graphs: list
 
 
 def make_batch(graphs: list[BipartiteGraph]) -> GraphBatch:
@@ -201,8 +213,6 @@ def make_batch(graphs: list[BipartiteGraph]) -> GraphBatch:
         to_vars=sp.csr_matrix((coef / np.sqrt(var_deg[cols]), (cols, rows)),
                               shape=(v_off, c_off)),
         cand_rows=cand_rows,
-        cand_bits=[g.cand_bits for g in graphs],
-        graphs=graphs,
     )
 
 
@@ -223,10 +233,8 @@ class GraphNet:
     """Generative model over candidate assignments; see the module docstring
     for the architecture."""
 
-    def __init__(self, n_var_feats=len(VAR_FEATURES), n_cons_feats=len(CONS_FEATURES),
-                 hidden=64, n_bits=1, seed=0):
-        self.n_var_feats = n_var_feats
-        self.n_cons_feats = n_cons_feats
+    def __init__(self, hidden=64, n_bits=1, seed=0):
+        n_var_feats, n_cons_feats = len(VAR_FEATURES), len(CONS_FEATURES)
         self.hidden = hidden
         self.n_bits = n_bits
         rng = np.random.default_rng(seed)
@@ -288,14 +296,10 @@ class GraphNet:
         rows for predictions); returns ``(means, cache)`` with the cache
         populated only in train mode."""
         p = self.params
-        if batch.var_feats.shape[1] != self.n_var_feats:
-            raise ShapeMismatch(
-                f"expected {self.n_var_feats} variable features, got {batch.var_feats.shape[1]}"
-            )
-        if batch.cons_feats.shape[1] != self.n_cons_feats:
-            raise ShapeMismatch(
-                f"expected {self.n_cons_feats} constraint features, got {batch.cons_feats.shape[1]}"
-            )
+        for kind, feats, names in (("variable", batch.var_feats, VAR_FEATURES),
+                                   ("constraint", batch.cons_feats, CONS_FEATURES)):
+            if feats.shape[1] != len(names):
+                raise ShapeMismatch(f"expected {len(names)} {kind} features, got {feats.shape[1]}")
         cache = {} if train else None
         v0 = self._bn(batch.var_feats, "v", train, update_stats, cache)
         c0 = self._bn(batch.cons_feats, "c", train, update_stats, cache)
@@ -386,24 +390,17 @@ class GraphNet:
     def predict(self, graph: BipartiteGraph):
         """The mode assignment and its per-candidate probability.
 
-        Each Bernoulli mean rounds at 0.5 (exact ties to 0).  Bitwise heads
-        decode to ``lb + sum(bit_k 2^k)`` clamped into the domain.
+        Each Bernoulli mean rounds at 0.5 (exact ties to 0).  A candidate
+        reads its first ``min(cand_bits, n_bits)`` heads as a little-endian
+        code and decodes to ``anchor + code`` capped at its upper bound.
         """
         means, _ = self.forward(make_batch([graph]), train=False)
         cm = means[graph.candidates]
-        bits = cm > 0.5
-        values = np.empty(graph.candidates.size)
-        probs = np.ones(graph.candidates.size)
-        for i in range(graph.candidates.size):
-            nb = int(graph.cand_bits[i])
-            code = 0
-            for k in range(nb):
-                if bits[i, k]:
-                    code |= 1 << k
-                probs[i] *= cm[i, k] if bits[i, k] else 1.0 - cm[i, k]
-            v = graph.cand_lb[i] + code
-            values[i] = min(max(v, graph.cand_lb[i]), graph.cand_ub[i])
-        return values, probs
+        on = cm > 0.5
+        used = np.arange(self.n_bits) < graph.cand_bits[:, None]
+        code = (on & used) @ (1 << np.arange(self.n_bits))
+        probs = np.prod(np.where(used, np.where(on, cm, 1.0 - cm), 1.0), axis=1)
+        return np.minimum(graph.cand_anchor + code, graph.cand_ub), probs
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +424,22 @@ def target_distribution(pool_solutions, inst: MilpInstance, temperature: float,
         raise EmptyPool("cannot build a target from an empty pool")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    cand = candidate_index(inst)
+    cand, anchor, width = candidate_codec(inst)
     merged = {}
     for x, z in pool_solutions:
-        key = tuple(int(round(v)) for v in np.asarray(x)[cand])
+        key = tuple(np.rint(np.asarray(x)[cand]).astype(np.int64).tolist())
         merged.setdefault(key, []).append(float(z))
     keys = sorted(merged)
     zs = np.array([min(merged[k]) for k in keys])
     w = np.exp(-(zs - zs.min()) / temperature)
     probs = w / w.sum()
     assigns = np.array(keys, dtype=np.int64).reshape(len(keys), cand.size)
-    bits_per = np.array([domain_bits(inst.lb[j], inst.ub[j]) for j in cand], dtype=np.int64)
-    K = int(n_bits) if n_bits is not None else int(bits_per.max(initial=1))
-    codes = assigns - np.floor(inst.lb[cand] + 0.5).astype(np.int64)[None, :]
-    bits = np.zeros((len(keys), cand.size, K))
-    for k in range(K):
-        bits[:, :, k] = (codes >> k) & 1
-    mask = np.zeros((cand.size, K))
-    for i, nb in enumerate(bits_per):
-        mask[i, : min(nb, K)] = 1.0
+    K = int(n_bits) if n_bits is not None else int(width.max(initial=1))
+    # a value beyond its head's range saturates at the head's top
+    codes = np.clip(assigns - anchor.astype(np.int64), 0, (1 << width) - 1)
+    ks = np.arange(K)
+    bits = ((codes[:, :, None] >> ks) & 1).astype(np.float64)
+    mask = (ks < width[:, None]).astype(np.float64)
     return TargetDistribution(assignments=assigns, probs=probs, bits=bits, mask=mask)
 
 
@@ -612,8 +606,8 @@ def save_model(model: GraphNet, path) -> None:
         "feature_version": FEATURE_VERSION,
         "hidden": model.hidden,
         "n_bits": model.n_bits,
-        "n_var_feats": model.n_var_feats,
-        "n_cons_feats": model.n_cons_feats,
+        "n_var_feats": len(VAR_FEATURES),
+        "n_cons_feats": len(CONS_FEATURES),
     }
     arrays = {f"p_{k}": v for k, v in model.params.items()}
     arrays.update({f"r_{k}": v for k, v in model.running.items()})
@@ -629,10 +623,11 @@ def load_model(path) -> GraphNet:
             raise ValueError(
                 f"checkpoint feature set {meta.get('feature_version')} does not match {FEATURE_VERSION}"
             )
-        model = GraphNet(
-            n_var_feats=meta["n_var_feats"], n_cons_feats=meta["n_cons_feats"],
-            hidden=meta["hidden"], n_bits=meta["n_bits"],
-        )
+        counts = [meta.get("n_var_feats"), meta.get("n_cons_feats")]
+        if counts != [len(VAR_FEATURES), len(CONS_FEATURES)]:
+            raise ValueError(f"checkpoint variable/constraint feature counts {counts} do not "
+                             f"match {FEATURE_VERSION}")
+        model = GraphNet(hidden=meta["hidden"], n_bits=meta["n_bits"])
         model.params = {k[2:]: data[k].copy() for k in data.files if k.startswith("p_")}
         model.running = {k[2:]: data[k].copy() for k in data.files if k.startswith("r_")}
     return model

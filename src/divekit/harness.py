@@ -30,13 +30,13 @@ from .bnb import (
     branch_and_bound,
     enumerate_optimal_face,
 )
-from .diving import DEFAULT_DEPTH, SEEDED_SCORERS, TERM_LP_ERROR, dive, make_scorer
+from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
+from .diving import make_scorer
 from .graphnet import (
     GraphNet,
     TrainExample,
     TrainingConfig,
     default_temperature,
-    domain_bits,
     extract_graph,
     load_model,
     save_model,
@@ -53,7 +53,7 @@ from .instances import (
     write_instance,
 )
 from .l2dive import verify_tightening_optimality
-from .oracles import enumerate_basic_solutions
+from .oracles import enumerate_basic_solutions, feasible_binary_points
 from .simplex import SimplexError, check_complementary_slackness, dual_objective, solve_lp
 
 SYMMETRIC_FAMILIES = ("set-cover", "indep-set")
@@ -346,20 +346,19 @@ def _example_task(entry):
     sols = load_pool_solutions(entry["pool_path"])
     zs = [z for _, z in sols]
     spread = max(zs) - min(zs) if zs else 0.0
-    bits = int(max((domain_bits(inst.lb[j], inst.ub[j]) for j in inst.divable_index),
-                   default=1))
-    return entry["name"], inst, graph, sols, spread, bits
+    return entry["name"], inst, graph, sols, spread, int(graph.cand_bits.max(initial=1))
 
 
-def build_examples(corpus_entries, temperature=None, n_bits=None, jobs=1):
+def build_examples(corpus_entries, temperature=None, jobs=1):
     """Graphs plus target distributions for a corpus; the temperature
-    defaults to the scale-aware corpus value."""
+    defaults to the scale-aware corpus value and the head count is the
+    widest candidate's."""
     raw = _pmap(_example_task, list(corpus_entries), jobs)
     raw = [r for r in raw if r is not None]
     raw.sort(key=lambda r: r[0])
     spreads = [r[4] for r in raw]
     tau = temperature if temperature is not None else default_temperature(spreads)
-    bits = n_bits if n_bits is not None else max((r[5] for r in raw), default=1)
+    bits = max((r[5] for r in raw), default=1)
     examples = []
     for name, inst, graph, sols, _, _ in raw:
         target = target_distribution(sols, inst, tau, n_bits=bits)
@@ -415,8 +414,7 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
 
 @dataclass
 class DiveEvalConfig:
-    divers: tuple = ("fractional", "coefficient", "linesearch", "vectorlength",
-                     "pseudocost", "lower", "upper", "random")
+    divers: tuple = HEURISTIC_DIVERS
     d_max: int = DEFAULT_DEPTH
     lp_iter_limit: int | None = None
     seed: int = 0
@@ -641,8 +639,7 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
 
 @dataclass
 class TuneConfig:
-    divers: tuple = ("fractional", "coefficient", "linesearch", "vectorlength",
-                     "pseudocost", "lower", "upper", "random")
+    divers: tuple = HEURISTIC_DIVERS
     samples: int = 8
     seed: int = 0
     objective: str = "integral"  # or "ticks" (work to best solution)
@@ -671,7 +668,8 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
                   out_path) -> dict:
     """Uniform random search over diver schedules, evaluated on the full
     validation corpus; returns the sampled configuration only if it beats
-    the default ensemble."""
+    the default ensemble.  The run tables go to ``<report stem>_runs/``
+    next to the report."""
     rng = np.random.default_rng(tune_cfg.seed)
     default_members = tuple((name, BASE_PERIOD, 0) for name in tune_cfg.divers)
     specs = [BnbRunSpec(name="default", members=default_members, d_max=tune_cfg.d_max)]
@@ -679,8 +677,9 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
         specs.append(BnbRunSpec(name=f"sample_{k}", members=sample_ensemble(rng, tune_cfg),
                                 d_max=tune_cfg.d_max))
     cfg = replace(eval_cfg, specs=tuple(specs), save_traces=False)
-    out_dir = Path(out_path).parent
-    result = eval_bnb(corpus_dir, cfg, out_dir / "tune_runs")
+    # per report, so reports that share a directory keep their own tables
+    out_path = Path(out_path)
+    result = eval_bnb(corpus_dir, cfg, out_path.with_name(f"{out_path.stem}_runs"))
     if tune_cfg.objective == "ticks":
         # work to completion, censored at the tick limit for unproven runs
         scores = {}
@@ -714,13 +713,14 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
 # verification suites (the `verify` command)
 # ---------------------------------------------------------------------------
 
-def random_bounded_lp(rng, max_n=10, max_m=6):
-    """Random LP with finite bounds, sized so that basic-solution
-    enumeration of its equality form stays cheap; roughly half the draws
-    are all-equality instances and a fifth are shifted into infeasibility."""
-    m = int(rng.integers(1, max_m + 1))
+def random_bounded_lp(rng):
+    """Random LP with finite bounds and at most 6 rows, sized so that
+    basic-solution enumeration of its equality form stays cheap; roughly
+    half the draws are all-equality instances and a fifth are shifted into
+    infeasibility."""
+    m = int(rng.integers(1, 7))
     if rng.random() < 0.5:
-        n = int(rng.integers(m + 1, max_n + 1))
+        n = int(rng.integers(m + 1, 11))
         senses = [2] * m  # all equality: no slack columns
     else:
         n = int(rng.integers(m + 1, max(m + 2, 12 - m + 1)))
@@ -809,28 +809,6 @@ def small_binary_instance(rng):
     return generate(cfg)
 
 
-def enumerate_feasible_binary(inst, cap=4096):
-    """All feasible 0/1 assignments of a pure-binary instance (vectorized)."""
-    n = inst.n
-    P = 1 << n
-    if P > cap * 16:
-        raise ValueError("instance too large to enumerate")
-    bits = ((np.arange(P)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-    A = inst.A.toarray()
-    act = bits @ A.T
-    ok = np.ones(P, dtype=bool)
-    scale = 1.0 + np.abs(inst.b)
-    for sense, test in ((0, lambda a, r, s: a <= r + 1e-7 * s),
-                        (1, lambda a, r, s: a >= r - 1e-7 * s),
-                        (2, lambda a, r, s: np.abs(a - r) <= 1e-7 * s)):
-        mask = inst.senses == sense
-        if mask.any():
-            ok &= np.all(test(act[:, mask], inst.b[mask], scale[mask]), axis=1)
-    ok &= np.all(bits >= inst.lb[None, :] - 1e-9, axis=1)
-    ok &= np.all(bits <= inst.ub[None, :] + 1e-9, axis=1)
-    return bits[ok]
-
-
 def tighten_set_suite(count=100, seed=0) -> dict:
     """Tightening the slackness-violation set of an enumerated feasible
     point must make it LP-optimal, on every sampled pair."""
@@ -839,7 +817,7 @@ def tighten_set_suite(count=100, seed=0) -> dict:
     failures = []
     while checked < count:
         inst = small_binary_instance(rng)
-        feas = enumerate_feasible_binary(inst)
+        feas = feasible_binary_points(inst)
         if feas.shape[0] == 0:
             continue
         take = min(10, count - checked, feas.shape[0])
@@ -852,15 +830,15 @@ def tighten_set_suite(count=100, seed=0) -> dict:
     return {"count": checked, "failures": failures, "ok": not failures}
 
 
-def run_verification(seed=0, lp_count=200, tighten_count=100, verbose=True) -> bool:
+def run_verification(seed=0, lp_count=200, tighten_count=100) -> bool:
+    """Run both suites and print their verdicts; True when both pass."""
     lp_rep = lp_oracle_suite(count=lp_count, seed=seed)
     tighten_rep = tighten_set_suite(count=tighten_count, seed=seed)
-    if verbose:
-        print(f"lp-oracle: {'PASS' if lp_rep['ok'] else 'FAIL'} "
-              f"({lp_rep['count']} LPs, max scaled gap {lp_rep['max_scaled_gap']:.2e}, "
-              f"max slackness violation {lp_rep['max_cs_violation']:.2e})")
-        print(f"tighten-set optimality: {'PASS' if tighten_rep['ok'] else 'FAIL'} "
-              f"({tighten_rep['count']} pairs)")
-        for f in (lp_rep["failures"] + tighten_rep["failures"])[:10]:
-            print("  failure:", f)
+    print(f"lp-oracle: {'PASS' if lp_rep['ok'] else 'FAIL'} "
+          f"({lp_rep['count']} LPs, max scaled gap {lp_rep['max_scaled_gap']:.2e}, "
+          f"max slackness violation {lp_rep['max_cs_violation']:.2e})")
+    print(f"tighten-set optimality: {'PASS' if tighten_rep['ok'] else 'FAIL'} "
+          f"({tighten_rep['count']} pairs)")
+    for f in (lp_rep["failures"] + tighten_rep["failures"])[:10]:
+        print("  failure:", f)
     return lp_rep["ok"] and tighten_rep["ok"]

@@ -119,22 +119,22 @@ class MilpInstance:
         rows, cols, vals = self.coo()
         return row_activities(rows, cols, vals, np.asarray(x, dtype=np.float64), self.m)
 
-    def is_feasible(self, x, feas_tol=FEAS_TOL, int_tol=INT_TOL) -> bool:
+    def is_feasible(self, x) -> bool:
         """Feasibility of ``x`` for the original mixed-integer problem."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             return False
-        if np.any(x < self.lb - feas_tol) or np.any(x > self.ub + feas_tol):
+        if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
         xi = x[self.integer]
-        if xi.size and np.max(np.abs(xi - np.round(xi))) > int_tol:
+        if xi.size and np.max(np.abs(xi - np.round(xi))) > INT_TOL:
             return False
         act = self.activities(x)
         scale = 1.0 + np.abs(self.b)
         for sense, ok in (
-            (SENSE_LE, lambda a, rhs, s: a <= rhs + feas_tol * s),
-            (SENSE_GE, lambda a, rhs, s: a >= rhs - feas_tol * s),
-            (SENSE_EQ, lambda a, rhs, s: np.abs(a - rhs) <= feas_tol * s),
+            (SENSE_LE, lambda a, rhs, s: a <= rhs + FEAS_TOL * s),
+            (SENSE_GE, lambda a, rhs, s: a >= rhs - FEAS_TOL * s),
+            (SENSE_EQ, lambda a, rhs, s: np.abs(a - rhs) <= FEAS_TOL * s),
         ):
             mask = self.senses == sense
             if mask.any() and not np.all(ok(act[mask], self.b[mask], scale[mask])):

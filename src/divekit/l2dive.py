@@ -27,6 +27,8 @@ from . import simplex
 from .simplex import DualValues, solve_lp
 
 SLACK_TOL = 1e-7
+#: how close the re-solved optimum must come to the point's objective
+OBJ_TOL = 1e-6
 
 
 class MissingDuals(RuntimeError):
@@ -142,8 +144,7 @@ def l2dive_scorer(model):
     return L2DiveScorer(model)
 
 
-def verify_tightening_optimality(inst: MilpInstance, x_tilde, tol=SLACK_TOL,
-                        obj_tol=1e-6) -> dict:
+def verify_tightening_optimality(inst: MilpInstance, x_tilde) -> dict:
     """Check that tightening exactly the slackness-violation set of a
     feasible point makes that point LP-optimal.
 
@@ -158,7 +159,7 @@ def verify_tightening_optimality(inst: MilpInstance, x_tilde, tol=SLACK_TOL,
     if root.status != simplex.OPTIMAL:
         raise RuntimeError(f"root LP not optimal: {root.status}")
     x_full = lp.full_point(x_tilde)
-    lo_mask, hi_mask = slackness_violations(x_full, root.duals, lp.lb, lp.ub, tol)
+    lo_mask, hi_mask = slackness_violations(x_full, root.duals, lp.lb, lp.ub)
     lo2 = lp.lb.copy()
     hi2 = lp.ub.copy()
     lo2[lo_mask] = x_full[lo_mask]
@@ -170,7 +171,7 @@ def verify_tightening_optimality(inst: MilpInstance, x_tilde, tol=SLACK_TOL,
     target = float(inst.c @ x_tilde)
     match = (
         tightened.status == simplex.OPTIMAL
-        and abs(tightened.objective - target) <= obj_tol
+        and abs(tightened.objective - target) <= OBJ_TOL
     )
     return {
         "n_lower": int(lo_mask.sum()),

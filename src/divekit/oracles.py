@@ -137,6 +137,32 @@ def _linprog_completion(inst: MilpInstance, fixed_idx, fixed_vals):
     return float(inst.c @ np.nan_to_num(x)), x
 
 
+def feasible_binary_points(inst: MilpInstance) -> np.ndarray:
+    """Every feasible 0/1 assignment of a pure-binary instance, one per row
+    in counting order (variable k is bit k of the row number)."""
+    n = inst.n
+    if n > 22:
+        raise ValueError("too many binaries for brute force")
+    P = 1 << n
+    bits = ((np.arange(P)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+    act = bits @ inst.A.toarray().T  # (P, m)
+    ok = np.ones(P, dtype=bool)
+    scale = 1.0 + np.abs(inst.b)
+    le = inst.senses == SENSE_LE
+    ge = inst.senses == SENSE_GE
+    eq = inst.senses == SENSE_EQ
+    if le.any():
+        ok &= np.all(act[:, le] <= inst.b[le] + 1e-7 * scale[le], axis=1)
+    if ge.any():
+        ok &= np.all(act[:, ge] >= inst.b[ge] - 1e-7 * scale[ge], axis=1)
+    if eq.any():
+        ok &= np.all(np.abs(act[:, eq] - inst.b[eq]) <= 1e-7 * scale[eq], axis=1)
+    # respect fixed binaries
+    ok &= np.all(bits >= inst.lb[None, :] - 1e-9, axis=1)
+    ok &= np.all(bits <= inst.ub[None, :] + 1e-9, axis=1)
+    return bits[ok]
+
+
 def brute_force_milp(inst: MilpInstance, tol=1e-9):
     """Exhaustive optimum over all divable-binary assignments.
 
@@ -155,37 +181,18 @@ def brute_force_milp(inst: MilpInstance, tol=1e-9):
     if np.any(inst.lb[div] < -tol) or np.any(inst.ub[div] > 1 + tol):
         raise ValueError("brute force expects binary divable variables")
     n = inst.n
-    P = 1 << div.size
-    bits = ((np.arange(P)[:, None] >> np.arange(div.size)[None, :]) & 1).astype(np.float64)
-
     if div.size == n:  # pure binary
-        A = inst.A.toarray()
-        act = bits @ A.T  # (P, m)
-        ok = np.ones(P, dtype=bool)
-        scale = 1.0 + np.abs(inst.b)
-        le = inst.senses == SENSE_LE
-        ge = inst.senses == SENSE_GE
-        eq = inst.senses == SENSE_EQ
-        if le.any():
-            ok &= np.all(act[:, le] <= inst.b[le] + 1e-7 * scale[le], axis=1)
-        if ge.any():
-            ok &= np.all(act[:, ge] >= inst.b[ge] - 1e-7 * scale[ge], axis=1)
-        if eq.any():
-            ok &= np.all(np.abs(act[:, eq] - inst.b[eq]) <= 1e-7 * scale[eq], axis=1)
-        # respect fixed binaries
-        ok &= np.all(bits >= inst.lb[div][None, :] - tol, axis=1)
-        ok &= np.all(bits <= inst.ub[div][None, :] + tol, axis=1)
-        if not ok.any():
+        feas = feasible_binary_points(inst)
+        if feas.shape[0] == 0:
             return np.inf, None, []
-        Z = np.where(ok, bits @ inst.c[div], np.inf)
+        Z = feas @ inst.c
         z_opt = float(Z.min())
         opt = np.flatnonzero(Z <= z_opt + tol)
-        keys = sorted(tuple(int(v) for v in bits[k]) for k in opt)
-        k0 = int(opt[0])
-        x = np.zeros(n)
-        x[div] = bits[k0]
-        return z_opt, x, keys
+        keys = sorted(tuple(int(v) for v in feas[k]) for k in opt)
+        return z_opt, feas[opt[0]].copy(), keys
 
+    P = 1 << div.size
+    bits = ((np.arange(P)[:, None] >> np.arange(div.size)[None, :]) & 1).astype(np.float64)
     best_z = np.inf
     best_x = None
     keys_by_z = {}

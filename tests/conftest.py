@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from divekit.instances import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
+    GeneratorConfig,
+    generate,
     make_instance,
 )
 
@@ -53,6 +57,38 @@ def brute_binary_optimum(inst):
         elif abs(z - best) <= 1e-9:
             optima.add(tuple(int(v) for v in x))
     return best, best_x, optima
+
+
+def mps_without_bounds(inst):
+    """``inst`` as fixed-form MPS text with every column integer and no
+    BOUNDS section, so each integer column reads back with bounds [0, inf)."""
+    sense = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
+    A = inst.A.tocsc()
+    lines = [f"NAME          {inst.name}", "ROWS", " N  COST"]
+    lines += [f" {sense[int(s)]}  R{i}" for i, s in enumerate(inst.senses)]
+    lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
+    for j in range(inst.n):
+        lines.append(f"    X{j}  COST  {float(inst.c[j])!r}")
+        for k in range(A.indptr[j], A.indptr[j + 1]):
+            lines.append(f"    X{j}  R{A.indices[k]}  {float(A.data[k])!r}")
+    lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
+    lines += [f"    RHS  R{i}  {float(v)!r}" for i, v in enumerate(inst.b)]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def write_mps_instances(out_dir, count):
+    """``count`` set-cover instances (25 rows, 50 columns) as MPS without
+    BOUNDS, with the manifest ``gen`` writes next to them."""
+    out_dir = Path(out_dir)
+    (out_dir / "instances").mkdir(parents=True)
+    names = []
+    for s in range(count):
+        inst = generate(GeneratorConfig("set-cover", seed=s, rows=25, cols=50, density=0.1))
+        names.append(f"{inst.name}.mps")
+        (out_dir / "instances" / names[-1]).write_text(mps_without_bounds(inst))
+    (out_dir / "manifest.json").write_text(json.dumps({"instances": names}))
+    return out_dir
 
 
 def tiny_lp(c, rows, senses, b, lb, ub, name="lp"):

@@ -1,9 +1,22 @@
+import functools
+import inspect
 import json
 
 import pytest
 
+from conftest import write_mps_instances
+from divekit import cli, harness
 from divekit.cli import main
-from divekit.harness import read_csv_rows
+from divekit.diving import HEURISTIC_DIVERS
+from divekit.graphnet import TrainingConfig
+from divekit.harness import (
+    BnbEvalConfig,
+    BnbRunSpec,
+    CollectConfig,
+    DiveEvalConfig,
+    TuneConfig,
+    read_csv_rows,
+)
 from divekit.instances import read_instance
 
 
@@ -70,3 +83,80 @@ def test_gen_rejects_bad_param():
     with pytest.raises(SystemExit):
         main(["gen", "--family", "set-cover", "--count", "1", "--seed", "0",
               "--out", "/tmp/x", "--param", "rows"])
+
+
+def test_mps_pipeline_without_bounds(tmp_path):
+    """collect -> train -> eval-dive with all nine divers -> eval-bnb on
+    set-cover written as MPS without BOUNDS, so every integer column is
+    [0, inf)."""
+    inst = write_mps_instances(tmp_path / "inst", 4)
+    corpus, model = str(tmp_path / "corpus"), str(tmp_path / "model.npz")
+    assert main(["collect", "--instances", str(inst), "--out", corpus,
+                 "--node-limit", "60", "--jobs", "1"]) == 0
+    assert main(["train", "--corpus", corpus, "--out", model, "--epochs", "3",
+                 "--jobs", "1"]) == 0
+    assert main(["eval-dive", "--corpus", corpus, "--out", str(tmp_path / "dives"),
+                 "--model", model, "--divers", ",".join(HEURISTIC_DIVERS + ("l2dive",)),
+                 "--d-max", "20", "--jobs", "1"]) == 0
+    assert main(["eval-bnb", "--corpus", corpus, "--out", str(tmp_path / "bnb"),
+                 "--model", model, "--divers", "upper:5,l2dive:20", "--tick-limit", "1500",
+                 "--node-limit", "30", "--seeds", "0", "--jobs", "1"]) == 0
+    _, rows = read_csv_rows(tmp_path / "dives" / "dives_summary.csv")
+    assert len(rows) == len(HEURISTIC_DIVERS) + 1
+
+
+def test_parser_defaults_are_the_defaults_they_fill(monkeypatch):
+    """Every command run without optional flags passes exactly the defaults
+    of the configs and functions it fills."""
+    calls = {}
+    results = {
+        "collect_corpus": {"entries": [{}], "skipped": []},
+        "train_from_corpus": dict.fromkeys(
+            ("model", "best_epoch", "best_val", "temperature", "n_examples"), 0),
+        "eval_dives": {"summary_rows": []},
+        "eval_bnb": {"summary_rows": []},
+        "tune_ensemble": {"best_name": "default", "scores": {"default": 0.0},
+                          "solver_calls": 0},
+        "run_verification": True,
+    }
+    for name in results:
+        real = getattr(harness, name)
+
+        @functools.wraps(real)
+        def spy(*args, _name=name, **kwargs):
+            calls[_name] = (args, kwargs)
+            return results[_name]
+
+        monkeypatch.setattr(cli, name, spy)
+
+    def defaults(fn):
+        return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    assert main(["collect", "--instances", "i", "--out", "o"]) == 0
+    cfg = calls["collect_corpus"][0][2]
+    assert cfg == CollectConfig(jobs=cfg.jobs)
+
+    assert main(["train", "--corpus", "c", "--out", "m"]) == 0
+    args, kwargs = calls["train_from_corpus"]
+    assert args[2] == TrainingConfig()
+    expect = defaults(harness.train_from_corpus)
+    assert {k: kwargs[k] for k in ("val_fraction", "hidden")} == \
+        {k: expect[k] for k in ("val_fraction", "hidden")}
+
+    assert main(["eval-dive", "--corpus", "c", "--out", "o"]) == 0
+    cfg = calls["eval_dives"][0][1]
+    assert cfg == DiveEvalConfig(jobs=cfg.jobs)
+
+    assert main(["eval-bnb", "--corpus", "c", "--out", "o"]) == 0
+    cfg = calls["eval_bnb"][0][1]
+    assert cfg.specs == (BnbRunSpec(name="no-diving"),)
+    assert cfg == BnbEvalConfig(specs=cfg.specs, jobs=cfg.jobs)
+
+    assert main(["tune", "--corpus", "c", "--out", "o"]) == 0
+    _, tcfg, ecfg, _ = calls["tune_ensemble"][0]
+    assert tcfg == TuneConfig()
+    assert ecfg == BnbEvalConfig(specs=(), seeds=(0,), jobs=ecfg.jobs)
+
+    assert main(["verify"]) == 0
+    assert calls["run_verification"][1] == defaults(harness.run_verification)

@@ -17,17 +17,10 @@ from divekit.diving import (
 )
 from divekit import diving
 from divekit.graphnet import GraphNet
-from divekit.instances import (
-    SENSE_EQ,
-    SENSE_GE,
-    SENSE_LE,
-    GeneratorConfig,
-    generate,
-    read_instance,
-)
+from divekit.instances import GeneratorConfig, generate, read_instance
 from divekit.l2dive import L2DiveScorer
 from divekit.simplex import NumericalBreakdown
-from conftest import reference_feasible
+from conftest import mps_without_bounds, reference_feasible
 
 ALL_BASELINES = ("fractional", "coefficient", "linesearch", "vectorlength",
                  "pseudocost", "lower", "upper", "random")
@@ -145,7 +138,8 @@ class TestScorerRules:
         """The vectorized rule fixes what a loop over the candidates fixes,
         also when some candidates have an infinite lower or upper bound or
         both: ``lower``/``upper`` take the first candidate whose chosen
-        bound is finite; ``random`` draws one coin per candidate and falls
+        bound is finite, and the first whose other bound is finite when no
+        chosen bound is; ``random`` draws one coin per candidate and falls
         back to the other bound when the coin picks an infinite one."""
         n = 8
         for trial in range(50):
@@ -172,7 +166,8 @@ class TestScorerRules:
 class _LoopFix:
     """Fix-at-bound as a loop over the candidates, one coin per candidate
     for ``random``, which falls back to the other bound when the chosen one
-    is infinite."""
+    is infinite; ``lower``/``upper`` loop again over the other bounds when
+    no chosen bound is finite."""
 
     def __init__(self, bound, seed=0):
         self.bound = bound
@@ -188,25 +183,12 @@ class _LoopFix:
             for v in order:
                 if np.isfinite(v):
                     return ScoreDecision(int(j), float(v), float(v))
+        if self.bound != "random":
+            other = ctx.hi if self.bound == "lower" else ctx.lo
+            for j in ctx.cands:
+                if np.isfinite(other[j]):
+                    return ScoreDecision(int(j), float(other[j]), float(other[j]))
         return None
-
-
-def _mps_without_bounds(inst):
-    """``inst`` as fixed-form MPS text with every column integer and no
-    BOUNDS section, so each integer column reads back with bounds [0, inf)."""
-    sense = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
-    A = inst.A.tocsc()
-    lines = ["NAME          unbounded", "ROWS", " N  COST"]
-    lines += [f" {sense[int(s)]}  R{i}" for i, s in enumerate(inst.senses)]
-    lines += ["COLUMNS", "    MARKER                 'MARKER'                 'INTORG'"]
-    for j in range(inst.n):
-        lines.append(f"    X{j}  COST  {float(inst.c[j])!r}")
-        for k in range(A.indptr[j], A.indptr[j + 1]):
-            lines.append(f"    X{j}  R{A.indices[k]}  {float(A.data[k])!r}")
-    lines += ["    MARKER                 'MARKER'                 'INTEND'", "RHS"]
-    lines += [f"    RHS  R{i}  {float(v)!r}" for i, v in enumerate(inst.b)]
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
 
 
 class TestUnboundedIntegers:
@@ -218,7 +200,7 @@ class TestUnboundedIntegers:
         deepest = 0
         for s in range(3):
             path = tmp_path / f"cover{s}.mps"
-            path.write_text(_mps_without_bounds(
+            path.write_text(mps_without_bounds(
                 generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))))
             inst = read_instance(path)
             assert inst.divable.all() and np.isinf(inst.ub).all()

@@ -13,6 +13,7 @@ from divekit.graphnet import (
     TrainingConfig,
     adam_step,
     batch_loss_and_grads,
+    candidate_codec,
     default_temperature,
     domain_bits,
     extract_graph,
@@ -100,9 +101,10 @@ class TestForward:
 
     def test_shape_mismatch_raises(self, small_example):
         _, g, _ = small_example
-        model = GraphNet(n_var_feats=g.var_feats.shape[1] + 1, hidden=8)
+        model = GraphNet(hidden=8)
+        wide = dataclasses.replace(g, var_feats=np.hstack([g.var_feats, g.var_feats[:, :1]]))
         with pytest.raises(ShapeMismatch):
-            model.forward(make_batch([g]))
+            model.forward(make_batch([wide]))
 
     def test_variable_permutation_equivariance(self, small_example, rng):
         _, g, _ = small_example
@@ -304,6 +306,9 @@ class TestPredict:
         assert domain_bits(0, 7) == 3
         assert domain_bits(0, 1) == 1
         assert domain_bits(0, 5) == 3
+        np.testing.assert_array_equal(
+            domain_bits([0, 0, 0, -2, 0, -np.inf, -np.inf], [7, 1, 5, 6, np.inf, 3, np.inf]),
+            [3, 1, 3, 4, 1, 1, 1])
         # decode 101 -> 5 within [0,7]; all-ones on [0,5] clamps to 5
         inst = make_instance("g", c=[1.0, 1.0], rows=[(0, 0, 1.0), (0, 1, 1.0)],
                              senses=[SENSE_LE], b=[12.0], lb=[0, 0], ub=[7, 5],
@@ -314,13 +319,105 @@ class TestPredict:
         means = np.zeros((2, 3))
         means[0] = [0.9, 0.1, 0.9]  # bits 1,0,1 -> 5
         means[1] = [0.9, 0.9, 0.9]  # 7, clamped to 5
-
-        import types
-
-        model.forward = types.MethodType(
-            lambda self, batch, train=False, update_stats=False: (means, None), model)
+        model.forward = _fixed_means(model, means)
         values, probs = model.predict(g)
         np.testing.assert_array_equal(values, [5.0, 5.0])
+
+    def test_candidate_wider_than_heads(self):
+        """A model with one head reads only the first bit of a 3-bit
+        candidate."""
+        inst = make_instance("w", c=[1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE], b=[9.0],
+                             lb=[0], ub=[7], integer=[0])
+        g, _ = graph_for(inst)
+        assert list(g.cand_bits) == [3]
+        model = GraphNet(hidden=4, n_bits=1, seed=0)
+        model.forward = _fixed_means(model, np.array([[0.8]]))
+        values, probs = model.predict(g)
+        np.testing.assert_array_equal(values, [1.0])
+        np.testing.assert_array_equal(probs, [0.8])
+
+    def test_infinite_end_rule(self):
+        """A domain with an infinite end gets a one-bit head next to its
+        finite end (0 when both are infinite); pool values beyond the head
+        saturate, and decoding gives back the two values the head covers."""
+        inf = np.inf
+        inst = make_instance("u", c=[1.0, 1.0, -1.0, 0.0, 1.0],
+                             rows=[(0, j, 1.0) for j in range(5)],
+                             senses=[SENSE_LE], b=[100.0],
+                             lb=[0, 2, -inf, -inf, 0], ub=[inf, inf, 5, inf, 3],
+                             integer=range(5))
+        cand, anchor, width = candidate_codec(inst)
+        np.testing.assert_array_equal(cand, np.arange(5))
+        np.testing.assert_array_equal(anchor, [0, 2, 4, 0, 0])
+        np.testing.assert_array_equal(width, [1, 1, 1, 1, 2])
+        pool = [(np.array([1.0, 9.0, 5.0, 1.0, 3.0]), 0.0),
+                (np.array([0.0, 2.0, -7.0, 0.0, 2.0]), 1.0)]
+        t = target_distribution(pool, inst, temperature=1.0)
+        np.testing.assert_array_equal(t.bits[..., 0], [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1]])
+        np.testing.assert_array_equal(t.mask, [[1, 0]] * 4 + [[1, 1]])
+        g, _ = graph_for(inst)
+        model = GraphNet(hidden=4, n_bits=2, seed=0)
+        for on, expect in ((0.9, [1, 3, 5, 1, 3]), (0.1, [0, 2, 4, 0, 0])):
+            model.forward = _fixed_means(model, np.full((5, 2), on))
+            values, _ = model.predict(g)
+            np.testing.assert_array_equal(values, expect)
+
+    def test_decode_and_encode_match_candidate_loops(self, rng):
+        """On finite integral domains the vector codec gives exactly what
+        loops over the candidates and bits give: values, probabilities,
+        target bit planes and masks."""
+        for trial in range(20):
+            n = int(rng.integers(1, 6))
+            lb = rng.integers(-3, 3, size=n).astype(np.float64)
+            ub = lb + rng.integers(1, 8, size=n)
+            inst = make_instance("d", c=np.ones(n), rows=[(0, j, 1.0) for j in range(n)],
+                                 senses=[SENSE_LE], b=[50.0], lb=lb, ub=ub, integer=range(n))
+            g, _ = graph_for(inst)
+            model = GraphNet(hidden=4, n_bits=3, seed=trial)
+            means = rng.uniform(0.0, 1.0, size=(n, 3))
+            means[rng.random((n, 3)) < 0.2] = 0.5
+            model.forward = _fixed_means(model, means)
+            values, probs = model.predict(g)
+            for i in range(n):
+                code, p = 0, 1.0
+                for k in range(domain_bits(lb[i], ub[i])):
+                    if means[i, k] > 0.5:
+                        code |= 1 << k
+                    p *= means[i, k] if means[i, k] > 0.5 else 1.0 - means[i, k]
+                assert values[i] == min(max(lb[i] + code, lb[i]), ub[i])
+                assert probs[i] == p
+            pool = [(rng.integers(lb, ub + 1).astype(np.float64), float(z)) for z in range(3)]
+            t = target_distribution(pool, inst, temperature=1.0, n_bits=3)
+            for s_, assign in enumerate(t.assignments):
+                for i in range(n):
+                    nb = domain_bits(lb[i], ub[i])
+                    for k in range(3):
+                        assert t.bits[s_, i, k] == (int(assign[i] - lb[i]) >> k) & 1
+                        assert t.mask[i, k] == (1.0 if k < nb else 0.0)
+
+    def test_encode_then_decode_round_trips(self):
+        """Every value of a finite domain with a 1- to 3-bit head encodes to
+        bits that decode back to it."""
+        for lb in (-3.0, 0.0, 2.0):
+            for size in range(2, 9):
+                ub = lb + size - 1
+                inst = make_instance("r", c=[1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
+                                     b=[20.0], lb=[lb], ub=[ub], integer=[0])
+                g, _ = graph_for(inst)
+                model = GraphNet(hidden=4, n_bits=3, seed=0)
+                for v in np.arange(lb, ub + 1):
+                    t = target_distribution([(np.array([v]), 0.0)], inst, 1.0, n_bits=3)
+                    model.forward = _fixed_means(model, np.where(t.bits[0] > 0, 0.9, 0.1))
+                    values, _ = model.predict(g)
+                    assert values[0] == v, (lb, ub, v)
+
+
+def _fixed_means(model, means):
+    """A forward pass that returns ``means`` for the candidate rows."""
+    import types
+
+    return types.MethodType(
+        lambda self, batch, train=False, update_stats=False: (means, None), model)
 
 
 class TestSerialization:
@@ -348,6 +445,20 @@ class TestSerialization:
         arrays["meta"] = np2.array(js.dumps(meta))
         np2.savez(p, **arrays)
         with pytest.raises(ValueError):
+            load_model(p)
+
+    def test_feature_count_mismatch_refused(self, tmp_path):
+        import json
+
+        p = tmp_path / "m.npz"
+        save_model(GraphNet(hidden=4), p)
+        with np.load(p, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["n_var_feats"] += 1
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(p, **arrays)
+        with pytest.raises(ValueError, match="feature counts"):
             load_model(p)
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_mps_instances
+from divekit.diving import HEURISTIC_DIVERS
 from divekit.graphnet import TrainingConfig
 from divekit.harness import (
     BnbEvalConfig,
@@ -199,6 +201,20 @@ class TestEvalDives:
         assert [r[6] for r in res["rows"]].count("lp_error") == 1
         _, rows = read_csv_rows(tmp_path / "out" / "dives_per_instance.csv")
         assert [r[6] for r in rows].count("lp_error") == 1
+
+    def test_every_heuristic_diver_on_mps_defaults(self, tmp_path):
+        """Integer columns read from MPS without BOUNDS are [0, inf): every
+        heuristic diver completes its dives, ``upper`` by fixing at the
+        lower bound."""
+        inst_dir = write_mps_instances(tmp_path / "inst", 3)
+        manifest = collect_corpus(inst_dir, tmp_path / "corpus",
+                                  CollectConfig(node_limit=60, jobs=1))
+        assert manifest["entries"]
+        cfg = DiveEvalConfig(d_max=20, jobs=1)
+        assert cfg.divers == HEURISTIC_DIVERS
+        res = eval_dives(tmp_path / "corpus", cfg, tmp_path / "out")
+        assert len(res["rows"]) == len(HEURISTIC_DIVERS) * len(manifest["entries"])
+        assert any(r[1] == "upper" and r[5] > 0 for r in res["rows"])
 
     def test_identical_seeds_identical_tables(self, tiny_world, tmp_path):
         root, _ = tiny_world
@@ -604,6 +620,18 @@ class TestTune:
         assert report["scores"][report["best_name"]] <= report["scores"]["default"]
         assert report["solver_calls"] == (2 + 1) * len(load_corpus(root / "corpus")) * 1
         assert (root / "tune.json").exists()
+        assert (root / "tune_runs" / "bnb_per_run.csv").exists()
+
+    def test_reports_in_one_directory_keep_their_run_tables(self, tiny_world, tmp_path):
+        root, _ = tiny_world
+        ecfg = BnbEvalConfig(specs=(), tick_limit=1000.0, node_limit=20, seeds=(0,), jobs=1)
+        for name, divers in (("a", ("fractional",)), ("b", ("lower",))):
+            tune_ensemble(root / "corpus", TuneConfig(divers=divers, samples=1, d_max=10),
+                          ecfg, tmp_path / f"{name}.json")
+        a = (tmp_path / "a_runs" / "bnb_per_run.csv").read_text()
+        b = (tmp_path / "b_runs" / "bnb_per_run.csv").read_text()
+        assert '"fractional"' in a and '"lower"' not in a
+        assert '"lower"' in b and '"fractional"' not in b
 
     def test_sample_space(self, rng):
         from divekit.harness import sample_ensemble
