@@ -225,7 +225,8 @@ def _most_fractional(x, idx):
 def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbResult:
     """Best-bound search with depth-first plunging, bound/integrality/
     infeasibility pruning only, and an optional diver callback at every node
-    with a fractional LP point."""
+    with a fractional LP point.  A non-root node whose LP fails keeps its
+    parent's bound in the global bound, so such a run ends ``limit``."""
     cfg = cfg or SolveConfig()
     lp = to_standard_form(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
@@ -244,9 +245,10 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
     heap: list[tuple[float, int, _Node]] = []
     plunge: list[_Node] = []  # LIFO chain of depth-first children
     cur_bound = np.inf  # LP bound of the node currently being processed
+    lost_bound = np.inf  # smallest parent bound of a node whose LP failed
 
     def global_bound():
-        best = cur_bound
+        best = min(cur_bound, lost_bound)
         if heap:
             best = min(best, heap[0][0])
         for nd in plunge:
@@ -300,19 +302,21 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         try:
             sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
         except SimplexError as exc:
-            node_errors += 1
-            cur_bound = np.inf
             if node.parent is None:
                 raise NodeError(f"root LP failed: {exc}") from exc
-            continue
-        ticks += sol.iterations
-        if node.parent is None:
-            root_sol = sol
-        if sol.status == simplex.INFEASIBLE:
-            cur_bound = np.inf
-            continue
-        if sol.status != simplex.OPTIMAL:
+            sol = None
+        else:
+            ticks += sol.iterations
+            if node.parent is None:
+                root_sol = sol
+            if sol.status == simplex.INFEASIBLE:
+                cur_bound = np.inf
+                continue
+        if sol is None or sol.status != simplex.OPTIMAL:
+            # the subtree stays unexplored: its parent's bound stays in the
+            # global bound, so the run cannot end proven
             node_errors += 1
+            lost_bound = min(lost_bound, node.bound)
             cur_bound = np.inf
             continue
         node.bound = max(node.bound, sol.objective)
@@ -346,7 +350,10 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         cur_bound = np.inf
         trace.record(ticks, z_inc, global_bound())
     else:
-        status = OPTIMAL_PROVEN if incumbent is not None else INFEASIBLE
+        if lost_bound < z_inc - BOUND_PRUNE_TOL:
+            status = LIMIT
+        else:
+            status = OPTIMAL_PROVEN if incumbent is not None else INFEASIBLE
     cur_bound = np.inf
 
     final_bound = z_inc if status == OPTIMAL_PROVEN else global_bound()

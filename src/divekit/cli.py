@@ -162,7 +162,10 @@ def main(argv=None) -> int:
             node_limit=args.node_limit, tick_limit=args.tick_limit,
             pool_capacity=args.pool_capacity, augment=args.augment, jobs=args.jobs,
         )
-        manifest = collect_corpus(args.instances, args.out, cfg)
+        try:
+            manifest = collect_corpus(args.instances, args.out, cfg)
+        except ValueError as exc:
+            raise SystemExit(f"collect: {exc}") from None
         n_ok, n_skip = len(manifest["entries"]), len(manifest["skipped"])
         print(f"collected {n_ok} pools ({n_skip} skipped) into {args.out}")
         return 0 if n_ok > 0 else 1

@@ -246,7 +246,7 @@ def _collect_one(task):
     z_ref = min(z for _, z in entries)
     return {
         "instance": str(path),
-        "name": inst.name,
+        "name": Path(path).stem,
         "family": family,
         "status": res.status,
         "z_ref": z_ref,
@@ -268,8 +268,16 @@ def _pmap(fn, tasks, jobs):
 def collect_corpus(instances_dir, out_dir, cfg: CollectConfig) -> dict:
     """Solve every instance under the collection budget and store its
     solution pool; instances already integral at the root are dropped (read
-    from branch and bound's root solution, so each root LP is solved once)."""
+    from branch and bound's root solution, so each root LP is solved once).
+    Pools and corpus entries are named after the instance file's stem, so two
+    files with the same stem are refused."""
     paths = instance_paths(instances_dir)
+    stems = {}
+    for p in paths:
+        if p.stem in stems:
+            raise ValueError(f"instance files {stems[p.stem]} and {p} share the name "
+                             f"{p.stem!r}; collect names each pool after its file")
+        stems[p.stem] = p
     out_dir = Path(out_dir)
     (out_dir / "pools").mkdir(parents=True, exist_ok=True)
     results = _pmap(_collect_one, [(p, cfg) for p in paths], cfg.jobs)

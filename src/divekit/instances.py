@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -243,6 +244,15 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
 # standard form
 # ---------------------------------------------------------------------------
 
+class SolverColumns(NamedTuple):
+    """The column matrix the simplex works on: the LP's columns, then one
+    artificial unit column for each row without a slack."""
+
+    logical: np.ndarray  # per row: its slack column, or else its artificial one
+    dense: np.ndarray  # m x (ncols + artificials), for basis factors and ftran
+    transpose: sp.csr_matrix  # its CSR transpose, for pricing and pivot rows
+
+
 @dataclass
 class StandardLp:
     """Equality-form LP ``min c'x s.t. Ax = b, lb <= x <= ub``.
@@ -261,6 +271,7 @@ class StandardLp:
     slack_start: int
     slack_row: np.ndarray  # per column: owning row for slacks, -1 otherwise
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _columns: SolverColumns | None = field(default=None, repr=False, compare=False)
 
     @property
     def ncols(self) -> int:
@@ -274,6 +285,22 @@ class StandardLp:
         if self._dense is None:
             self._dense = self.A.toarray()
         return self._dense
+
+    def solver_columns(self) -> SolverColumns:
+        """Built once per LP and shared by every solve of it."""
+        if self._columns is None:
+            m, n = self.nrows, self.ncols
+            logical = np.full(m, -1, dtype=np.int64)
+            slacks = np.arange(self.slack_start, n)
+            logical[self.slack_row[slacks]] = slacks
+            art_rows = np.flatnonzero(logical < 0)
+            k = art_rows.size
+            logical[art_rows] = n + np.arange(k)
+            art = sp.csr_matrix((np.ones(k), (art_rows, np.arange(k))), shape=(m, k))
+            full = sp.hstack([self.A, art], format="csr") if k else self.A
+            dense = full.toarray() if k else self.dense()
+            self._columns = SolverColumns(logical, dense, full.T.tocsr())
+        return self._columns
 
     def full_point(self, x_orig: np.ndarray) -> np.ndarray:
         """Extend a point on the original variables with the implied slack

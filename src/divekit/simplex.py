@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex with dual values.
+"""Bounded-variable simplex with dual values.
 
 Solves ``min c'x s.t. Ax = b, lb <= x <= ub`` (a :class:`StandardLp`) and
 returns the primal point, the basis triplet and the dual triple
@@ -13,16 +13,26 @@ Implementation notes:
   artificial column for an equality row.  Artificials are stored after the
   real columns as ordinary columns fixed at zero, so one column matrix
   serves pricing, ftran and the basis; cold starts take the logical columns
-  as the initial basis;
+  as the initial basis.  The matrix is built once per LP
+  (:meth:`StandardLp.solver_columns`): dense columns for the basis factors
+  and ftran, and a CSR transpose for pricing and the dual pivot row;
 - dense LU of the basis (scipy) with product-form eta updates, refactorized
   every ``REFACTOR_EVERY`` pivots and once more before declaring optimality;
-- phase 1 minimizes the total bound violation of basic variables using
-  shifted blocking bounds, so a warm basis that became primal-infeasible
-  after a bound tightening is repaired in place;
+- a warm basis that is dual feasible (the optimal basis of the same LP before
+  a bound tightening) is re-solved by a bounded dual simplex: the basic
+  variable farthest outside its bounds leaves, the dual ratio test picks the
+  entering column, and the reduced costs are updated from the pivot row.
+  An infeasibility verdict is confirmed on fresh factors;
+- the primal phases then clean up, and solve cold starts and warm bases that
+  are not dual feasible: phase 1 minimizes the total bound violation of
+  basic variables using shifted blocking bounds, phase 2 the cost;
+- a singular basis or a numerical breakdown anywhere in a warm solve is
+  retried once from the cold start;
 - an LP without rows takes the same path: its basis is empty (a 0x0 LU)
   and every iteration is a bound flip;
-- Dantzig pricing with a switch to Bland's rule after a stall; all ties are
-  broken by the lowest variable index, so pivot sequences are deterministic.
+- Dantzig pricing (the largest violation in the dual phase) with a switch
+  to Bland's rule after a stall; all ties are broken by the lowest index,
+  so pivot sequences are deterministic.
 """
 
 from __future__ import annotations
@@ -99,20 +109,9 @@ class _Solver:
         self.lp = lp
         self.m = lp.nrows
         self.n_real = lp.ncols
-        # logical column of each row: its slack, or else an artificial
-        # column appended after the real ones
-        self.logical = np.full(self.m, -1, dtype=np.int64)
-        slacks = np.arange(lp.slack_start, self.n_real)
-        self.logical[lp.slack_row[slacks]] = slacks
-        art_rows = np.flatnonzero(self.logical < 0)
-        n_art = art_rows.size
-        self.logical[art_rows] = self.n_real + np.arange(n_art)
-        self.N = self.n_real + n_art
-        self.A = lp.dense()
-        if n_art:
-            art = np.zeros((self.m, n_art))
-            art[art_rows, np.arange(n_art)] = 1.0
-            self.A = np.hstack([self.A, art])
+        self.logical, self.A, self.At = lp.solver_columns()
+        self.N = self.A.shape[1]
+        n_art = self.N - self.n_real
         lo = lp.lb if lower is None else lower
         hi = lp.ub if upper is None else upper
         self.lb = np.concatenate([np.asarray(lo, dtype=np.float64), np.zeros(n_art)])
@@ -174,6 +173,7 @@ class _Solver:
         self.xval[:] = np.where(has_lo, self.lb, np.where(free, 0.0, self.ub))
 
     def cold_start(self):
+        self.bland = False
         self._place_nonbasic()
         self.basic[:] = self.logical
         self.stat[self.basic] = _BASIC
@@ -196,7 +196,7 @@ class _Solver:
     def price(self, c_eff):
         """Row duals and reduced costs for the effective cost vector."""
         y = self.btran(c_eff[self.basic])
-        return y, c_eff - self.A.T @ y
+        return y, c_eff - self.At @ y
 
     def _entering(self, d, etol):
         movable = self.ub - self.lb > 0
@@ -238,17 +238,22 @@ class _Solver:
             else:
                 self.stat[leave] = _AT_UPPER
                 self.xval[leave] = self.ub[leave]
-            self.basic[pos] = q
-            self.stat[q] = _BASIC
-            if abs(w[pos]) < PIVOT_TOL:
-                raise NumericalBreakdown("tiny pivot element")
-            self.eta_rows[self.n_eta] = pos
-            self.etas[self.n_eta, :] = w
-            self.n_eta += 1
-            if self.n_eta >= REFACTOR_EVERY:
-                self.refactorize()
+            self._replace(pos, q, w)
         self.iterations += 1
         return t
+
+    def _replace(self, pos, q, w):
+        """Column ``q`` (``w`` = its ftran) becomes the basic variable of row
+        position ``pos``; one eta, or a refactorization when the file is full."""
+        self.basic[pos] = q
+        self.stat[q] = _BASIC
+        if abs(w[pos]) < PIVOT_TOL:
+            raise NumericalBreakdown("tiny pivot element")
+        self.eta_rows[self.n_eta] = pos
+        self.etas[self.n_eta, :] = w
+        self.n_eta += 1
+        if self.n_eta >= REFACTOR_EVERY:
+            self.refactorize()
 
     def _note_progress(self, obj):
         if obj < self._last_obj - 1e-12 * (1.0 + abs(obj)):
@@ -259,7 +264,83 @@ class _Solver:
                 self.bland = True
         self._last_obj = obj
 
-    # -- phases ----------------------------------------------------------------
+    # -- dual phase --------------------------------------------------------------
+
+    def _dual_ratio_test(self, d, alpha):
+        """Entering column for a leaving variable that must rise, given its
+        pivot row ``alpha`` (negated when it must fall): the smallest
+        ``|d_j / alpha_j|`` over the columns whose move raises it, ties to the
+        lowest index, or -1 when none can."""
+        movable = self.ub - self.lb > 0
+        elig = (self.stat == _AT_LOWER) & (alpha < -PIVOT_TOL) & movable
+        elig |= (self.stat == _AT_UPPER) & (alpha > PIVOT_TOL) & movable
+        elig |= (self.stat == _FREE) & (np.abs(alpha) > PIVOT_TOL)
+        idx = np.flatnonzero(elig)
+        if idx.size == 0:
+            return -1
+        # |d_j| with the sign dual feasibility gives it, clamped at 0
+        dj = np.where(self.stat[idx] == _AT_UPPER, -d[idx], d[idx])
+        dj = np.where(self.stat[idx] == _FREE, np.abs(dj), np.maximum(dj, 0.0))
+        return int(idx[np.argmin(dj / np.abs(alpha[idx]))])
+
+    def dual_phase(self, iter_limit):
+        """Bounded dual simplex from a dual feasible basis until the point is
+        primal feasible: the basic variable farthest outside its bounds leaves
+        at that bound, and the reduced costs are updated from its pivot row.
+
+        Returns OPTIMAL once the point is primal feasible, and also, without
+        a pivot, when the basis is not dual feasible: either way the primal
+        phases finish the solve.
+        """
+        _, d = self.price(self.c)
+        if self._entering(d, OPT_TOL) >= 0:
+            return OPTIMAL
+        self._last_obj = np.inf
+        self._stall = 0
+        while True:
+            xb = self.xval[self.basic]
+            lo, up = self.lb[self.basic], self.ub[self.basic]
+            viol = np.maximum(lo - xb, xb - up)
+            rows = np.flatnonzero(viol > FEAS_TOL)
+            if rows.size == 0:
+                return OPTIMAL
+            if self.iterations >= iter_limit:
+                return ITERATION_LIMIT
+            # the dual objective equals c'x here and never falls
+            self._note_progress(-float(self.c @ self.xval))
+            if self.bland:
+                r = int(rows[np.argmin(self.basic[rows])])
+            else:
+                r = int(np.argmax(viol))
+            rises = xb[r] < lo[r]
+            e_r = np.zeros(self.m)
+            e_r[r] = 1.0
+            alpha = self.At @ self.btran(e_r)
+            q = self._dual_ratio_test(d, alpha if rises else -alpha)
+            if q < 0:
+                if not self.n_eta:
+                    return INFEASIBLE
+                # confirm infeasibility against fresh factors
+                self.refactorize()
+                _, d = self.price(self.c)
+                continue
+            w = self.ftran(self.A[:, q])
+            if abs(w[r]) < PIVOT_TOL:
+                raise NumericalBreakdown("tiny pivot element")
+            leave = int(self.basic[r])
+            target = lo[r] if rises else up[r]
+            theta = (xb[r] - target) / w[r]
+            self.xval[self.basic] = xb - theta * w
+            self.xval[q] += theta
+            self.stat[leave] = _AT_LOWER if rises else _AT_UPPER
+            self.xval[leave] = target
+            d -= (d[q] / alpha[q]) * alpha
+            self._replace(r, q, w)
+            self.iterations += 1
+            if not self.n_eta:
+                _, d = self.price(self.c)
+
+    # -- primal phases ---------------------------------------------------------
 
     def violations(self):
         xb = self.xval[self.basic]
@@ -329,6 +410,15 @@ class _Solver:
                 self.ray = ray[: self.n_real]
                 return UNBOUNDED
 
+    def run(self, iter_limit, dual):
+        """The dual phase when ``dual`` is set, then primal phases 1 and 2."""
+        status = self.dual_phase(iter_limit) if dual else OPTIMAL
+        if status == OPTIMAL:
+            status = self.phase1(iter_limit)
+        if status == OPTIMAL:
+            status = self.phase2(iter_limit)
+        return status
+
     # -- extraction --------------------------------------------------------------
 
     def make_basis(self) -> Basis:
@@ -379,9 +469,9 @@ def solve_lp(
     """Solve the LP, optionally warm-started and with bound overrides.
 
     ``lower``/``upper`` replace the bounds of ``lp`` without mutating it
-    (used by diving and branch and bound).  A warm basis that turns out
-    singular is replaced by the cold start.
-    Raises :class:`SingularBasis` or :class:`NumericalBreakdown` on
+    (used by diving and branch and bound).  A warm solve that meets a
+    singular basis or a numerical breakdown is retried once from the cold
+    start.  Raises :class:`SingularBasis` or :class:`NumericalBreakdown` on
     unrecoverable numerical failures.
     """
     solver = _Solver(lp, lower, upper)
@@ -391,17 +481,17 @@ def solve_lp(
             basis=warm, iterations=0, infeasibility=solver.bound_crossing,
         )
     budget = iter_limit if iter_limit is not None else max(20000, 200 * (solver.m + 10))
-    if warm is None:
-        solver.cold_start()
-    else:
+    status = None
+    if warm is not None:
         try:
             solver.warm_start(warm)
-        except SingularBasis:
-            solver.cold_start()
-    status = solver.phase1(budget)
-    if status == OPTIMAL:
-        status = solver.phase2(budget)
-    elif status == INFEASIBLE:
+            status = solver.run(budget, dual=True)
+        except (SingularBasis, NumericalBreakdown):
+            pass  # retried once from the cold start
+    if status is None:
+        solver.cold_start()
+        status = solver.run(budget, dual=False)
+    if status == INFEASIBLE:
         sol = solver.solution(INFEASIBLE)
         sol.x = None
         return sol

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -77,15 +78,18 @@ def mps_without_bounds(inst):
     return "\n".join(lines) + "\n"
 
 
-def write_mps_instances(out_dir, count):
+def write_mps_instances(out_dir, count, name=None):
     """``count`` set-cover instances (25 rows, 50 columns) as MPS without
-    BOUNDS, with the manifest ``gen`` writes next to them."""
+    BOUNDS, with the manifest ``gen`` writes next to them.  With ``name``,
+    every NAME line reads ``name`` and the files are ``{name}{seed}.mps``."""
     out_dir = Path(out_dir)
     (out_dir / "instances").mkdir(parents=True)
     names = []
     for s in range(count):
         inst = generate(GeneratorConfig("set-cover", seed=s, rows=25, cols=50, density=0.1))
-        names.append(f"{inst.name}.mps")
+        if name is not None:
+            inst = dataclasses.replace(inst, name=name)
+        names.append(f"{inst.name if name is None else name + str(s)}.mps")
         (out_dir / "instances" / names[-1]).write_text(mps_without_bounds(inst))
     (out_dir / "manifest.json").write_text(json.dumps({"instances": names}))
     return out_dir

@@ -336,10 +336,28 @@ class TestDiverCallback:
 
     def test_ensemble_schedule_lives_in_the_callback(self):
         """A member without a period dives at the root only; one with period
-        p and offset o also at the calls numbered o (mod p)."""
+        p and offset o also at the calls numbered o (mod p).  The hook is
+        driven through ten calls directly, so the schedule is checked past
+        the root whatever branch and bound needs to close the instance."""
         from divekit.harness import _ensemble_hook
+        from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
 
         inst = generate(self.INST)
+        lp = to_standard_form(inst)
+        sol = solve_lp(lp)
+
+        def dives_per_call(members):
+            hook = _ensemble_hook(members, None, 10, 0)
+            return [len(hook(inst, lp, sol, lp.lb, lp.ub)) for _ in range(10)]
+
+        assert dives_per_call((("fractional", None, 0),)) == [1] + [0] * 9
+        assert dives_per_call((("fractional", 3, 1),)) == [
+            1 if k == 0 or k % 3 == 1 else 0 for k in range(10)]
+        assert dives_per_call((("fractional", None, 0), ("fractional", 3, 1))) == [
+            2 if k == 0 else int(k % 3 == 1) for k in range(10)]
+
+        # inside branch and bound: every dive the hook ran is counted
         calls = {"n": 0}
 
         def counted(hook):
@@ -350,12 +368,66 @@ class TestDiverCallback:
 
         root = branch_and_bound(inst, SolveConfig(node_limit=40, diver=counted(
             _ensemble_hook((("fractional", None, 0),), None, 10, 0))))
-        assert calls["n"] > 1 and root.dives == 1
+        assert calls["n"] >= 1 and root.dives == 1
         calls["n"] = 0
         periodic = branch_and_bound(inst, SolveConfig(node_limit=40, diver=counted(
             _ensemble_hook((("fractional", 3, 1),), None, 10, 0))))
-        assert calls["n"] > 4
         assert periodic.dives == 1 + sum(1 for k in range(1, calls["n"]) if k % 3 == 1)
+
+
+class TestFailedNodeLp:
+    """A node LP that fails must not let the run claim a proof."""
+
+    # the clean run proves 192 in 11 nodes
+    INST = GeneratorConfig("set-cover", seed=2, rows=30, cols=60, density=0.1)
+
+    def test_failed_node_keeps_its_parent_bound(self, monkeypatch):
+        from divekit import bnb, simplex
+
+        inst = generate(self.INST)
+        clean = branch_and_bound(inst)
+        assert clean.status == OPTIMAL_PROVEN
+        real = bnb.solve_lp
+        calls = {"n": 0}
+
+        def failing_first_child(*a, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:  # the root's down child
+                raise simplex.NumericalBreakdown("injected")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(bnb, "solve_lp", failing_first_child)
+        res = branch_and_bound(inst)
+        assert res.node_errors == 1
+        assert res.status == LIMIT
+        assert res.bound <= clean.objective + 1e-9
+        assert res.trace.final()[1] == res.bound
+
+    def test_cold_retry_clears_a_warm_failure(self, monkeypatch):
+        from divekit import simplex
+
+        inst = generate(self.INST)
+        clean = branch_and_bound(inst)
+        real_warm, real_phase2 = simplex._Solver.warm_start, simplex._Solver.phase2
+        raised = []
+
+        def marking_warm_start(self, basis):
+            self.warm_attempt = True
+            return real_warm(self, basis)
+
+        def failing_phase2(self, iter_limit):
+            if getattr(self, "warm_attempt", False) and not raised:
+                raised.append(True)
+                raise simplex.NumericalBreakdown("injected")
+            return real_phase2(self, iter_limit)
+
+        monkeypatch.setattr(simplex._Solver, "warm_start", marking_warm_start)
+        monkeypatch.setattr(simplex._Solver, "phase2", failing_phase2)
+        res = branch_and_bound(inst)
+        assert raised
+        assert res.node_errors == 0
+        assert res.status == OPTIMAL_PROVEN
+        assert res.objective == clean.objective and res.bound == clean.bound
 
 
 class TestEnumerate:

@@ -156,6 +156,40 @@ class TestCollect:
             assert zs == sorted(zs)
 
 
+    def test_pools_named_after_the_instance_file(self, tmp_path):
+        """Four MPS files whose NAME lines all read ``cover`` keep four pools,
+        each holding its own instance's solutions."""
+        from divekit.instances import read_instance
+
+        inst_dir = write_mps_instances(tmp_path / "inst", 4, name="cover")
+        corpus = tmp_path / "corpus"
+        manifest = collect_corpus(inst_dir, corpus, CollectConfig(node_limit=60, jobs=1))
+        entries = manifest["entries"]
+        assert len(entries) + len(manifest["skipped"]) == 4 and len(entries) >= 2
+        assert len(list((corpus / "pools").iterdir())) == len(entries)
+        for e in entries:
+            stem = e["instance"].rsplit("/", 1)[-1].removesuffix(".mps")
+            assert e["name"] == stem and e["pool"] == f"pools/{stem}.pool.json"
+            inst = read_instance(corpus / e["instance"])
+            assert inst.name == "cover"
+            doc = json.loads((corpus / e["pool"]).read_text())
+            assert doc["z_ref"] == e["z_ref"]
+            for sol in doc["entries"]:
+                x = np.asarray(sol["x"])
+                assert inst.is_feasible(x) and float(inst.c @ x) == sol["z"]
+
+    def test_files_sharing_a_stem_are_refused(self, tmp_path):
+        inst_dir = write_mps_instances(tmp_path / "inst", 2, name="cover")
+        for k, sub in enumerate(("a", "b")):
+            (inst_dir / "instances" / sub).mkdir()
+            (inst_dir / "instances" / f"cover{k}.mps").rename(
+                inst_dir / "instances" / sub / "cover.mps")
+        (inst_dir / "manifest.json").write_text(
+            json.dumps({"instances": ["a/cover.mps", "b/cover.mps"]}))
+        with pytest.raises(ValueError, match=r"a/cover\.mps and .*b/cover\.mps"):
+            collect_corpus(inst_dir, tmp_path / "corpus", CollectConfig(node_limit=60, jobs=1))
+
+
 class TestEvalDives:
     def test_duplicate_divers_rejected(self, tiny_world):
         root, _ = tiny_world

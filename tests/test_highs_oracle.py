@@ -2,8 +2,10 @@
 instance sizes the pipeline uses.
 
 Root LPs of every family at default generator size, one facility-location
-variant whose demand rows are equalities, warm resolves after one branching
-bound change, and proven branch-and-bound optima on small instances.
+variant whose demand rows are equalities, warm resolves (the dual simplex
+path) after one branching bound change, after several tightenings at once
+and after a tightening that leaves no feasible point, and proven
+branch-and-bound optima on small instances.
 """
 
 import dataclasses
@@ -98,6 +100,64 @@ def test_warm_resolve_matches_highs(root, side):
     assert warm.status == status
     if status == simplex.OPTIMAL:
         assert close(warm.objective, z_ref, LP_REL_TOL)
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_multi_variable_tightening_matches_highs(root, k):
+    """The ``k`` most fractional integer variables tightened at once, each
+    toward its nearest integer, as a learned dive's tighten set moves them."""
+    inst, lp, sol = root
+    x = sol.x[: inst.n]
+    frac = np.abs(x - np.round(x))
+    order = np.argsort(-np.where(inst.integer, frac, -1.0), kind="stable")[:k]
+    lower, upper = lp.lb.copy(), lp.ub.copy()
+    for j in order:
+        target = float(np.clip(np.round(x[j]), inst.lb[j], inst.ub[j]))
+        if target >= x[j]:
+            lower[j] = target
+        if target <= x[j]:
+            upper[j] = target
+    warm = solve_lp(lp, warm=sol.basis, lower=lower, upper=upper)
+    status, z_ref = highs_lp(lp, lower, upper)
+    assert warm.status == status
+    if status == simplex.OPTIMAL:
+        assert close(warm.objective, z_ref, LP_REL_TOL)
+        assert close(dual_objective(warm.duals, lp, lower, upper), warm.objective,
+                     DUAL_GAP_TOL)
+        assert check_complementary_slackness(warm.x, warm.duals, lp,
+                                             lower=lower, upper=upper)["holds"]
+
+
+def infeasible_row_tightening(inst, lp):
+    """Bounds that pin every variable of one row at the end that works
+    against it, so the row cannot hold: the first row whose variables all
+    have finite bounds and whose best activity misses its right-hand side."""
+    A = inst.A.tocsr()
+    for i in range(inst.m):
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        vals = A.data[A.indptr[i]:A.indptr[i + 1]]
+        if not np.all(np.isfinite(inst.lb[cols]) & np.isfinite(inst.ub[cols])):
+            continue
+        lower, upper = lp.lb.copy(), lp.ub.copy()
+        # the end each variable is pinned at: the one that lowers the row
+        # activity for a GE row, the one that raises it for an LE row
+        lowers = (vals > 0) == (inst.senses[i] != SENSE_LE)
+        pinned = np.where(lowers, inst.lb[cols], inst.ub[cols])
+        lower[cols] = upper[cols] = pinned
+        act = float(vals @ pinned)
+        if (inst.senses[i] != SENSE_LE and act < inst.b[i] - 0.5) or \
+                (inst.senses[i] != SENSE_GE and act > inst.b[i] + 0.5):
+            return lower, upper
+    raise AssertionError("no row can be made infeasible by its bounds")
+
+
+def test_infeasible_tightening_matches_highs(root):
+    inst, lp, sol = root
+    lower, upper = infeasible_row_tightening(inst, lp)
+    warm = solve_lp(lp, warm=sol.basis, lower=lower, upper=upper)
+    status, _ = highs_lp(lp, lower, upper)
+    assert warm.status == status == simplex.INFEASIBLE
+    assert warm.x is None and warm.duals is None
 
 
 SMALL = {

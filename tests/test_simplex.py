@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestDualExtraction:
 
 
 class TestSingularWarmBasis:
-    def test_falls_back_to_the_cold_solve(self):
+    def test_falls_back_to_the_cold_solve(self, monkeypatch):
         inst = generate(GeneratorConfig("set-cover", seed=4, rows=12, cols=24, density=0.2))
         lp = std(inst)
         hi = lp.ub.copy()
@@ -267,14 +268,116 @@ class TestSingularWarmBasis:
         # every basic position on column 0: the basis matrix is singular
         bad = simplex.Basis(at_lower=np.arange(1, lp.ncols), basic=np.zeros(lp.nrows, np.int64),
                             at_upper=np.zeros(0, np.int64))
+        log = _spy_dual(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             warm = solve_lp(lp, warm=bad, upper=hi)
         assert caught == []  # a handled fallback prints nothing
+        # the dual phase needs the warm basis, so the cold fallback runs none
+        assert log["dual_tests"] == 0
         cold = solve_lp(lp, upper=hi)
         assert warm.status == cold.status == simplex.OPTIMAL
         np.testing.assert_array_equal(warm.x, cold.x)
         assert warm.iterations == cold.iterations
+
+
+def _spy_dual(monkeypatch):
+    """Record the pivots ``(row position, entering column)`` of every solve
+    and the calls of the dual ratio test."""
+    log = {"pivots": [], "dual_tests": 0}
+    real_replace, real_test = simplex._Solver._replace, simplex._Solver._dual_ratio_test
+
+    def replace(self, pos, q, w):
+        log["pivots"].append((pos, q))
+        return real_replace(self, pos, q, w)
+
+    def dual_test(self, d, alpha):
+        log["dual_tests"] += 1
+        return real_test(self, d, alpha)
+
+    monkeypatch.setattr(simplex._Solver, "_replace", replace)
+    monkeypatch.setattr(simplex._Solver, "_dual_ratio_test", dual_test)
+    return log
+
+
+def _tightened_cover():
+    """Set-cover LP, its root and bounds that fix the root's three largest
+    columns at zero, so the root basis is dual feasible but not primal."""
+    lp = std(generate(GeneratorConfig("set-cover", seed=6, rows=30, cols=60, density=0.1)))
+    root = solve_lp(lp)
+    hi = lp.ub.copy()
+    hi[np.argsort(-root.x[: lp.slack_start], kind="stable")[:3]] = 0.0
+    return lp, root, hi
+
+
+class TestDualPhase:
+    def test_warm_resolve_runs_the_dual_phase(self, monkeypatch):
+        lp, root, hi = _tightened_cover()
+        log = _spy_dual(monkeypatch)
+        warm = solve_lp(lp, warm=root.basis, upper=hi)
+        cold = solve_lp(lp, upper=hi)
+        assert warm.status == cold.status == simplex.OPTIMAL
+        assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+        assert log["dual_tests"] >= warm.iterations > 0
+        assert check_complementary_slackness(warm.x, warm.duals, lp, upper=hi)["holds"]
+
+    def test_identical_calls_identical_pivots(self, monkeypatch):
+        lp, root, hi = _tightened_cover()
+        log = _spy_dual(monkeypatch)
+        a = solve_lp(lp, warm=root.basis, upper=hi)
+        first, log["pivots"] = log["pivots"], []
+        b = solve_lp(lp, warm=root.basis, upper=hi)
+        assert first and first == log["pivots"]
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.duals.y_b.tobytes() == b.duals.y_b.tobytes()
+
+    def test_basis_that_is_not_dual_feasible_takes_the_primal_path(self, monkeypatch):
+        lp, _, hi = _tightened_cover()
+        # optimal for the negated costs, so columns price out for the real ones
+        flipped = solve_lp(dataclasses.replace(lp, c=-lp.c))
+        solver = simplex._Solver(lp, None, hi)
+        solver.warm_start(flipped.basis)
+        _, d = solver.price(solver.c)
+        assert solver._entering(d, simplex.OPT_TOL) >= 0
+        budget = max(20000, 200 * (solver.m + 10))
+        assert solver.phase1(budget) == simplex.OPTIMAL
+        assert solver.phase2(budget) == simplex.OPTIMAL
+        log = _spy_dual(monkeypatch)
+        sol = solve_lp(lp, warm=flipped.basis, upper=hi)
+        assert log["dual_tests"] == 0
+        assert sol.iterations == solver.iterations
+        np.testing.assert_array_equal(sol.x, solver.xval[: lp.ncols])
+
+    def test_failure_in_the_dual_phase_retries_cold(self, monkeypatch):
+        lp, root, hi = _tightened_cover()
+        cold = solve_lp(lp, upper=hi)
+        log = _spy_dual(monkeypatch)
+        real = simplex._Solver._dual_ratio_test
+
+        def failing(self, d, alpha):
+            real(self, d, alpha)
+            raise simplex.NumericalBreakdown("injected")
+
+        monkeypatch.setattr(simplex._Solver, "_dual_ratio_test", failing)
+        warm = solve_lp(lp, warm=root.basis, upper=hi)
+        assert log["dual_tests"] == 1  # the cold retry runs no dual phase
+        assert warm.status == cold.status == simplex.OPTIMAL
+        np.testing.assert_array_equal(warm.x, cold.x)
+        assert warm.iterations == cold.iterations
+
+    def test_dual_pivot_clamps_and_breaks_ties_low(self):
+        # two columns tie at ratio 0 (one with a reduced cost of the wrong
+        # sign inside the tolerance) and a third has ratio 2
+        lp = std(make_instance("t", c=[0.0, 0.0, 2.0], rows=[], senses=[], b=[],
+                               lb=[0, 0, 0], ub=[1, 1, 1], integer=[]))
+        solver = simplex._Solver(lp, None, None)
+        solver.cold_start()
+        d = np.array([2.0, -1e-12, 0.0])
+        alpha = np.array([-1.0, -1.0, -1.0])
+        assert solver._dual_ratio_test(d, alpha) == 1
+        assert solver._dual_ratio_test(d, -alpha) == -1
+        solver.stat[0] = simplex._AT_UPPER
+        assert solver._dual_ratio_test(d, -alpha) == 0
 
 
 class TestRowFree:
