@@ -20,15 +20,12 @@ from .simplex import LpSolution, SimplexError, solve_lp
 OPTIMAL_PROVEN = "optimal_proven"
 LIMIT = "limit"
 INFEASIBLE = "infeasible"
+LP_ERROR = "lp_error"  # the root LP failed numerically
 
 BOUND_PRUNE_TOL = 1e-9
 PLUNGE_DEPTH = 4
 #: half-width of the objective band that ``enumerate_optimal_face`` walks
 FACE_TOL = 1e-6
-
-
-class NodeError(RuntimeError):
-    """A node LP failed numerically; the node was pruned."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +222,9 @@ def _most_fractional(x, idx):
 def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbResult:
     """Best-bound search with depth-first plunging, bound/integrality/
     infeasibility pruning only, and an optional diver callback at every node
-    with a fractional LP point.  A non-root node whose LP fails keeps its
-    parent's bound in the global bound, so such a run ends ``limit``."""
+    with a fractional LP point.  A node whose LP fails keeps its parent's
+    bound in the global bound, so such a run ends ``limit``; when the root
+    LP fails, the run ends ``lp_error`` with no root solution."""
     cfg = cfg or SolveConfig()
     lp = to_standard_form(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
@@ -301,9 +299,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         lo, hi = node.bounds(lp.lb, lp.ub)
         try:
             sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
-        except SimplexError as exc:
-            if node.parent is None:
-                raise NodeError(f"root LP failed: {exc}") from exc
+        except SimplexError:
             sol = None
         else:
             ticks += sol.iterations
@@ -350,7 +346,9 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         cur_bound = np.inf
         trace.record(ticks, z_inc, global_bound())
     else:
-        if lost_bound < z_inc - BOUND_PRUNE_TOL:
+        if root_sol is None:
+            status = LP_ERROR
+        elif lost_bound < z_inc - BOUND_PRUNE_TOL:
             status = LIMIT
         else:
             status = OPTIMAL_PROVEN if incumbent is not None else INFEASIBLE

@@ -55,7 +55,7 @@ class ScoreDecision:
 @dataclass
 class DiveContext:
     inst: MilpInstance
-    lo: np.ndarray  # full column bounds, including slacks
+    lo: np.ndarray  # full column bounds, including logicals
     hi: np.ndarray
     sol: LpSolution  # the current LP solution
     root: LpSolution  # the LP solution the dive started from

@@ -20,18 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, simplex
-from .bnb import (
-    OPTIMAL_PROVEN,
-    BnbResult,
-    NodeError,
-    SolutionPool,
-    SolveConfig,
-    SolveTrace,
-    branch_and_bound,
-    enumerate_optimal_face,
-)
+from .bnb import OPTIMAL_PROVEN, SolveConfig, branch_and_bound, enumerate_optimal_face
 from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
-from .diving import make_scorer
+from .diving import DiveResult, make_scorer
 from .graphnet import (
     GraphNet,
     TrainExample,
@@ -210,12 +201,11 @@ def _collect_one(task):
     path, cfg = task
     inst = read_instance(path)
     family = _family_of(inst.name)
-    try:
-        res = branch_and_bound(inst, SolveConfig(
-            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
-            pool_capacity=cfg.pool_capacity,
-        ))
-    except NodeError:
+    res = branch_and_bound(inst, SolveConfig(
+        node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
+        pool_capacity=cfg.pool_capacity,
+    ))
+    if res.root is None:
         return {"instance": str(path), "skip": "root_lp_error"}
     if res.root.status != simplex.OPTIMAL:
         return {"instance": str(path), "skip": f"root_{res.root.status}"}
@@ -307,7 +297,8 @@ def collect_corpus(instances_dir, out_dir, cfg: CollectConfig) -> dict:
         })
     manifest = {
         "config": asdict(cfg),
-        "config_hash": config_hash(asdict(cfg)),
+        # the worker count does not change the pools, so it stays out of the hash
+        "config_hash": config_hash({k: v for k, v in asdict(cfg).items() if k != "jobs"}),
         "entries": entries,
         "skipped": skipped,
     }
@@ -437,13 +428,15 @@ def _eval_dive_one(task):
     try:
         root = solve_lp(lp)
     except SimplexError:
-        return [(entry["name"], name, cfg.seed, FAILED_GAP, True, 0, TERM_LP_ERROR, 0,
-                 np.inf, entry["z_ref"]) for name in cfg.divers]
+        root = None
     rows = []
     for name in cfg.divers:
-        scorer = make_scorer(name, seed=cfg.seed, model=model)
-        res = dive(inst, scorer, d_max=cfg.d_max, lp_iter_limit=cfg.lp_iter_limit,
-                   lp=lp, root_sol=root)
+        if root is None:
+            res = DiveResult(termination=TERM_LP_ERROR)
+        else:
+            scorer = make_scorer(name, seed=cfg.seed, model=model)
+            res = dive(inst, scorer, d_max=cfg.d_max, lp_iter_limit=cfg.lp_iter_limit,
+                       lp=lp, root_sol=root)
         failed = len(res.solutions) == 0
         gap = FAILED_GAP if failed else primal_gap(res.best_z, entry["z_ref"])
         rows.append((entry["name"], name, cfg.seed, gap, failed,
@@ -555,15 +548,9 @@ def _eval_bnb_one(task):
     entry, spec, seeds, cfg, model, trace_dir = task
     inst = read_instance(entry["instance_path"])
     diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
-    try:
-        res = branch_and_bound(inst, SolveConfig(
-            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
-        ))
-    except NodeError:
-        # the root LP failed: one node, one node error, an empty trace
-        res = BnbResult(status=TERM_LP_ERROR, x=None, objective=np.inf, bound=-np.inf,
-                        pool=SolutionPool(inst), trace=SolveTrace(), nodes=1,
-                        ticks=0.0, node_errors=1)
+    res = branch_and_bound(inst, SolveConfig(
+        node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
+    ))
     safe = spec.name.replace(":", "_").replace("/", "_")
     integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
     gap = primal_dual_gap(*res.trace.final())
@@ -729,7 +716,7 @@ def random_bounded_lp(rng):
     m = int(rng.integers(1, 7))
     if rng.random() < 0.5:
         n = int(rng.integers(m + 1, 11))
-        senses = [2] * m  # all equality: no slack columns
+        senses = [2] * m  # all equality rows
     else:
         n = int(rng.integers(m + 1, max(m + 2, 12 - m + 1)))
         senses = [int(rng.integers(0, 3)) for _ in range(m)]
@@ -766,12 +753,15 @@ def lp_oracle_suite(count=200, seed=0) -> dict:
             b=b, lb=lb, ub=ub, integer=[],
         )
         lp = to_standard_form(inst)
-        # oracle needs finite slack bounds; any value above the largest
-        # attainable |slack| keeps the feasible region unchanged
-        slack_hi = (np.abs(lp.dense()).sum(axis=1).max() * float(np.max(np.abs(ub)))
+        # the oracle gets only the movable columns (a column fixed at zero
+        # adds nothing but work) and finite slack bounds: any value above the
+        # largest attainable |slack| keeps the feasible region unchanged
+        keep = lp.lb < lp.ub
+        A_keep = lp.dense()[:, keep]
+        slack_hi = (np.abs(A_keep).sum(axis=1).max() * float(np.max(np.abs(ub)))
                     + float(np.max(np.abs(b), initial=0.0)) + 10.0)
-        o_ub = np.where(np.isfinite(lp.ub), lp.ub, slack_hi)
-        status, z_ref, _ = enumerate_basic_solutions(lp.dense(), lp.b, lp.c, lp.lb, o_ub)
+        o_ub = np.where(np.isfinite(lp.ub[keep]), lp.ub[keep], slack_hi)
+        status, z_ref, _ = enumerate_basic_solutions(A_keep, lp.b, lp.c[keep], lp.lb[keep], o_ub)
         sol = solve_lp(lp)
         if status == "infeasible":
             if sol.status != simplex.INFEASIBLE:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,23 +243,16 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
 # standard form
 # ---------------------------------------------------------------------------
 
-class SolverColumns(NamedTuple):
-    """The column matrix the simplex works on: the LP's columns, then one
-    artificial unit column for each row without a slack."""
-
-    logical: np.ndarray  # per row: its slack column, or else its artificial one
-    dense: np.ndarray  # m x (ncols + artificials), for basis factors and ftran
-    transpose: sp.csr_matrix  # its CSR transpose, for pricing and pivot rows
-
-
 @dataclass
 class StandardLp:
     """Equality-form LP ``min c'x s.t. Ax = b, lb <= x <= ub``.
 
-    Columns ``[0, slack_start)`` are the original variables; the rest are
-    slack/surplus columns, and ``slack_row`` names the row of each.  LE rows
-    carry a +1 slack in [0, inf); GE rows carry a -1 surplus in [0, inf); EQ
-    rows carry none.
+    Columns ``[0, slack_start)`` are the original variables, and column
+    ``slack_start + i`` is row ``i``'s logical column: a +1 slack in
+    [0, inf) for an LE row, a -1 surplus in [0, inf) for a GE row, and a +1
+    column fixed at [0, 0] for an EQ row.  The logical columns form the
+    simplex's cold basis.  ``dense()`` and ``transpose()`` are built once
+    per LP and shared by every solve of it.
     """
 
     c: np.ndarray
@@ -268,10 +260,8 @@ class StandardLp:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    slack_start: int
-    slack_row: np.ndarray  # per column: owning row for slacks, -1 otherwise
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _columns: SolverColumns | None = field(default=None, repr=False, compare=False)
+    _transpose: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def ncols(self) -> int:
@@ -281,60 +271,43 @@ class StandardLp:
     def nrows(self) -> int:
         return int(self.b.shape[0])
 
+    @property
+    def slack_start(self) -> int:
+        return self.ncols - self.nrows
+
     def dense(self) -> np.ndarray:
+        """``A`` as a dense array, for basis factors and ftran."""
         if self._dense is None:
             self._dense = self.A.toarray()
         return self._dense
 
-    def solver_columns(self) -> SolverColumns:
-        """Built once per LP and shared by every solve of it."""
-        if self._columns is None:
-            m, n = self.nrows, self.ncols
-            logical = np.full(m, -1, dtype=np.int64)
-            slacks = np.arange(self.slack_start, n)
-            logical[self.slack_row[slacks]] = slacks
-            art_rows = np.flatnonzero(logical < 0)
-            k = art_rows.size
-            logical[art_rows] = n + np.arange(k)
-            art = sp.csr_matrix((np.ones(k), (art_rows, np.arange(k))), shape=(m, k))
-            full = sp.hstack([self.A, art], format="csr") if k else self.A
-            dense = full.toarray() if k else self.dense()
-            self._columns = SolverColumns(logical, dense, full.T.tocsr())
-        return self._columns
+    def transpose(self) -> sp.csr_matrix:
+        """``A'`` in CSR form, for pricing and dual pivot rows."""
+        if self._transpose is None:
+            self._transpose = self.A.T.tocsr()
+        return self._transpose
 
     def full_point(self, x_orig: np.ndarray) -> np.ndarray:
-        """Extend a point on the original variables with the implied slack
+        """Extend a point on the original variables with the implied logical
         values so that ``A x = b`` holds exactly."""
-        dense = self.dense()
-        x = np.zeros(self.ncols)
-        x[: self.slack_start] = x_orig
-        act = dense[:, : self.slack_start] @ x_orig
-        for j in range(self.slack_start, self.ncols):
-            i = self.slack_row[j]
-            x[j] = (self.b[i] - act[i]) / dense[i, j]
-        return x
+        n = self.slack_start
+        x_orig = np.asarray(x_orig, dtype=np.float64)
+        logical = (self.b - self.A[:, :n] @ x_orig) / self.A.diagonal(n)
+        return np.concatenate([x_orig, logical])
 
 
 def to_standard_form(inst: MilpInstance) -> StandardLp:
-    """Convert to equality form by appending one slack column per inequality row."""
-    n, m = inst.n, inst.m
-    ineq = np.flatnonzero(inst.senses != SENSE_EQ)
-    n_slack = ineq.size
-    if n_slack:
-        data = np.where(inst.senses[ineq] == SENSE_LE, 1.0, -1.0)
-        S = sp.csr_matrix((data, (ineq, np.arange(n_slack))), shape=(m, n_slack))
-        A = sp.hstack([inst.A, S], format="csr")
-    else:
-        A = inst.A.copy()
-    c = np.concatenate([inst.c, np.zeros(n_slack)])
-    lb = np.concatenate([inst.lb, np.zeros(n_slack)])
-    ub = np.concatenate([inst.ub, np.full(n_slack, np.inf)])
-    slack_row = np.concatenate(
-        [np.full(n, -1, dtype=np.int64), ineq.astype(np.int64)]
-    )
+    """Convert to equality form by appending one logical column per row."""
+    m = inst.m
+    rows = np.arange(m)
+    sign = np.where(inst.senses == SENSE_GE, -1.0, 1.0)
+    logical = sp.csr_matrix((sign, (rows, rows)), shape=(m, m))
     return StandardLp(
-        c=c, A=A, b=inst.b.copy(), lb=lb, ub=ub,
-        slack_start=n, slack_row=slack_row,
+        c=np.concatenate([inst.c, np.zeros(m)]),
+        A=sp.hstack([inst.A, logical], format="csr"),
+        b=inst.b.copy(),
+        lb=np.concatenate([inst.lb, np.zeros(m)]),
+        ub=np.concatenate([inst.ub, np.where(inst.senses == SENSE_EQ, 0.0, np.inf)]),
     )
 
 

@@ -148,8 +148,8 @@ def verify_tightening_optimality(inst: MilpInstance, x_tilde) -> dict:
     """Check that tightening exactly the slackness-violation set of a
     feasible point makes that point LP-optimal.
 
-    Solves the relaxation, extends ``x_tilde`` with its slack values,
-    computes the violation sets over *all* columns (slacks included),
+    Solves the relaxation, extends ``x_tilde`` with its logical values,
+    computes the violation sets over *all* columns (logicals included),
     tightens those bounds, re-solves, and reports whether the point stays
     feasible and the re-solved optimum matches its objective.
     """

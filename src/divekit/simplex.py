@@ -9,13 +9,12 @@ returns the primal point, the basis triplet and the dual triple
 
 Implementation notes:
 
-- every row has a logical column: the slack of an inequality row, or an
-  artificial column for an equality row.  Artificials are stored after the
-  real columns as ordinary columns fixed at zero, so one column matrix
-  serves pricing, ftran and the basis; cold starts take the logical columns
-  as the initial basis.  The matrix is built once per LP
-  (:meth:`StandardLp.solver_columns`): dense columns for the basis factors
-  and ftran, and a CSR transpose for pricing and the dual pivot row;
+- the solver works on the columns of the :class:`StandardLp` as given:
+  every row has a logical column (a slack, a surplus, or for an equality
+  row a column fixed at zero), and cold starts take the logical columns as
+  the initial basis.  The LP's dense matrix serves the basis factors and
+  ftran, its CSR transpose pricing and the dual pivot row; both are built
+  once per LP;
 - dense LU of the basis (scipy) with product-form eta updates, refactorized
   every ``REFACTOR_EVERY`` pivots and once more before declaring optimality;
 - a warm basis that is dual feasible (the optimal basis of the same LP before
@@ -108,17 +107,14 @@ class _Solver:
     def __init__(self, lp: StandardLp, lower, upper):
         self.lp = lp
         self.m = lp.nrows
-        self.n_real = lp.ncols
-        self.logical, self.A, self.At = lp.solver_columns()
-        self.N = self.A.shape[1]
-        n_art = self.N - self.n_real
-        lo = lp.lb if lower is None else lower
-        hi = lp.ub if upper is None else upper
-        self.lb = np.concatenate([np.asarray(lo, dtype=np.float64), np.zeros(n_art)])
-        self.ub = np.concatenate([np.asarray(hi, dtype=np.float64), np.zeros(n_art)])
+        self.N = lp.ncols
+        self.A = lp.dense()
+        self.At = lp.transpose()
+        self.lb = np.array(lp.lb if lower is None else lower, dtype=np.float64)
+        self.ub = np.array(lp.ub if upper is None else upper, dtype=np.float64)
         self.bound_crossing = float(np.max(self.lb - self.ub, initial=0.0))
         np.minimum(self.lb, self.ub, out=self.lb)
-        self.c = np.concatenate([lp.c, np.zeros(n_art)])
+        self.c = lp.c
         self.b = lp.b
         self.stat = np.empty(self.N, dtype=np.int8)
         self.basic = np.empty(self.m, dtype=np.int64)
@@ -175,7 +171,7 @@ class _Solver:
     def cold_start(self):
         self.bland = False
         self._place_nonbasic()
-        self.basic[:] = self.logical
+        self.basic[:] = np.arange(self.lp.slack_start, self.N)  # the logical columns
         self.stat[self.basic] = _BASIC
         self.refactorize()
 
@@ -407,7 +403,7 @@ class _Solver:
                 ray = np.zeros(self.N)
                 ray[q] = s
                 ray[self.basic] += -s * w
-                self.ray = ray[: self.n_real]
+                self.ray = ray
                 return UNBOUNDED
 
     def run(self, iter_limit, dual):
@@ -431,10 +427,9 @@ class _Solver:
 
     def extract_duals(self) -> DualValues:
         y, d = self.price(self.c)
-        n = self.n_real
-        d, stat, lo, hi = d[:n], self.stat[:n], self.lb[:n], self.ub[:n]
-        at_lower = stat == _AT_LOWER
-        at_upper = stat == _AT_UPPER
+        lo, hi = self.lb, self.ub
+        at_lower = self.stat == _AT_LOWER
+        at_upper = self.stat == _AT_UPPER
         # a fixed column splits its reduced cost between both bound duals
         fixed = (lo > -INF_BOUND) & (hi < INF_BOUND) & (hi - lo <= 0)
         # np.where keeps a reduced cost of -0.0 as it is, like max(d, 0.0)
@@ -443,8 +438,8 @@ class _Solver:
         return DualValues(y_b=y, y_lb=y_lb, y_ub=y_ub)
 
     def solution(self, status) -> LpSolution:
-        x = self.xval[: self.n_real].copy()
-        obj = float(self.lp.c @ x)
+        x = self.xval.copy()
+        obj = float(self.c @ x)
         duals = self.extract_duals() if status == OPTIMAL else None
         _, _, infeas = self.violations()
         return LpSolution(

@@ -403,6 +403,22 @@ class TestFailedNodeLp:
         assert res.bound <= clean.objective + 1e-9
         assert res.trace.final()[1] == res.bound
 
+    def test_failed_root_ends_lp_error(self, monkeypatch):
+        """A raising root LP is a result, not an exception: one node, one
+        node error, no root solution and no finite bound."""
+        from divekit import bnb, simplex
+
+        def failing(*a, **kw):
+            raise simplex.NumericalBreakdown("injected")
+
+        monkeypatch.setattr(bnb, "solve_lp", failing)
+        res = branch_and_bound(generate(self.INST))
+        assert res.status == bnb.LP_ERROR
+        assert res.root is None and res.x is None
+        assert (res.nodes, res.node_errors, res.ticks) == (1, 1, 0.0)
+        assert res.objective == np.inf and res.bound == -np.inf
+        assert res.trace.points == [(0.0, np.inf, -np.inf)]
+
     def test_cold_retry_clears_a_warm_failure(self, monkeypatch):
         from divekit import simplex
 

@@ -147,6 +147,19 @@ class TestCollect:
             p2 = (tmp_path / "corpus2" / e2["pool"]).read_bytes()
             assert p1 == p2
 
+    def test_worker_count_leaves_the_config_hash(self, tiny_world, tmp_path):
+        """``jobs`` is recorded but not hashed: the pools do not depend on it."""
+        root, _ = tiny_world
+        cfg = CollectConfig(node_limit=150, pool_capacity=5, jobs=1)
+        serial = collect_corpus(root / "inst", tmp_path / "serial", cfg)
+        forked = collect_corpus(root / "inst", tmp_path / "forked", replace(cfg, jobs=2))
+        assert (serial["config"]["jobs"], forked["config"]["jobs"]) == (1, 2)
+        assert forked["config_hash"] == serial["config_hash"]
+        assert forked["entries"] == serial["entries"]
+        for e in serial["entries"]:
+            assert ((tmp_path / "forked" / e["pool"]).read_bytes()
+                    == (tmp_path / "serial" / e["pool"]).read_bytes())
+
     def test_pool_entries_share_reference(self, tiny_world):
         root, manifest = tiny_world
         for e in manifest["entries"]:
@@ -617,9 +630,12 @@ class TestRootLpFailure:
         assert len(res["rows"]) == 2 * len(manifest["entries"])
         failed = [r for r in res["rows"] if r[7] == "lp_error"]
         assert [r[2] for r in failed] == [0, 1]
-        # the integral of an empty trace: gap 1 over the whole horizon
+        # the trace holds only the final (0, inf, -inf) point: gap 1 over
+        # the whole horizon
         assert all(r[3] == 500.0 and r[4] == 1.0 for r in failed)
         assert len(list((tmp_path / "bnb" / "traces").glob("*.csv"))) == len(res["rows"])
+        trace = (tmp_path / "bnb" / "traces" / f"{failed[0][0]}_none_s0.csv").read_text()
+        assert trace.splitlines()[1:] == ["0.0,inf,-inf"]
 
 
 class TestTraining:

@@ -5,7 +5,7 @@ Root LPs of every family at default generator size, one facility-location
 variant whose demand rows are equalities, warm resolves (the dual simplex
 path) after one branching bound change, after several tightenings at once
 and after a tightening that leaves no feasible point, and proven
-branch-and-bound optima on small instances.
+branch-and-bound optima on small instances, the equality variant among them.
 """
 
 import dataclasses
@@ -178,10 +178,17 @@ def highs_milp(inst):
     return res.fun
 
 
-@pytest.mark.parametrize("fam", FAMILIES)
-@pytest.mark.parametrize("seed", [0, 1])
-def test_bnb_optimum_matches_milp(fam, seed):
+# (family, seed, demand rows as equalities)
+BNB_CASES = [(fam, seed, False) for seed in (0, 1) for fam in FAMILIES]
+BNB_CASES.append(("facility-location", 0, True))
+
+
+@pytest.mark.parametrize("fam,seed,equalities", BNB_CASES,
+                         ids=[f"{s}-{f}" + ("-eq" if e else "") for f, s, e in BNB_CASES])
+def test_bnb_optimum_matches_milp(fam, seed, equalities):
     inst = generate(GeneratorConfig(fam, seed=seed, **SMALL[fam]))
+    if equalities:
+        inst = demand_rows_equal(inst)
     res = branch_and_bound(inst, SolveConfig())
     assert res.status == OPTIMAL_PROVEN
     assert close(res.objective, highs_milp(inst), MILP_REL_TOL)

@@ -28,7 +28,8 @@ class TestStandardForm:
         assert lp.ncols == 3 and lp.slack_start == 2
         assert lp.lb[2] == 0.0 and np.isinf(lp.ub[2])
         assert lp.dense()[0, 2] == 1.0  # x1 + x2 + s = 3
-        assert lp.slack_row[2] == 0
+        # row i's logical is column slack_start + i
+        np.testing.assert_array_equal(lp.dense()[:, lp.slack_start:], np.eye(1))
 
     def test_ge_row_gains_negative_surplus(self):
         inst = make_instance("t", c=[0.0], rows=[(0, 0, 2.0)], senses=[SENSE_GE],
@@ -42,8 +43,11 @@ class TestStandardForm:
                              senses=[SENSE_EQ, SENSE_EQ], b=[1.0, 2.0],
                              lb=[0, 0], ub=[3, 3], integer=[])
         lp = to_standard_form(inst)
-        assert lp.ncols == inst.n
-        np.testing.assert_array_equal(lp.dense(), inst.A.toarray())
+        # the instance's columns as they are, then one +1 logical per row
+        # fixed at zero, so the LP is the instance's
+        assert lp.ncols == inst.n + inst.m and lp.slack_start == inst.n
+        np.testing.assert_array_equal(lp.dense(), np.hstack([inst.A.toarray(), np.eye(2)]))
+        assert np.all(lp.lb[inst.n:] == 0.0) and np.all(lp.ub[inst.n:] == 0.0)
 
     def test_feasibility_preserved_on_grid(self):
         """Mixed-sense instance: a point is feasible iff slack values exist
@@ -55,7 +59,7 @@ class TestStandardForm:
             lb=[0, 0, 0], ub=[2, 2, 2], integer=[],
         )
         lp = to_standard_form(inst)
-        assert lp.ncols - lp.slack_start == 2  # slacks for LE and GE only
+        assert lp.ncols - lp.slack_start == 3  # one logical per row; EQ's is fixed at 0
         grid = np.linspace(0, 2, 5)
         for x in itertools.product(grid, repeat=3):
             x = np.array(x)

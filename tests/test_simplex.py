@@ -37,7 +37,8 @@ class TestSpecCases:
         assert sol.status == simplex.OPTIMAL
         assert abs(z_ref + 2.0) < 1e-12
         assert abs(sol.objective - z_ref) < 1e-9
-        np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-9)
+        # the row's logical column, fixed at zero, comes last
+        np.testing.assert_allclose(sol.x, [0.0, 1.0, 0.0], atol=1e-9)
 
     def test_zero_objective_optimal_zero(self):
         inst = make_instance("t", c=[0.0, 0.0], rows=[(0, 0, 1.0), (0, 1, 2.0)],
@@ -75,9 +76,13 @@ class TestOracleEquivalence:
                 senses=senses, b=b, lb=lb, ub=ub, integer=[],
             )
             lp = std(inst)
-            hi = np.where(np.isfinite(lp.ub), lp.ub,
-                          np.abs(lp.dense()).sum(axis=1).max() * ub.max() + np.abs(b).max() + 10)
-            status, z_ref, _ = enumerate_basic_solutions(lp.dense(), lp.b, lp.c, lp.lb, hi)
+            # the equality rows' logicals are fixed at zero: leaving them
+            # out keeps the LP and spares the enumeration
+            keep = lp.lb < lp.ub
+            A_keep = lp.dense()[:, keep]
+            hi = np.where(np.isfinite(lp.ub[keep]), lp.ub[keep],
+                          np.abs(A_keep).sum(axis=1).max() * ub.max() + np.abs(b).max() + 10)
+            status, z_ref, _ = enumerate_basic_solutions(A_keep, lp.b, lp.c[keep], lp.lb[keep], hi)
             sol = solve_lp(lp)
             if status == "infeasible":
                 assert sol.status == simplex.INFEASIBLE
@@ -118,7 +123,7 @@ class TestDuals:
                              senses=[SENSE_EQ], b=[1.0], lb=[0, 0], ub=[1, 1], integer=[])
         lp = std(inst)
         sol = solve_lp(lp)
-        x_other = np.array([1.0, 0.0])  # the worse vertex
+        x_other = np.array([1.0, 0.0, 0.0])  # the worse vertex, its logical at zero
         rep = check_complementary_slackness(x_other, sol.duals, lp, tol=1e-8)
         assert not rep["holds"]
         # hand evaluation: y_ub pairs x2 at its upper bound; at the worse
@@ -223,7 +228,7 @@ class TestDualExtraction:
     def loop_reference(solver, d):
         """The per-column rule: a fixed column splits its reduced cost, a
         column at one bound takes the part of matching sign."""
-        n = solver.n_real
+        n = solver.N
         y_lb, y_ub = np.zeros(n), np.zeros(n)
         for j in range(n):
             if solver.stat[j] not in (simplex._AT_LOWER, simplex._AT_UPPER):
