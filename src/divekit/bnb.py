@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import INT_TOL, MilpInstance, SENSE_GE, SENSE_LE, to_standard_form
+from .instances import (
+    INT_TOL, MilpInstance, SENSE_GE, SENSE_LE, StandardLp, to_standard_form,
+)
 from . import simplex
 from .simplex import LpSolution, SimplexError, solve_lp
 
@@ -219,14 +221,25 @@ def _most_fractional(x, idx):
     return int(idx[np.argmax(score)])
 
 
-def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbResult:
+def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
+                     lp: StandardLp | None = None,
+                     root_sol: LpSolution | None = None) -> BnbResult:
     """Best-bound search with depth-first plunging, bound/integrality/
     infeasibility pruning only, and an optional diver callback at every node
     with a fractional LP point.  A node whose LP fails keeps its parent's
     bound in the global bound, so such a run ends ``limit``; when the root
-    LP fails, the run ends ``lp_error`` with no root solution."""
+    LP fails, the run ends ``lp_error`` with no root solution.
+
+    ``lp`` is ``inst`` in standard form (built when not given).  A given
+    ``root_sol`` must be ``solve_lp(lp)``, the cold solve at ``lp``'s own
+    bounds, of this LP or of one built from the same instance: the root
+    node uses it in place of solving, and everything else runs as if it
+    had been solved here.  Its pivots stay on the tick clock, it is the
+    root trace point's bound and it is reported as ``BnbResult.root``;
+    nothing writes into it, so one solution can serve many runs."""
     cfg = cfg or SolveConfig()
-    lp = to_standard_form(inst)
+    if lp is None:
+        lp = to_standard_form(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
     trace = SolveTrace()
 
@@ -234,7 +247,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
     nodes = 0
     node_errors = 0
     dives = 0
-    root_sol = None
+    solved_root = None  # the root node's LP solution, given or solved
     incumbent = None
     z_inc = np.inf
     seq = 0
@@ -275,8 +288,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
             for sx in res.solutions:
                 register(sx)
 
-    root = _Node(None, -1, False, 0.0, -np.inf, None)
-    plunge.append(root)
+    plunge.append(_Node(None, -1, False, 0.0, -np.inf, None))
     status = LIMIT
 
     while heap or plunge:
@@ -297,14 +309,17 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         nodes += 1
         cur_bound = node.bound
         lo, hi = node.bounds(lp.lb, lp.ub)
-        try:
-            sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
-        except SimplexError:
-            sol = None
+        if node.parent is None and root_sol is not None:
+            sol = root_sol
         else:
+            try:
+                sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
+            except SimplexError:
+                sol = None
+        if sol is not None:
             ticks += sol.iterations
             if node.parent is None:
-                root_sol = sol
+                solved_root = sol
             if sol.status == simplex.INFEASIBLE:
                 cur_bound = np.inf
                 continue
@@ -346,7 +361,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
         cur_bound = np.inf
         trace.record(ticks, z_inc, global_bound())
     else:
-        if root_sol is None:
+        if solved_root is None:
             status = LP_ERROR
         elif lost_bound < z_inc - BOUND_PRUNE_TOL:
             status = LIMIT
@@ -359,7 +374,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None) -> BnbR
     return BnbResult(
         status=status, x=incumbent, objective=z_inc, bound=final_bound,
         pool=pool, trace=trace, nodes=nodes, ticks=ticks,
-        node_errors=node_errors, dives=dives, root=root_sol,
+        node_errors=node_errors, dives=dives, root=solved_root,
     )
 
 

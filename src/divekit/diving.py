@@ -316,32 +316,37 @@ class PseudocostScorer:
     cold-start estimate is |c_j|."""
 
     def __init__(self):
-        self.stats = {}  # (var, up?) -> [sum, count]
+        # per variable and direction (column 1 is up): the summed degradation
+        # per unit moved and the number of observations, sized at the first
+        # call
+        self.sums = self.counts = None
 
-    def estimate(self, ctx, j, up):
-        rec = self.stats.get((int(j), bool(up)))
-        if rec is None or rec[1] == 0:
-            return abs(float(ctx.inst.c[j]))
-        return rec[0] / rec[1]
+    def estimate(self, ctx, j):
+        """Mean observed degradation per unit moved of the variables ``j``,
+        down (column 0) and up (column 1); |c_j| where none was observed."""
+        count = self.counts[j]
+        return np.where(count > 0, self.sums[j] / np.maximum(count, 1),
+                        np.abs(ctx.inst.c[j])[:, None])
 
     def observe(self, j, up, moved, degradation):
-        rec = self.stats.setdefault((int(j), bool(up)), [0.0, 0])
-        rec[0] += degradation / moved
-        rec[1] += 1
+        self.sums[j, int(up)] += degradation / moved
+        self.counts[j, int(up)] += 1
 
     def __call__(self, ctx):
+        if self.sums is None:
+            self.sums = np.zeros((ctx.inst.c.size, 2))
+            self.counts = np.zeros((ctx.inst.c.size, 2), dtype=np.int64)
         cands, vals, rounded, frac = _frac_candidates(ctx)
         if cands.size == 0:
             return None
-        cost_up = np.array([self.estimate(ctx, j, True) for j in cands]) * (np.ceil(vals) - vals)
-        cost_dn = np.array([self.estimate(ctx, j, False) for j in cands]) * (vals - np.floor(vals))
-        go_dn = cost_dn <= cost_up
-        best = np.where(go_dn, cost_dn, cost_up)
-        k = int(np.argmin(best))
-        j = cands[k]
-        if go_dn[k]:
-            return ScoreDecision(int(j), None, float(np.floor(vals[k])), -float(best[k]))
-        return ScoreDecision(int(j), float(np.ceil(vals[k])), None, -float(best[k]))
+        est = self.estimate(ctx, cands)
+        cost_dn = est[:, 0] * (vals - np.floor(vals))
+        cost_up = est[:, 1] * (np.ceil(vals) - vals)
+        k = int(np.argmin(np.minimum(cost_dn, cost_up)))
+        j = int(cands[k])
+        if cost_dn[k] <= cost_up[k]:
+            return ScoreDecision(j, None, float(np.floor(vals[k])), -float(cost_dn[k]))
+        return ScoreDecision(j, float(np.ceil(vals[k])), None, -float(cost_up[k]))
 
 
 class FixAtBoundScorer:

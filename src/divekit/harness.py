@@ -276,7 +276,8 @@ def collect_corpus(instances_dir, out_dir, cfg: CollectConfig) -> dict:
     skipped = []
     for r in results:
         if "skip" in r:
-            skipped.append({"instance": r["instance"], "reason": r["skip"]})
+            skipped.append({"instance": os.path.relpath(r["instance"], out_dir),
+                            "reason": r["skip"]})
             continue
         pool_name = f"{r['name']}.pool.json"
         with open(out_dir / "pools" / pool_name, "w") as fh:
@@ -542,15 +543,17 @@ def _ensemble_hook(members, model, d_max, seed):
     return hook
 
 
-def _eval_bnb_one(task):
-    """Run one B&B under ``seeds[0]`` and report it under every seed in
-    ``seeds`` (more than one only for configs no seed can change)."""
-    entry, spec, seeds, cfg, model, trace_dir = task
+def _eval_bnb_run(task):
+    """One B&B run from a given root LP solution (solved here when
+    ``root`` is None), reported under every seed in ``seeds`` (more than
+    one only for configs no seed can change); returns the rows and the
+    run's root solution."""
+    entry, spec, seeds, root, cfg, model, trace_dir = task
     inst = read_instance(entry["instance_path"])
     diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
     res = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
-    ))
+    ), root_sol=root)
     safe = spec.name.replace(":", "_").replace("/", "_")
     integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
     gap = primal_dual_gap(*res.trace.final())
@@ -560,7 +563,7 @@ def _eval_bnb_one(task):
             res.trace.to_csv(Path(trace_dir) / f"{entry['name']}_{safe}_s{seed}.csv")
         rows.append((entry["name"], spec.name, seed, integral, gap,
                      res.objective, res.bound, res.status, res.nodes, res.ticks, res.dives))
-    return rows
+    return rows, res.root
 
 
 def _run_seeds(spec, seeds):
@@ -583,9 +586,16 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
         trace_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(cfg.model_path) if cfg.model_path and any(
         m[0] == "l2dive" for spec in cfg.specs for m in spec.members) else None
-    tasks = [(e, spec, seeds, cfg, model, trace_dir)
-             for e in entries for spec in cfg.specs for seeds in _run_seeds(spec, cfg.seeds)]
-    rows = [r for rs in _pmap(_eval_bnb_one, tasks, cfg.jobs) for r in rs]
+    # Each run is one task.  The first run of every instance solves its root
+    # LP, and the instance's other runs are handed that solution, so each
+    # root is solved once (again by each later run after a root solve that
+    # raised, which leaves ``root`` None).
+    runs = [(spec, seeds) for spec in cfg.specs for seeds in _run_seeds(spec, cfg.seeds)]
+    first = _pmap(_eval_bnb_run, [(e, *runs[0], None, cfg, model, trace_dir)
+                                  for e in entries], cfg.jobs) if runs else []
+    later = [(e, spec, seeds, root, cfg, model, trace_dir)
+             for e, (_, root) in zip(entries, first) for spec, seeds in runs[1:]]
+    rows = [r for rs, _ in first + _pmap(_eval_bnb_run, later, cfg.jobs) for r in rs]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     meta = {
         "command": "eval-bnb",

@@ -446,6 +446,53 @@ class TestFailedNodeLp:
         assert res.objective == clean.objective and res.bound == clean.bound
 
 
+class TestGivenRoot:
+    """A root LP solution handed to branch and bound changes nothing: the
+    run equals the one that solves its own root, and nothing writes into
+    the shared solution."""
+
+    INSTANCES = (GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08),
+                 GeneratorConfig("comb-auction", seed=0, items=20, bids=40))
+    CONFIGS = ((), (("fractional", 10, 0),), (("l2dive", 20, 0),))
+
+    @staticmethod
+    def frozen(sol):
+        for arr in (sol.x, sol.duals.y_b, sol.duals.y_lb, sol.duals.y_ub,
+                    sol.basis.at_lower, sol.basis.basic, sol.basis.at_upper):
+            arr.flags.writeable = False
+        return sol
+
+    def test_given_root_changes_nothing(self):
+        from divekit.graphnet import GraphNet
+        from divekit.harness import _ensemble_hook
+        from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
+
+        model = GraphNet(hidden=8, seed=0)
+        for gen in self.INSTANCES:
+            inst = generate(gen)
+            lp = to_standard_form(inst)
+            root = self.frozen(solve_lp(lp))
+            for members in self.CONFIGS:
+                def run(**kw):
+                    diver = _ensemble_hook(members, model, 10, 0) if members else None
+                    return branch_and_bound(inst, SolveConfig(node_limit=60, diver=diver), **kw)
+
+                own = run()
+                assert own.root.objective == root.objective
+                assert own.nodes > 1 and (own.dives > 0) == bool(members)
+                # with the LP the root was solved on, and with one B&B builds
+                for given in (run(lp=lp, root_sol=root), run(root_sol=root)):
+                    assert given.root is root
+                    assert ((given.status, given.objective, given.bound, given.nodes,
+                             given.ticks, given.dives, given.node_errors, given.trace.points)
+                            == (own.status, own.objective, own.bound, own.nodes, own.ticks,
+                                own.dives, own.node_errors, own.trace.points))
+                    assert given.pool.objectives() == own.pool.objectives()
+                    assert all(np.array_equal(a, b) for (a, _), (b, _)
+                               in zip(given.pool.solutions(), own.pool.solutions()))
+
+
 class TestEnumerate:
     def test_set_partition_two_optima(self):
         inst = make_instance("p", c=[1.0, 1.0], rows=[(0, 0, 1.0), (0, 1, 1.0)],

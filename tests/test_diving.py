@@ -110,10 +110,13 @@ class TestScorerRules:
 
     def test_pseudocost_single_observation_mean(self):
         sc = PseudocostScorer()
+        ctx = _Ctx([0.5] * 4, [0, 1, 2, 3], c=[7.0] * 4)
+        sc(ctx)  # a dive scores before it observes
         sc.observe(3, True, 0.5, 1.0)
-        assert sc.estimate(None, 3, True) == pytest.approx(2.0)
+        assert sc.estimate(ctx, [3])[0, 1] == pytest.approx(2.0)
         sc.observe(3, True, 0.5, 2.0)
-        assert sc.estimate(None, 3, True) == pytest.approx(3.0)  # mean of 2 and 4
+        assert sc.estimate(ctx, [3])[0, 1] == pytest.approx(3.0)  # mean of 2 and 4
+        assert sc.estimate(ctx, [3])[0, 0] == 7.0  # down: never observed
 
     def test_trivial_lower_fixes_at_lower(self):
         ctx = _Ctx([0.5, 0.5], [0, 1], lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -189,6 +192,90 @@ class _LoopFix:
                 if np.isfinite(other[j]):
                     return ScoreDecision(int(j), float(other[j]), float(other[j]))
         return None
+
+
+class _DictPseudocost:
+    """Pseudocosts as a ``(var, up)`` dict, scored by a loop over the
+    candidates that keeps the first cheapest one, down on a tie."""
+
+    def __init__(self):
+        self.stats = {}
+
+    def estimate(self, ctx, j, up):
+        rec = self.stats.get((int(j), bool(up)))
+        return abs(float(ctx.inst.c[j])) if rec is None else rec[0] / rec[1]
+
+    def observe(self, j, up, moved, degradation):
+        rec = self.stats.setdefault((int(j), bool(up)), [0.0, 0])
+        rec[0] += degradation / moved
+        rec[1] += 1
+
+    def __call__(self, ctx):
+        best = None
+        for j in ctx.cands:
+            v = ctx.sol.x[j]
+            if abs(v - np.floor(v + 0.5)) <= diving.INT_TOL:
+                continue
+            dn = self.estimate(ctx, j, False) * (v - np.floor(v))
+            up = self.estimate(ctx, j, True) * (np.ceil(v) - v)
+            if dn <= up:
+                cand = ScoreDecision(int(j), None, float(np.floor(v)), -float(dn))
+            else:
+                cand = ScoreDecision(int(j), float(np.ceil(v)), None, -float(up))
+            if best is None or -cand.score < -best.score:
+                best = cand
+        return best
+
+
+class _Lockstep:
+    """Scores with ``got`` and checks every decision against ``ref``; both
+    observe every resolve."""
+
+    def __init__(self, got, ref):
+        self.got, self.ref = got, ref
+        self.decisions = 0
+
+    def __call__(self, ctx):
+        d, r = self.got(ctx), self.ref(ctx)
+        assert (d is None) == (r is None)
+        if d is not None:
+            assert (d.var, d.new_lower, d.new_upper, d.score) == \
+                (r.var, r.new_lower, r.new_upper, r.score)
+            self.decisions += 1
+        return d
+
+    def observe(self, *a):
+        self.got.observe(*a)
+        self.ref.observe(*a)
+
+
+class TestPseudocostArrays:
+    def test_matches_dict_loop_over_dives(self):
+        """The vectorized scorer picks what the dict-and-loop reference picks,
+        bit for bit, over several dives of one scorer, so later dives read
+        pseudocosts that earlier dives observed."""
+        from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
+
+        decisions = 0
+        for gen in (GeneratorConfig("set-cover", seed=0, rows=50, cols=100, density=0.1),
+                    GeneratorConfig("comb-auction", seed=0, items=20, bids=40)):
+            inst = generate(gen)
+            lp = to_standard_form(inst)
+            root = solve_lp(lp)
+            got, ref = PseudocostScorer(), _DictPseudocost()
+            step = _Lockstep(got, ref)
+            for k in range(4):
+                # each dive starts with one more variable capped at zero
+                hi = lp.ub.copy()
+                hi[:k] = 0.0
+                dive(inst, step, d_max=20, lp=lp, root_sol=root if k == 0 else None, upper=hi)
+            decisions += step.decisions
+            assert any(rec[1] > 1 for rec in ref.stats.values())
+            assert int(got.counts.sum()) == sum(rec[1] for rec in ref.stats.values())
+            for (j, up), (total, count) in ref.stats.items():
+                assert (got.sums[j, int(up)], got.counts[j, int(up)]) == (total, count)
+        assert decisions > 60
 
 
 class TestUnboundedIntegers:

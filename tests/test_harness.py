@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import write_mps_instances
 from divekit.diving import HEURISTIC_DIVERS
 from divekit.graphnet import TrainingConfig
+from divekit.instances import SENSE_GE, GeneratorConfig, generate, make_instance, write_instance
 from divekit.harness import (
     BnbEvalConfig,
     BnbRunSpec,
@@ -109,27 +110,57 @@ def tiny_world(tmp_path_factory):
     return root, manifest
 
 
+def count_cold_solves(monkeypatch):
+    """The LPs of the warm-less ``solve_lp`` calls made through the ``bnb``
+    and ``harness`` bindings."""
+    import divekit.bnb as bnb
+    import divekit.harness as harness
+
+    cold = []
+    for module in (bnb, harness):
+        def counting(lp, *a, _real=module.solve_lp, **kw):
+            if (a[0] if a else kw.get("warm")) is None:
+                cold.append(lp)
+            return _real(lp, *a, **kw)
+
+        monkeypatch.setattr(module, "solve_lp", counting)
+    return cold
+
+
 class TestCollect:
     def test_one_root_solve_per_instance(self, tiny_world, tmp_path, monkeypatch):
         """Branch and bound's root solve is the only cold LP solve that
         collection makes per instance."""
-        import divekit.bnb as bnb
-        import divekit.harness as harness
-
         root, manifest = tiny_world
-        cold = []
-        for module in (bnb, harness):
-            def counting(lp, *a, _real=module.solve_lp, **kw):
-                if (a[0] if a else kw.get("warm")) is None:
-                    cold.append(lp)
-                return _real(lp, *a, **kw)
-
-            monkeypatch.setattr(module, "solve_lp", counting)
+        cold = count_cold_solves(monkeypatch)
         cfg = CollectConfig(node_limit=150, pool_capacity=5, jobs=1)
         again = collect_corpus(root / "inst", tmp_path / "corpus", cfg)
         assert len(cold) == 8 == len(again["entries"]) + len(again["skipped"])
         assert ([(e["name"], e["nodes"], e["ticks"]) for e in again["entries"]]
                 == [(e["name"], e["nodes"], e["ticks"]) for e in manifest["entries"]])
+
+    def test_skipped_instances_are_relative_paths(self, tmp_path):
+        """A skipped instance is recorded relative to the corpus, as an entry
+        is, so one instance set collected under two parent directories gives
+        the same manifest bytes."""
+        # min x0 + 2 x1 s.t. x0 + x1 >= 1: the root LP point (1, 0) is integral
+        easy = make_instance("easy", c=[1.0, 2.0], rows=[(0, 0, 1.0), (0, 1, 1.0)],
+                             senses=[SENSE_GE], b=[1.0], lb=[0, 0], ub=[1, 1],
+                             integer=[0, 1])
+        cfg = CollectConfig(node_limit=60, pool_capacity=5, jobs=1)
+        manifests = []
+        for parent in (tmp_path / "a", tmp_path / "b" / "c"):
+            (parent / "inst").mkdir(parents=True)
+            write_instance(easy, parent / "inst" / "easy.json")
+            for s in range(2):
+                write_instance(generate(GeneratorConfig("set-cover", seed=s, rows=25, cols=50,
+                                                        density=0.1)),
+                               parent / "inst" / f"cover{s}.json")
+            manifest = collect_corpus(parent / "inst", parent / "corpus", cfg)
+            assert manifest["skipped"] == [{"instance": "../inst/easy.json",
+                                            "reason": "solved_at_root"}]
+            manifests.append((parent / "corpus" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     def test_root_integral_instances_dropped(self, tiny_world):
         root, manifest = tiny_world
@@ -407,6 +438,32 @@ class TestNoRepeatedWork:
         monkeypatch.setattr(module, name, counting)
         return calls
 
+    def test_eval_bnb_and_tune_solve_each_root_once(self, tiny_world, tmp_path,
+                                                   monkeypatch):
+        """However many configs and seed groups run on an instance, its root
+        LP is solved cold once; the B&B runs themselves are not merged."""
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        n = len(manifest["entries"])
+        cold = count_cold_solves(monkeypatch)
+        runs = self.count_calls(monkeypatch, harness, "branch_and_bound")
+        specs = tuple(BnbRunSpec(name=name, members=(("random", None, 0),) + extra, d_max=10)
+                      for name, extra in (("random", ()),
+                                          ("random+fractional", (("fractional", 10, 0),)),
+                                          ("random+lower", (("lower", 10, 0),))))
+        cfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        eval_bnb(root / "corpus", cfg, tmp_path / "bnb")
+        assert len(runs) == 3 * 2 * n
+        assert len(cold) == n
+        cold.clear()
+        tcfg = TuneConfig(divers=("fractional", "lower", "random"), samples=3, seed=0,
+                          d_max=10)
+        report = tune_ensemble(root / "corpus", tcfg, replace(cfg, specs=()),
+                               tmp_path / "tune.json")
+        assert report["solver_calls"] > n
+        assert len(cold) == n
+
     @staticmethod
     def first_entries(tiny_world, dest, k):
         """A corpus of the first ``k`` entries of the shared one."""
@@ -522,10 +579,12 @@ class TestEnsembleHook:
                 self.first_seen.setdefault((int(j), bool(up)), self.dive_no)
                 super().observe(j, up, moved, degradation)
 
-            def estimate(self, ctx, j, up):
-                seen = self.first_seen.get((int(j), bool(up)))
-                self.cross_dive_reads += seen is not None and seen < self.dive_no
-                return super().estimate(ctx, j, up)
+            def estimate(self, ctx, j):
+                for k in j:
+                    for up in (False, True):
+                        seen = self.first_seen.get((int(k), up))
+                        self.cross_dive_reads += seen is not None and seen < self.dive_no
+                return super().estimate(ctx, j)
 
         monkeypatch.setattr(diving, "PseudocostScorer", Spy)
         root, _ = tiny_world
