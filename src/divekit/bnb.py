@@ -79,10 +79,6 @@ class SolutionPool:
         self.entries: list[tuple[float, bytes, np.ndarray]] = []
         self.rejected = 0
 
-    def _key(self, x) -> bytes:
-        div = self.inst.divable_index
-        return np.round(np.asarray(x)[div]).astype(np.int64).tobytes()
-
     def add(self, x, z: float | None = None) -> bool:
         x = np.asarray(x, dtype=np.float64)
         if not self.inst.is_feasible(x):
@@ -90,7 +86,7 @@ class SolutionPool:
             return False
         if z is None:
             z = float(self.inst.c @ x)
-        key = self._key(x)
+        key = self.inst.solution_key(x)
         for i, (zi, ki, _) in enumerate(self.entries):
             if ki == key:
                 if z < zi - 1e-12:
@@ -426,7 +422,6 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
     )
     lp = to_standard_form(face)
     div = [int(j) for j in inst.divable_index]
-    other_int = np.setdiff1d(inst.integer_index, div)
 
     seen = {}
     nodes = 0
@@ -451,11 +446,8 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
             complete = False
             break
         if pos == len(div):
-            x = sol.x[: inst.n]
-            if other_int.size:
-                oi = x[other_int]
-                if np.max(np.abs(oi - np.round(oi))) > INT_TOL:
-                    continue
+            if not inst.is_integral(sol.x):
+                continue
             key = tuple(int(round(v)) for v in np.asarray(lo)[div])
             if key not in seen:
                 if len(seen) >= cfg.pool_capacity:

@@ -142,9 +142,12 @@ def _parse_bnb_specs(text, d_max):
     for item in [s for s in text.split(",") if s]:
         parts = item.split(":")
         name = parts[0]
-        period = int(parts[1]) if len(parts) > 1 else None
-        offset = int(parts[2]) if len(parts) > 2 else 0
-        specs.append(BnbRunSpec(name=item, members=((name, period, offset),), d_max=d_max))
+        try:
+            period = int(parts[1]) if len(parts) > 1 else None
+            offset = int(parts[2]) if len(parts) > 2 else 0
+            specs.append(BnbRunSpec(name=item, members=((name, period, offset),), d_max=d_max))
+        except ValueError as exc:
+            raise SystemExit(f"eval-bnb: bad --divers entry {item!r}: {exc}") from None
     return tuple(specs)
 
 

@@ -75,13 +75,6 @@ def _fractional(values, tol=INT_TOL):
     return np.abs(values - np.floor(values + 0.5)) > tol
 
 
-def _integral_on(x, idx, tol=INT_TOL):
-    if idx.size == 0:
-        return True
-    xi = x[idx]
-    return float(np.max(np.abs(xi - np.round(xi)))) <= tol
-
-
 def dive(
     inst: MilpInstance,
     scorer,
@@ -111,23 +104,21 @@ def dive(
     if root_sol.status != simplex.OPTIMAL:
         return DiveResult(termination=TERM_INFEASIBLE, lp_iterations=iters)
 
-    cands = np.flatnonzero(inst.divable & (lo[:n] + INT_TOL < hi[:n]))
     int_idx = inst.integer_index
-    ctx = DiveContext(inst=inst, lo=lo, hi=hi, sol=root_sol, root=root_sol, cands=cands)
+    ctx = DiveContext(inst=inst, lo=lo, hi=hi, sol=root_sol, root=root_sol,
+                      cands=inst.candidates(lo, hi))
     if hasattr(scorer, "begin_dive"):
         scorer.begin_dive(ctx)
 
     result = DiveResult()
     seen: set[bytes] = set()
-    div_idx = inst.divable_index
 
     def record(x):
         x = np.asarray(x, dtype=np.float64).copy()
-        xi = x[int_idx]
-        x[int_idx] = np.round(xi)
+        x[int_idx] = np.round(x[int_idx])
         if not inst.is_feasible(x):
             return
-        key = x[div_idx].astype(np.int64).tobytes()
+        key = inst.solution_key(x)
         if key in seen:
             return
         seen.add(key)
@@ -140,7 +131,7 @@ def dive(
             record(y)
 
     x = root_sol.x[:n]
-    if _integral_on(x, int_idx):
+    if inst.is_integral(x):
         record(x)
         result.termination = TERM_INTEGRAL
         result.lp_iterations = iters
@@ -194,12 +185,12 @@ def dive(
         ctx.sol = sol
         x = sol.x[:n]
         try_round(x)
-        if _integral_on(x, int_idx):
+        if inst.is_integral(x):
             record(x)
             result.termination = TERM_INTEGRAL
             break
         d += 1
-        ctx.cands = ctx.cands[lo[ctx.cands] + INT_TOL < hi[ctx.cands]]
+        ctx.cands = inst.candidates(lo, hi)
 
     result.lp_iterations = iters
     return result

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .instances import INT_TOL, MilpInstance, SENSE_EQ, SENSE_GE, SENSE_LE
+from .instances import MilpInstance, SENSE_EQ, SENSE_GE, SENSE_LE
 from .kernels import scatter_messages
 from .simplex import LpSolution
 
@@ -82,9 +82,8 @@ def candidate_codec(inst: MilpInstance):
     it is one below the rounded upper bound, and 0 on a free domain, so a
     domain with an infinite end gets a one-bit head next to its finite end.
     """
-    lb, ub = inst.lb, inst.ub
-    cand = np.flatnonzero(inst.divable & (lb + INT_TOL < ub))
-    lo, hi = lb[cand], ub[cand]
+    cand = inst.candidates()
+    lo, hi = inst.lb[cand], inst.ub[cand]
     anchor = np.where(np.isfinite(lo), np.floor(lo + 0.5),
                       np.where(np.isfinite(hi), np.floor(hi + 0.5) - 1.0, 0.0))
     return cand, anchor, domain_bits(lo, hi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, simplex
 from .bnb import OPTIMAL_PROVEN, SolveConfig, branch_and_bound, enumerate_optimal_face
-from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
+from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SCORERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
 from .diving import DiveResult, make_scorer
 from .graphnet import (
     GraphNet,
@@ -37,7 +37,6 @@ from .graphnet import (
 from .instances import (
     FAMILIES,
     GeneratorConfig,
-    INT_TOL,
     generate,
     read_instance,
     to_standard_form,
@@ -165,14 +164,16 @@ def generate_batch(family: str, count: int, seed: int, out_dir,
     return manifest
 
 
-def instance_paths(dir_or_manifest) -> list[Path]:
-    p = Path(dir_or_manifest)
+def instance_paths(instances_dir) -> list[Path]:
+    """The instance files its ``manifest.json`` lists under ``instances/``,
+    or without a manifest the directory's JSON and MPS files, sorted."""
+    p = Path(instances_dir)
     if p.is_dir():
         mf = p / "manifest.json"
         if mf.exists():
             manifest = json.loads(mf.read_text())
             return [p / "instances" / name for name in manifest["instances"]]
-        return sorted(p.glob("*.json"))
+        return sorted([*p.glob("*.json"), *p.glob("*.mps")])
     raise FileNotFoundError(p)
 
 
@@ -209,8 +210,7 @@ def _collect_one(task):
         return {"instance": str(path), "skip": "root_lp_error"}
     if res.root.status != simplex.OPTIMAL:
         return {"instance": str(path), "skip": f"root_{res.root.status}"}
-    xi = res.root.x[inst.integer_index]
-    if xi.size == 0 or np.max(np.abs(xi - np.round(xi))) <= INT_TOL:
+    if inst.is_integral(res.root.x):
         return {"instance": str(path), "skip": "solved_at_root"}
     if len(res.pool) == 0:
         return {"instance": str(path), "skip": "no_solution"}
@@ -502,6 +502,15 @@ class BnbRunSpec:
     members: tuple = ()  # (diver_name, period, offset); period None = root only
     d_max: int = DEFAULT_DEPTH
 
+    def __post_init__(self):
+        for name, period, offset in self.members:
+            if name not in SCORERS:
+                raise ValueError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}")
+            if not ((period is None or period >= 1) and 0 <= offset < (period or 1)):
+                raise ValueError(f"diver {name!r}: period {period}, offset {offset} cannot run; "
+                                 "a period is None (root only, offset 0) or >= 1 with an "
+                                 "offset in [0, period)")
+
     def describe(self):
         return {"name": self.name, "members": list(map(list, self.members)),
                 "d_max": self.d_max}
@@ -533,7 +542,7 @@ def _ensemble_hook(members, model, d_max, seed):
         results = []
         for scorer, period, offset in scorers:
             at_root = counter["n"] == 0
-            scheduled = period is not None and counter["n"] % max(period, 1) == (offset or 0)
+            scheduled = period is not None and counter["n"] % period == offset
             if not (at_root or scheduled):
                 continue
             results.append(dive(inst, scorer, d_max=d_max, lp=lp, root_sol=sol,

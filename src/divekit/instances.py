@@ -25,7 +25,8 @@ SENSE_EQ = 2
 SENSE_NAMES = {SENSE_LE: "LE", SENSE_GE: "GE", SENSE_EQ: "EQ"}
 SENSE_CODES = {v: k for k, v in SENSE_NAMES.items()}
 
-#: bounds with magnitude at or above this value are treated as infinite
+#: file-format threshold: ``make_instance`` turns a bound this large into
+#: +-inf, so a built instance's bound is infinite only if it is +-inf
 INF_BOUND = 1e20
 
 FEAS_TOL = 1e-7
@@ -86,6 +87,21 @@ class MilpInstance:
     def divable_index(self) -> np.ndarray:
         return np.flatnonzero(self.divable)
 
+    def candidates(self, lower=None, upper=None) -> np.ndarray:
+        """The variables a dive may branch on: divable and not fixed by the
+        (full-column) bounds ``lower``/``upper``, by default the instance's."""
+        lo, hi = (self.lb, self.ub) if lower is None else (lower[: self.n], upper[: self.n])
+        return np.flatnonzero(self.divable & (lo + INT_TOL < hi))
+
+    def solution_key(self, x) -> bytes:
+        """Identity of a solution: its rounded divable values."""
+        return np.round(np.asarray(x)[self.divable_index]).astype(np.int64).tobytes()
+
+    def is_integral(self, x) -> bool:
+        """Every integer column of ``x[:n]`` within ``INT_TOL`` of an integer."""
+        xi = np.asarray(x)[: self.n][self.integer]
+        return xi.size == 0 or float(np.max(np.abs(xi - np.round(xi)))) <= INT_TOL
+
     def coo(self):
         """(rows, cols, vals) triplets in row-major order."""
         if self._coo_cache is None:
@@ -126,8 +142,7 @@ class MilpInstance:
             return False
         if np.any(x < self.lb - FEAS_TOL) or np.any(x > self.ub + FEAS_TOL):
             return False
-        xi = x[self.integer]
-        if xi.size and np.max(np.abs(xi - np.round(xi))) > INT_TOL:
+        if not self.is_integral(x):
             return False
         act = self.activities(x)
         scale = 1.0 + np.abs(self.b)

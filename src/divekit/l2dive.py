@@ -24,7 +24,7 @@ from .diving import ScoreDecision
 from .graphnet import GraphNet, extract_graph
 from .instances import INT_TOL, MilpInstance, to_standard_form
 from . import simplex
-from .simplex import DualValues, solve_lp
+from .simplex import DualValues, bound_slackness, solve_lp
 
 SLACK_TOL = 1e-7
 #: how close the re-solved optimum must come to the point's objective
@@ -48,16 +48,8 @@ class TightenSet:
 def slackness_violations(x, duals: DualValues, lb, ub, tol=SLACK_TOL):
     """Masks of columns whose lower/upper bound-slackness products are
     violated by the point ``x`` against the duals."""
-    x = np.asarray(x, dtype=np.float64)
-    lb = np.asarray(lb)
-    ub = np.asarray(ub)
-    lo_mask = np.zeros(x.shape, dtype=bool)
-    hi_mask = np.zeros(x.shape, dtype=bool)
-    fin_lo = np.isfinite(lb)
-    fin_hi = np.isfinite(ub)
-    lo_mask[fin_lo] = (x[fin_lo] - lb[fin_lo]) * duals.y_lb[fin_lo] > tol
-    hi_mask[fin_hi] = (x[fin_hi] - ub[fin_hi]) * duals.y_ub[fin_hi] > tol
-    return lo_mask, hi_mask
+    lo_term, hi_term = bound_slackness(x, duals, lb, ub)
+    return lo_term > tol, hi_term > tol
 
 
 def compute_tighten_set(xhat, duals: DualValues, lb, ub, cands,

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import LinAlgWarning
 
-from .instances import INF_BOUND, StandardLp
+from .instances import StandardLp
 from .kernels import apply_etas, apply_etas_t, ratio_test
 
 OPTIMAL = "optimal"
@@ -75,11 +75,10 @@ class NumericalBreakdown(SimplexError):
 
 @dataclass
 class Basis:
-    """Triplet partition of the columns: at lower bound, basic (ordered by
-    row), at upper bound.  Free nonbasic columns (both bounds infinite) are
-    listed in ``at_lower`` and sit at value zero."""
+    """The basic columns (ordered by row) and the nonbasic columns at their
+    upper bound: all a warm start reads, as it places every other column
+    the way a cold start does."""
 
-    at_lower: np.ndarray
     basic: np.ndarray
     at_upper: np.ndarray
 
@@ -163,8 +162,8 @@ class _Solver:
     def _place_nonbasic(self):
         """Every column at its lower bound, at its upper bound when the lower
         one is infinite, or free at zero when both are."""
-        has_lo = self.lb > -INF_BOUND
-        free = ~has_lo & (self.ub >= INF_BOUND)
+        has_lo = np.isfinite(self.lb)
+        free = ~has_lo & ~np.isfinite(self.ub)
         self.stat[:] = np.where(has_lo, _AT_LOWER, np.where(free, _FREE, _AT_UPPER))
         self.xval[:] = np.where(has_lo, self.lb, np.where(free, 0.0, self.ub))
 
@@ -178,8 +177,8 @@ class _Solver:
     def warm_start(self, basis: Basis):
         if basis.basic.shape[0] != self.m:
             raise SimplexError("warm basis has the wrong size")
-        # columns listed at lower are re-placed, so a status that is stale
-        # for the current bounds falls back to a finite bound
+        # every column is re-placed first, so a status that is stale for the
+        # current bounds falls back to a finite bound
         self._place_nonbasic()
         self.stat[basis.at_upper] = _AT_UPPER
         self.xval[basis.at_upper] = self.ub[basis.at_upper]
@@ -212,10 +211,7 @@ class _Solver:
         xb = self.xval[self.basic]
         rate = -s * w
         t_block, pos, _hit_up = ratio_test(rate, xb, lo_eff, up_eff, self.basic, PIVOT_TOL)
-        if self.lb[q] > -INF_BOUND and self.ub[q] < INF_BOUND:
-            t_flip = self.ub[q] - self.lb[q]
-        else:
-            t_flip = np.inf
+        t_flip = self.ub[q] - self.lb[q]  # inf when a bound is infinite
         t = min(t_block, t_flip)
         if not np.isfinite(t):
             return None  # unbounded direction
@@ -418,12 +414,7 @@ class _Solver:
     # -- extraction --------------------------------------------------------------
 
     def make_basis(self) -> Basis:
-        nb = np.flatnonzero(self.stat != _BASIC)
-        return Basis(
-            at_lower=nb[(self.stat[nb] == _AT_LOWER) | (self.stat[nb] == _FREE)].copy(),
-            basic=self.basic.copy(),
-            at_upper=nb[self.stat[nb] == _AT_UPPER].copy(),
-        )
+        return Basis(basic=self.basic.copy(), at_upper=np.flatnonzero(self.stat == _AT_UPPER))
 
     def extract_duals(self) -> DualValues:
         y, d = self.price(self.c)
@@ -431,7 +422,7 @@ class _Solver:
         at_lower = self.stat == _AT_LOWER
         at_upper = self.stat == _AT_UPPER
         # a fixed column splits its reduced cost between both bound duals
-        fixed = (lo > -INF_BOUND) & (hi < INF_BOUND) & (hi - lo <= 0)
+        fixed = hi - lo <= 0
         # np.where keeps a reduced cost of -0.0 as it is, like max(d, 0.0)
         y_lb = np.where(at_lower | (at_upper & fixed), np.where(d < 0.0, 0.0, d), 0.0)
         y_ub = np.where(at_upper | (at_lower & fixed), np.where(d > 0.0, 0.0, d), 0.0)
@@ -500,28 +491,32 @@ def dual_objective(duals: DualValues, lp: StandardLp,
     """Dual objective value; infinite-bound terms carry a zero dual."""
     lo = lp.lb if lower is None else lower
     hi = lp.ub if upper is None else upper
-    lo_t = np.where(lo > -INF_BOUND, lo, 0.0) * duals.y_lb
-    hi_t = np.where(hi < INF_BOUND, hi, 0.0) * duals.y_ub
+    lo_t = np.where(np.isfinite(lo), lo, 0.0) * duals.y_lb
+    hi_t = np.where(np.isfinite(hi), hi, 0.0) * duals.y_ub
     return float(duals.y_b @ lp.b + lo_t.sum() + hi_t.sum())
+
+
+def bound_slackness(x, duals: DualValues, lower, upper):
+    """The bound-slackness products ``(x - lower) * y_lb`` and
+    ``(x - upper) * y_ub`` per column, zero at an infinite bound."""
+    x = np.asarray(x, dtype=np.float64)
+    lower = np.asarray(lower)
+    upper = np.asarray(upper)
+    lo_term = np.zeros_like(x)
+    hi_term = np.zeros_like(x)
+    fin_lo = np.isfinite(lower)
+    fin_hi = np.isfinite(upper)
+    lo_term[fin_lo] = (x[fin_lo] - lower[fin_lo]) * duals.y_lb[fin_lo]
+    hi_term[fin_hi] = (x[fin_hi] - upper[fin_hi]) * duals.y_ub[fin_hi]
+    return lo_term, hi_term
 
 
 def check_complementary_slackness(x, duals: DualValues, lp: StandardLp,
                                   tol: float = 1e-8,
                                   lower=None, upper=None) -> dict:
-    """Largest violation of the bound-slackness products.
-
-    Terms at infinite bounds contribute zero because the corresponding dual
-    is zero by construction.
-    """
-    lo = lp.lb if lower is None else lower
-    hi = lp.ub if upper is None else upper
-    x = np.asarray(x, dtype=np.float64)
-    lo_term = np.zeros_like(x)
-    hi_term = np.zeros_like(x)
-    fin_lo = lo > -INF_BOUND
-    fin_hi = hi < INF_BOUND
-    lo_term[fin_lo] = (x[fin_lo] - lo[fin_lo]) * duals.y_lb[fin_lo]
-    hi_term[fin_hi] = (x[fin_hi] - hi[fin_hi]) * duals.y_ub[fin_hi]
+    """Largest violation of the bound-slackness products (``bound_slackness``)."""
+    lo_term, hi_term = bound_slackness(x, duals, lp.lb if lower is None else lower,
+                                       lp.ub if upper is None else upper)
     worst = float(max(np.max(np.abs(lo_term), initial=0.0),
                       np.max(np.abs(hi_term), initial=0.0)))
     return {"holds": worst <= tol, "max_violation": worst}

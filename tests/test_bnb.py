@@ -458,7 +458,7 @@ class TestGivenRoot:
     @staticmethod
     def frozen(sol):
         for arr in (sol.x, sol.duals.y_b, sol.duals.y_lb, sol.duals.y_ub,
-                    sol.basis.at_lower, sol.basis.basic, sol.basis.at_upper):
+                    sol.basis.basic, sol.basis.at_upper):
             arr.flags.writeable = False
         return sol
 

@@ -105,6 +105,19 @@ def test_mps_pipeline_without_bounds(tmp_path):
     assert len(rows) == len(HEURISTIC_DIVERS) + 1
 
 
+def test_collect_reads_mps_files_without_a_manifest(tmp_path):
+    inst = write_mps_instances(tmp_path / "inst", 2)
+    assert main(["collect", "--instances", str(inst / "instances"),
+                 "--out", str(tmp_path / "corpus"), "--node-limit", "60", "--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize("divers", ["fractional:10:15", "fractional:0", "fractional:-3:-1",
+                                    "fractionl:10", "fractional:x"])
+def test_eval_bnb_rejects_unrunnable_schedules(divers):
+    with pytest.raises(SystemExit, match=f"bad --divers entry '{divers}'"):
+        main(["eval-bnb", "--corpus", "c", "--out", "o", "--divers", divers])
+
+
 def test_parser_defaults_are_the_defaults_they_fill(monkeypatch):
     """Every command run without optional flags passes exactly the defaults
     of the configs and functions it fills."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_mps_instances
+from conftest import mps_without_bounds, write_mps_instances
 from divekit.diving import HEURISTIC_DIVERS
 from divekit.graphnet import TrainingConfig
 from divekit.instances import SENSE_GE, GeneratorConfig, generate, make_instance, write_instance
@@ -20,6 +20,7 @@ from divekit.harness import (
     eval_bnb,
     eval_dives,
     generate_batch,
+    instance_paths,
     load_corpus,
     lp_oracle_suite,
     primal_dual_gap,
@@ -222,6 +223,18 @@ class TestCollect:
                 x = np.asarray(sol["x"])
                 assert inst.is_feasible(x) and float(inst.c @ x) == sol["z"]
 
+    def test_directory_without_manifest_lists_json_and_mps(self, tmp_path):
+        inst_dir = tmp_path / "inst"
+        inst_dir.mkdir()
+        for s in range(3):
+            cover = generate(GeneratorConfig("set-cover", seed=s, rows=25, cols=50, density=0.1))
+            if s == 1:
+                write_instance(cover, inst_dir / f"cover{s}.json")
+            else:
+                (inst_dir / f"cover{s}.mps").write_text(mps_without_bounds(cover))
+        assert [p.name for p in instance_paths(inst_dir)] == \
+            ["cover0.mps", "cover1.json", "cover2.mps"]
+
     def test_files_sharing_a_stem_are_refused(self, tmp_path):
         inst_dir = write_mps_instances(tmp_path / "inst", 2, name="cover")
         for k, sub in enumerate(("a", "b")):
@@ -319,6 +332,18 @@ class TestEvalBnb:
         assert sum(wins.values()) >= n
         header, rows = read_csv_rows(root / "bnb_out" / "bnb_per_run.csv")
         assert len(rows) == n * len(specs) * 2
+
+    @pytest.mark.parametrize("member", [
+        ("fractionl", 10, 0),  # no such diver
+        ("fractional", 0, 0),
+        ("fractional", -3, -1),
+        ("fractional", 10, 15),  # the offset is never reached
+        ("fractional", 10, -1),
+        ("fractional", None, 3),  # root only: there is no call to offset
+    ])
+    def test_unrunnable_schedules_rejected(self, member):
+        with pytest.raises(ValueError):
+            BnbRunSpec(name="bad", members=(member,))
 
     def test_seed_invariant_configs_run_once(self, tiny_world, tmp_path, monkeypatch):
         """A config whose divers ignore the seed runs once per instance and

@@ -257,3 +257,18 @@ class TestMpsReader:
                                         " FR BND       X1"))
         with pytest.raises(UnsupportedFeature):
             read_instance(p)
+
+
+def test_only_instances_names_inf_bound():
+    """Once an instance is built, a bound is infinite only if it is +-inf;
+    ``INF_BOUND`` is the file-format threshold that makes it so, and no
+    other module of the package tests a bound against it."""
+    import re
+    from pathlib import Path
+
+    import divekit
+
+    pkg = Path(divekit.__file__).parent
+    naming = sorted(p.name for p in pkg.glob("*.py")
+                    if re.search(r"\bINF_BOUND\b", p.read_text()))
+    assert naming == ["instances.py"]

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from divekit.diving import dive
-from divekit.graphnet import GraphNet
+from divekit.diving import FractionalScorer, dive
+from divekit.graphnet import GraphNet, candidate_codec
 from divekit.instances import (
     GeneratorConfig,
     SENSE_LE,
     generate,
     make_instance,
+    read_instance,
     to_standard_form,
 )
 from divekit.l2dive import (
@@ -65,6 +66,53 @@ class TestTightenSet:
     def test_missing_duals_raises(self):
         with pytest.raises(MissingDuals):
             compute_tighten_set(np.zeros(1), None, np.zeros(1), np.ones(1), np.array([0]))
+
+
+# XF is an integer fixed by FX, XB a BV binary, XN an integer without
+# BOUNDS (so [0, inf)) and Y continuous; the root LP is fractional
+MIXED_BOUNDS_MPS = """NAME          mixed
+ROWS
+ N  COST
+ G  R0
+ L  R1
+COLUMNS
+    MARKER                 'MARKER'                 'INTORG'
+    XF        COST         1.0        R0           1.0
+    XB        COST         1.0        R0           1.0
+    XN        COST         1.0        R0           1.0
+    XN        R1           1.0
+    MARKER                 'MARKER'                 'INTEND'
+    Y         COST         0.5        R1           1.0
+RHS
+    RHS       R0           2.5        R1           3.5
+BOUNDS
+ FX BND       XF           1.0
+ BV BND       XB
+ENDATA
+"""
+
+
+class TestCandidateAgreement:
+    def test_codec_instance_and_dive_name_the_same_candidates(self, tmp_path):
+        """``L2DiveScorer`` maps a dive's candidates onto the codec's
+        prediction, so the codec, the instance's rule at its own bounds and
+        the first ``DiveContext`` of a dive must agree: the fixed column is
+        out, the binary and the unbounded integer are in."""
+        path = tmp_path / "mixed.mps"
+        path.write_text(MIXED_BOUNDS_MPS)
+        inst = read_instance(path)
+        seen = []
+
+        class Recording(FractionalScorer):
+            def begin_dive(self, ctx):
+                seen.append(ctx.cands.copy())
+
+        dive(inst, Recording(), d_max=3)
+        np.testing.assert_array_equal(candidate_codec(inst)[0], [1, 2])
+        np.testing.assert_array_equal(inst.candidates(), [1, 2])
+        np.testing.assert_array_equal(seen[0], [1, 2])
+        res = dive(inst, L2DiveScorer(GraphNet(hidden=8, seed=0)), d_max=3)
+        assert res.depth_reached >= 1
 
 
 class _FixedPrediction(L2DiveScorer):

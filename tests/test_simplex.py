@@ -234,7 +234,7 @@ class TestDualExtraction:
             if solver.stat[j] not in (simplex._AT_LOWER, simplex._AT_UPPER):
                 continue
             lo, hi = solver.lb[j], solver.ub[j]
-            if lo > -simplex.INF_BOUND and hi < simplex.INF_BOUND and hi - lo <= 0:
+            if np.isfinite(lo) and np.isfinite(hi) and hi - lo <= 0:
                 y_lb[j], y_ub[j] = max(d[j], 0.0), min(d[j], 0.0)
             elif solver.stat[j] == simplex._AT_LOWER:
                 y_lb[j] = max(d[j], 0.0)
@@ -271,8 +271,7 @@ class TestSingularWarmBasis:
         hi = lp.ub.copy()
         hi[0] = 0.0
         # every basic position on column 0: the basis matrix is singular
-        bad = simplex.Basis(at_lower=np.arange(1, lp.ncols), basic=np.zeros(lp.nrows, np.int64),
-                            at_upper=np.zeros(0, np.int64))
+        bad = simplex.Basis(basic=np.zeros(lp.nrows, np.int64), at_upper=np.zeros(0, np.int64))
         log = _spy_dual(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
