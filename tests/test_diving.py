@@ -490,13 +490,16 @@ class TestWarmResolveWork:
     """A deterministic guard on the pivots warm resolves take in dives.
 
     Every diver (the eight heuristics and an untrained learned diver) dives
-    once from the root of set-cover 50x100 seeds 0-2 with ``d_max=5`` and a
-    60-pivot resolve budget.  The warm resolves took 889 pivots with the
-    primal phases alone and take 233 with the dual phase; the bound sits 10%
-    above that, so the saving cannot silently come undone.
+    once from the root of set-cover 50x100 seeds 0-11 with ``d_max=5`` and a
+    60-pivot resolve budget.  The warm resolves took 4139 pivots with the
+    primal phases alone and 1257 with the dual phase (per seed: 156, 77, 0,
+    0, 32, 135, 52, 0, 369, 144, 0, 292); the bound sits 10% above that, so
+    the saving cannot silently come undone.  Twelve instances, not three,
+    because a degenerate dive may end on another optimal vertex after any
+    change of arithmetic, and one instance's count can swing by a quarter.
     """
 
-    BOUND = 256
+    BOUND = 1383
 
     def test_warm_resolve_pivots_stay_low(self):
         from divekit.diving import HEURISTIC_DIVERS
@@ -504,7 +507,7 @@ class TestWarmResolveWork:
         from divekit.simplex import solve_lp
 
         total = 0
-        for seed in range(3):
+        for seed in range(12):
             inst = generate(GeneratorConfig("set-cover", seed=seed, rows=50, cols=100,
                                             density=0.1))
             lp = to_standard_form(inst)
