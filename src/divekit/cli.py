@@ -19,6 +19,7 @@ from .harness import (
     CollectConfig,
     DiveEvalConfig,
     TuneConfig,
+    check_model,
     collect_corpus,
     eval_bnb,
     eval_dives,
@@ -186,11 +187,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval-dive":
-        cfg = DiveEvalConfig(
-            divers=tuple(args.divers.split(",")), d_max=args.d_max,
-            lp_iter_limit=args.lp_iter_limit, seed=args.seed, jobs=args.jobs,
-            model_path=args.model,
-        )
+        try:
+            cfg = DiveEvalConfig(
+                divers=tuple(args.divers.split(",")), d_max=args.d_max,
+                lp_iter_limit=args.lp_iter_limit, seed=args.seed, jobs=args.jobs,
+                model_path=args.model,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"eval-dive: {exc}") from None
         res = eval_dives(args.corpus, cfg, args.out)
         for row in res["summary_rows"]:
             print(f"{row[0]:>14s}  n={row[1]:<4d} solved={row[2]:<4d} failed={row[3]:<4d} "
@@ -198,21 +202,28 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval-bnb":
-        cfg = BnbEvalConfig(
-            specs=_parse_bnb_specs(args.divers, args.d_max),
-            tick_limit=args.tick_limit, node_limit=args.node_limit,
-            seeds=tuple(int(s) for s in args.seeds.split(",")),
-            jobs=args.jobs, model_path=args.model,
-            save_traces=args.save_traces,
-        )
+        try:
+            cfg = BnbEvalConfig(
+                specs=_parse_bnb_specs(args.divers, args.d_max),
+                tick_limit=args.tick_limit, node_limit=args.node_limit,
+                seeds=tuple(int(s) for s in args.seeds.split(",")),
+                jobs=args.jobs, model_path=args.model,
+                save_traces=args.save_traces,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"eval-bnb: {exc}") from None
         res = eval_bnb(args.corpus, cfg, args.out)
         for name, mean, stderr, wins in res["summary_rows"]:
             print(f"{name:>24s}  integral={mean:.1f} (se {stderr:.1f}) wins={wins}")
         return 0
 
     if args.command == "tune":
-        tcfg = TuneConfig(divers=tuple(args.divers.split(",")), samples=args.samples,
-                          seed=args.seed, objective=args.objective, d_max=args.d_max)
+        try:
+            tcfg = TuneConfig(divers=tuple(args.divers.split(",")), samples=args.samples,
+                              seed=args.seed, objective=args.objective, d_max=args.d_max)
+            check_model(tcfg.divers, args.model)
+        except ValueError as exc:
+            raise SystemExit(f"tune: {exc}") from None
         ecfg = BnbEvalConfig(
             specs=(), tick_limit=args.tick_limit, node_limit=args.node_limit,
             seeds=tuple(int(s) for s in args.seeds.split(",")),

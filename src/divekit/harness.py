@@ -412,6 +412,19 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
 # single-dive evaluation
 # ---------------------------------------------------------------------------
 
+def check_diver_names(names):
+    """Refuse an unknown diver name before any work."""
+    for name in names:
+        if name not in SCORERS:
+            raise ValueError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}")
+
+
+def check_model(names, model_path):
+    """Refuse the learned diver without a model checkpoint before any work."""
+    if "l2dive" in names and not model_path:
+        raise ValueError("the l2dive diver needs a trained model (--model PATH)")
+
+
 @dataclass
 class DiveEvalConfig:
     divers: tuple = HEURISTIC_DIVERS
@@ -420,6 +433,10 @@ class DiveEvalConfig:
     seed: int = 0
     jobs: int = 1
     model_path: str | None = None
+
+    def __post_init__(self):
+        check_diver_names(self.divers)
+        check_model(self.divers, self.model_path)
 
 
 def _eval_dive_one(task):
@@ -503,9 +520,8 @@ class BnbRunSpec:
     d_max: int = DEFAULT_DEPTH
 
     def __post_init__(self):
+        check_diver_names(m[0] for m in self.members)
         for name, period, offset in self.members:
-            if name not in SCORERS:
-                raise ValueError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}")
             if not ((period is None or period >= 1) and 0 <= offset < (period or 1)):
                 raise ValueError(f"diver {name!r}: period {period}, offset {offset} cannot run; "
                                  "a period is None (root only, offset 0) or >= 1 with an "
@@ -525,6 +541,9 @@ class BnbEvalConfig:
     jobs: int = 1
     model_path: str | None = None
     save_traces: bool = False
+
+    def __post_init__(self):
+        check_model([m[0] for spec in self.specs for m in spec.members], self.model_path)
 
 
 def _ensemble_hook(members, model, d_max, seed):
@@ -662,6 +681,7 @@ class TuneConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        check_diver_names(self.divers)
 
 
 def sample_ensemble(rng, cfg: TuneConfig):

@@ -265,9 +265,9 @@ class StandardLp:
     Columns ``[0, slack_start)`` are the original variables, and column
     ``slack_start + i`` is row ``i``'s logical column: a +1 slack in
     [0, inf) for an LE row, a -1 surplus in [0, inf) for a GE row, and a +1
-    column fixed at [0, 0] for an EQ row.  The logical columns form the
-    simplex's cold basis.  ``dense()`` and ``transpose()`` are built once
-    per LP and shared by every solve of it.
+    column fixed at [0, 0] for an EQ row; ``logical_sign[i]`` is that +1 or
+    -1.  The logical columns form the simplex's cold basis.  ``dense()`` and
+    ``transpose()`` are built once per LP and shared by every solve of it.
     """
 
     c: np.ndarray
@@ -275,6 +275,7 @@ class StandardLp:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    logical_sign: np.ndarray
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
     _transpose: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
@@ -291,7 +292,8 @@ class StandardLp:
         return self.ncols - self.nrows
 
     def dense(self) -> np.ndarray:
-        """``A`` as a dense array, for basis factors and ftran."""
+        """``A`` as a dense array, for the simplex's basis kernel, its
+        coupling rows and the entering columns it ftrans."""
         if self._dense is None:
             self._dense = self.A.toarray()
         return self._dense
@@ -307,7 +309,7 @@ class StandardLp:
         values so that ``A x = b`` holds exactly."""
         n = self.slack_start
         x_orig = np.asarray(x_orig, dtype=np.float64)
-        logical = (self.b - self.A[:, :n] @ x_orig) / self.A.diagonal(n)
+        logical = (self.b - self.A[:, :n] @ x_orig) / self.logical_sign
         return np.concatenate([x_orig, logical])
 
 
@@ -323,6 +325,7 @@ def to_standard_form(inst: MilpInstance) -> StandardLp:
         b=inst.b.copy(),
         lb=np.concatenate([inst.lb, np.zeros(m)]),
         ub=np.concatenate([inst.ub, np.where(inst.senses == SENSE_EQ, 0.0, np.inf)]),
+        logical_sign=sign,
     )
 
 

@@ -12,11 +12,17 @@ Implementation notes:
 - the solver works on the columns of the :class:`StandardLp` as given:
   every row has a logical column (a slack, a surplus, or for an equality
   row a column fixed at zero), and cold starts take the logical columns as
-  the initial basis.  The LP's dense matrix serves the basis factors and
-  ftran, its CSR transpose pricing and the dual pivot row; both are built
-  once per LP;
-- dense LU of the basis (scipy) with product-form eta updates, refactorized
-  every ``REFACTOR_EVERY`` pivots and once more before declaring optimality;
+  the initial basis.  The LP's dense matrix serves the basis kernel and the
+  entering columns, its CSR transpose pricing and the dual pivot row; both
+  are built once per LP;
+- the basis is factored through its kernel: a basic logical column is a
+  signed unit column that covers its row, so only the structural basic
+  columns on the uncovered rows form a matrix to invert (Suhl & Suhl 1990;
+  Bixby 1992).  That k x k kernel is factored by dense LU (scipy) and held
+  as its inverse; k is 0 at a cold start and near m on dense families.
+  Product-form eta updates on full m-vectors follow each pivot, and the
+  kernel is refactored every ``REFACTOR_EVERY`` pivots and once more before
+  declaring optimality;
 - a warm basis that is dual feasible (the optimal basis of the same LP before
   a bound tightening) is re-solved by a bounded dual simplex: the basic
   variable farthest outside its bounds leaves, the dual ratio test picks the
@@ -27,8 +33,8 @@ Implementation notes:
   basic variables using shifted blocking bounds, phase 2 the cost;
 - a singular basis or a numerical breakdown anywhere in a warm solve is
   retried once from the cold start;
-- an LP without rows takes the same path: its basis is empty (a 0x0 LU)
-  and every iteration is a bound flip;
+- an LP without rows takes the same path: its basis is empty (a 0x0
+  kernel) and every iteration is a bound flip;
 - Dantzig pricing (the largest violation in the dual phase) with a switch
   to Bland's rule after a stall; all ties are broken by the lowest index,
   so pivot sequences are deterministic.
@@ -118,7 +124,9 @@ class _Solver:
         self.stat = np.empty(self.N, dtype=np.int8)
         self.basic = np.empty(self.m, dtype=np.int64)
         self.xval = np.zeros(self.N)
-        self.lu = None
+        # the kernel factors: see refactorize
+        self.pos_S = self.pos_L = self.rows_U = self.rows_L = None
+        self.sign_L = self.C = self.Kinv = None
         self.eta_rows = np.zeros(REFACTOR_EVERY, dtype=np.int64)
         self.etas = np.zeros((REFACTOR_EVERY, self.m))
         self.n_eta = 0
@@ -131,22 +139,46 @@ class _Solver:
     # -- factorization -----------------------------------------------------
 
     def refactorize(self):
-        # a singular basis raises SingularBasis below instead of warning here
+        """Factor the basis through its kernel.
+
+        A basic logical column covers its row, so ``B z = v`` splits into the
+        kernel system ``K z_S = v_U`` (the uncovered rows of the structural
+        basic columns) and ``sign * z_L = v_L - C z_S`` on the covered rows,
+        where ``C`` holds the covered rows of the structural basic columns.
+        """
+        basic, n0 = self.basic, self.lp.slack_start
+        logical = basic >= n0
+        self.pos_L = np.flatnonzero(logical)
+        self.pos_S = np.flatnonzero(~logical)
+        self.rows_L = basic[self.pos_L] - n0
+        uncovered = np.ones(self.m, dtype=bool)
+        uncovered[self.rows_L] = False
+        self.rows_U = np.flatnonzero(uncovered)
+        if self.rows_U.size != self.pos_S.size:
+            raise SingularBasis("a logical column is basic twice")
+        self.sign_L = self.lp.logical_sign[self.rows_L]
+        B_S = self.A[:, basic[self.pos_S]]
+        self.C = B_S[self.rows_L]
+        # a singular kernel raises SingularBasis below instead of warning here
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = sla.lu_factor(self.A[:, self.basic], check_finite=False)
+            lu, piv = sla.lu_factor(B_S[self.rows_U], check_finite=False)
         diag = np.abs(np.diag(lu))
         if diag.min(initial=np.inf) < 1e-12 * max(1.0, diag.max(initial=0.0)):
             raise SingularBasis("singular basis matrix")
-        self.lu = (lu, piv)
+        self.Kinv = sla.lu_solve((lu, piv), np.eye(self.pos_S.size), check_finite=False)
         self.n_eta = 0
         # recompute basic values against the fresh factors
         x_other = self.xval.copy()
         x_other[self.basic] = 0.0
-        self.xval[self.basic] = self.ftran(self.b - self.A @ x_other)
+        self.xval[self.basic] = self.ftran(self.b - self.lp.A @ x_other)
 
     def ftran(self, v):
-        z = sla.lu_solve(self.lu, v, check_finite=False)
+        """Solve ``B z = v``."""
+        z = np.empty(self.m)
+        z_S = self.Kinv @ v[self.rows_U]
+        z[self.pos_S] = z_S
+        z[self.pos_L] = (v[self.rows_L] - self.C @ z_S) / self.sign_L
         if self.n_eta:
             apply_etas(z, self.eta_rows, self.etas, self.n_eta)
         return z
@@ -155,7 +187,11 @@ class _Solver:
         """Solve ``B'y = z``; overwrites ``z``."""
         if self.n_eta:
             apply_etas_t(z, self.eta_rows, self.etas, self.n_eta)
-        return sla.lu_solve(self.lu, z, trans=1, check_finite=False)
+        y = np.empty(self.m)
+        y_L = z[self.pos_L] / self.sign_L
+        y[self.rows_L] = y_L
+        y[self.rows_U] = (z[self.pos_S] - y_L @ self.C) @ self.Kinv
+        return y
 
     # -- setup ---------------------------------------------------------------
 

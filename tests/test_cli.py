@@ -118,6 +118,21 @@ def test_eval_bnb_rejects_unrunnable_schedules(divers):
         main(["eval-bnb", "--corpus", "c", "--out", "o", "--divers", divers])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval-dive", "--divers", "fractionl"], "eval-dive: unknown diver 'fractionl'"),
+    (["tune", "--divers", "fractional,lowr"], "tune: unknown diver 'lowr'"),
+    (["eval-dive", "--divers", "lower,l2dive"], "eval-dive: the l2dive diver needs"),
+    (["eval-bnb", "--divers", "l2dive:20"], "eval-bnb: the l2dive diver needs"),
+    (["tune", "--divers", "l2dive,lower"], "tune: the l2dive diver needs"),
+], ids=["eval-dive-name", "tune-name", "eval-dive-model", "eval-bnb-model", "tune-model"])
+def test_bad_divers_exit_before_any_work(argv, message, monkeypatch):
+    """A bad diver name, or l2dive without --model, ends the command with one
+    line before it reads the corpus."""
+    monkeypatch.setattr(harness, "load_corpus", lambda *a: pytest.fail("corpus read"))
+    with pytest.raises(SystemExit, match=message):
+        main(argv[:1] + ["--corpus", "c", "--out", "o"] + argv[1:])
+
+
 def test_parser_defaults_are_the_defaults_they_fill(monkeypatch):
     """Every command run without optional flags passes exactly the defaults
     of the configs and functions it fills."""

@@ -769,7 +769,7 @@ class TestTune:
 
     def test_sample_space(self, rng):
         from divekit.harness import sample_ensemble
-        cfg = TuneConfig(divers=("a", "b", "c", "d"))
+        cfg = TuneConfig(divers=("fractional", "lower", "upper", "random"))
         seen_off = seen_periods = False
         for _ in range(20):
             members = sample_ensemble(rng, cfg)

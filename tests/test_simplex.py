@@ -8,6 +8,7 @@ from divekit import simplex
 from divekit.instances import (
     GeneratorConfig,
     SENSE_EQ,
+    SENSE_GE,
     SENSE_LE,
     generate,
     make_instance,
@@ -283,6 +284,76 @@ class TestSingularWarmBasis:
         assert warm.status == cold.status == simplex.OPTIMAL
         np.testing.assert_array_equal(warm.x, cold.x)
         assert warm.iterations == cold.iterations
+
+
+def _mixed_lp(dup=False):
+    """A 4x6 LP with an LE, a GE, an EQ and a GE row: logical columns 6-9
+    carry the signs +1, -1, +1 (fixed at zero) and -1.  With ``dup`` the
+    first two columns are identical."""
+    A = np.random.default_rng(5).normal(size=(4, 6)).round(3)
+    if dup:
+        A[:, 1] = A[:, 0]
+    inst = make_instance("mixed", c=np.ones(6), rows=A,
+                         senses=[SENSE_LE, SENSE_GE, SENSE_EQ, SENSE_GE],
+                         b=np.ones(4), lb=np.zeros(6), ub=np.full(6, 5.0), integer=[])
+    return std(inst)
+
+
+class TestBasisKernel:
+    """ftran and btran through the factored kernel agree with a dense solve
+    against the full basis, after a refactorization and after eta updates."""
+
+    N = 6  # the first logical column
+
+    @pytest.mark.parametrize("basic", [
+        [6, 7, 8, 9],  # all logical: an empty kernel
+        [3, 0, 5, 1],  # all structural: the kernel is the basis
+        [7, 2, 4, 9],  # both GE surpluses basic
+        [0, 8, 3, 6],  # the EQ row's logical basic
+        [2, 9, 7, 4],  # logicals away from their own row position
+    ], ids=["logical", "structural", "surplus", "eq-logical", "permuted"])
+    def test_matches_a_dense_solve(self, basic):
+        lp = _mixed_lp()
+        assert lp.logical_sign.tolist() == [1.0, -1.0, 1.0, -1.0]
+        solver = simplex._Solver(lp, None, None)
+        solver.basic[:] = basic
+        solver.refactorize()
+        rng = np.random.default_rng(0)
+        for step in range(4):
+            B = lp.dense()[:, solver.basic]
+            for _ in range(3):
+                v = rng.normal(size=4)
+                np.testing.assert_allclose(solver.ftran(v.copy()), np.linalg.solve(B, v),
+                                           rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(solver.btran(v.copy()), np.linalg.solve(B.T, v),
+                                           rtol=1e-10, atol=1e-12)
+            if step == 3:
+                break
+            # one eta update: the lowest nonbasic column enters where its
+            # ftran is largest
+            q = int(np.setdiff1d(np.arange(lp.ncols), solver.basic)[step])
+            w = solver.ftran(lp.dense()[:, q].copy())
+            solver._replace(int(np.argmax(np.abs(w))), q, w)
+            assert solver.n_eta == step + 1
+
+    def test_zero_row_lp(self):
+        lp = std(make_instance("free", c=[1.0, -1.0], rows=[], senses=[], b=[],
+                               lb=[0, 0], ub=[1, 1], integer=[]))
+        solver = simplex._Solver(lp, None, None)
+        solver.cold_start()
+        assert solver.Kinv.shape == (0, 0)
+        assert solver.ftran(np.zeros(0)).shape == (0,)
+        assert solver.btran(np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("basic, dup", [
+        ([0, 1, 8, 9], True),  # two identical structural columns
+        ([6, 6, 8, 9], False),  # one logical column in two positions
+    ], ids=["identical-columns", "logical-twice"])
+    def test_singular_kernel_raises(self, basic, dup):
+        solver = simplex._Solver(_mixed_lp(dup), None, None)
+        solver.basic[:] = basic
+        with pytest.raises(simplex.SingularBasis):
+            solver.refactorize()
 
 
 def _spy_dual(monkeypatch):
