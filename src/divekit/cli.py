@@ -130,7 +130,7 @@ def _parse_params(pairs):
     for p in pairs:
         key, _, val = p.partition("=")
         if not val:
-            raise SystemExit(f"bad --param {p!r}; expected key=value")
+            raise ValueError(f"bad --param {p!r}; expected key=value")
         try:
             out[key] = int(val)
         except ValueError:
@@ -148,13 +148,20 @@ def _parse_bnb_specs(text, d_max):
             offset = int(parts[2]) if len(parts) > 2 else 0
             specs.append(BnbRunSpec(name=item, members=((name, period, offset),), d_max=d_max))
         except ValueError as exc:
-            raise SystemExit(f"eval-bnb: bad --divers entry {item!r}: {exc}") from None
+            raise ValueError(f"bad --divers entry {item!r}: {exc}") from None
     return tuple(specs)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
+
+def _run(args) -> int:
+    """Run one command; each builds and checks its configs before any work."""
     if args.command == "gen":
         manifest = generate_batch(args.family, args.count, args.seed, args.out,
                                   _parse_params(args.param))
@@ -166,10 +173,7 @@ def main(argv=None) -> int:
             node_limit=args.node_limit, tick_limit=args.tick_limit,
             pool_capacity=args.pool_capacity, augment=args.augment, jobs=args.jobs,
         )
-        try:
-            manifest = collect_corpus(args.instances, args.out, cfg)
-        except ValueError as exc:
-            raise SystemExit(f"collect: {exc}") from None
+        manifest = collect_corpus(args.instances, args.out, cfg)
         n_ok, n_skip = len(manifest["entries"]), len(manifest["skipped"])
         print(f"collected {n_ok} pools ({n_skip} skipped) into {args.out}")
         return 0 if n_ok > 0 else 1
@@ -187,14 +191,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval-dive":
-        try:
-            cfg = DiveEvalConfig(
-                divers=tuple(args.divers.split(",")), d_max=args.d_max,
-                lp_iter_limit=args.lp_iter_limit, seed=args.seed, jobs=args.jobs,
-                model_path=args.model,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"eval-dive: {exc}") from None
+        cfg = DiveEvalConfig(
+            divers=tuple(args.divers.split(",")), d_max=args.d_max,
+            lp_iter_limit=args.lp_iter_limit, seed=args.seed, jobs=args.jobs,
+            model_path=args.model,
+        )
         res = eval_dives(args.corpus, cfg, args.out)
         for row in res["summary_rows"]:
             print(f"{row[0]:>14s}  n={row[1]:<4d} solved={row[2]:<4d} failed={row[3]:<4d} "
@@ -202,28 +203,22 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval-bnb":
-        try:
-            cfg = BnbEvalConfig(
-                specs=_parse_bnb_specs(args.divers, args.d_max),
-                tick_limit=args.tick_limit, node_limit=args.node_limit,
-                seeds=tuple(int(s) for s in args.seeds.split(",")),
-                jobs=args.jobs, model_path=args.model,
-                save_traces=args.save_traces,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"eval-bnb: {exc}") from None
+        cfg = BnbEvalConfig(
+            specs=_parse_bnb_specs(args.divers, args.d_max),
+            tick_limit=args.tick_limit, node_limit=args.node_limit,
+            seeds=tuple(int(s) for s in args.seeds.split(",")),
+            jobs=args.jobs, model_path=args.model,
+            save_traces=args.save_traces,
+        )
         res = eval_bnb(args.corpus, cfg, args.out)
         for name, mean, stderr, wins in res["summary_rows"]:
             print(f"{name:>24s}  integral={mean:.1f} (se {stderr:.1f}) wins={wins}")
         return 0
 
     if args.command == "tune":
-        try:
-            tcfg = TuneConfig(divers=tuple(args.divers.split(",")), samples=args.samples,
-                              seed=args.seed, objective=args.objective, d_max=args.d_max)
-            check_model(tcfg.divers, args.model)
-        except ValueError as exc:
-            raise SystemExit(f"tune: {exc}") from None
+        tcfg = TuneConfig(divers=tuple(args.divers.split(",")), samples=args.samples,
+                          seed=args.seed, objective=args.objective, d_max=args.d_max)
+        check_model(tcfg.divers, args.model)
         ecfg = BnbEvalConfig(
             specs=(), tick_limit=args.tick_limit, node_limit=args.node_limit,
             seeds=tuple(int(s) for s in args.seeds.split(",")),

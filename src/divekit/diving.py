@@ -5,9 +5,11 @@ to an integral target, re-solves the LP (warm-started), and tries to round
 the new LP point into a feasible solution.  It stops when the LP turns
 infeasible, at the depth limit, when a resolve hits the LP iteration limit,
 when the LP point is integral on the integer variables or no candidate is
-left, and on a numerical LP failure, which ends only this dive.  Every
-recorded solution is re-checked against the original instance, so bound
-tightenings never leak unsound solutions.
+left, and on a numerical LP failure, which ends only this dive.  The dive's
+first LP (the root or node optimum it starts from) and every resolve go
+through one loop, and solutions enter only through ``round_solution``,
+which checks each against the original instance, so bound tightenings
+never leak unsound solutions; ``solution_key`` drops repeats.
 
 Scorers only decide *which* variable and *which* bound; the engine owns the
 loop and the resolve.  A scorer sees a ``DiveContext``: the instance (whose
@@ -104,47 +106,25 @@ def dive(
     if root_sol.status != simplex.OPTIMAL:
         return DiveResult(termination=TERM_INFEASIBLE, lp_iterations=iters)
 
-    int_idx = inst.integer_index
     ctx = DiveContext(inst=inst, lo=lo, hi=hi, sol=root_sol, root=root_sol,
                       cands=inst.candidates(lo, hi))
     if hasattr(scorer, "begin_dive"):
         scorer.begin_dive(ctx)
 
     result = DiveResult()
-    seen: set[bytes] = set()
-
-    def record(x):
-        x = np.asarray(x, dtype=np.float64).copy()
-        x[int_idx] = np.round(x[int_idx])
-        if not inst.is_feasible(x):
-            return
-        key = inst.solution_key(x)
-        if key in seen:
-            return
-        seen.add(key)
-        result.solutions.append(x)
-        result.best_z = min(result.best_z, float(inst.c @ x))
-
-    def try_round(x):
+    found: dict[bytes, np.ndarray] = {}  # solution_key -> solution, in order found
+    d = 0
+    while True:
+        x = ctx.sol.x[:n]
         y = round_solution(x, inst)
         if y is not None:
-            record(y)
-
-    x = root_sol.x[:n]
-    if inst.is_integral(x):
-        record(x)
-        result.termination = TERM_INTEGRAL
-        result.lp_iterations = iters
-        return result
-    try_round(x)
-
-    d = 1
-    result.termination = TERM_DEPTH
-    while d <= d_max:
-        if ctx.cands.size == 0:
+            found.setdefault(inst.solution_key(y), y)
+        if inst.is_integral(x):
             result.termination = TERM_INTEGRAL
             break
-        decision = scorer(ctx)
+        if d == d_max:
+            break
+        decision = scorer(ctx) if ctx.cands.size else None
         if decision is None:
             if np.any(_fractional(ctx.sol.x[ctx.cands])):
                 raise DiveError(
@@ -164,6 +144,7 @@ def dive(
         if decision.new_upper is not None:
             target = decision.new_upper if target is None else target
             hi[j] = max(min(decision.new_upper, hi[j]), lo[j])
+        d += 1
         result.depth_reached = d
         try:
             sol = solve_lp(lp, warm=ctx.sol.basis, lower=lo, upper=hi,
@@ -183,15 +164,10 @@ def dive(
             scorer.observe(j, target is not None and float(target) > old_x,
                            moved, max(sol.objective - old_z, 0.0))
         ctx.sol = sol
-        x = sol.x[:n]
-        try_round(x)
-        if inst.is_integral(x):
-            record(x)
-            result.termination = TERM_INTEGRAL
-            break
-        d += 1
         ctx.cands = inst.candidates(lo, hi)
 
+    result.solutions = list(found.values())
+    result.best_z = min((float(inst.c @ y) for y in result.solutions), default=np.inf)
     result.lp_iterations = iters
     return result
 

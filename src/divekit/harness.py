@@ -139,15 +139,14 @@ def read_csv_rows(path):
 def generate_batch(family: str, count: int, seed: int, out_dir,
                    params: dict | None = None) -> dict:
     """Write ``count`` instances with consecutive seeds plus a manifest."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    params = dict(params or {})
+    # the seed is the only field that differs between the instances
+    GeneratorConfig(family=family, seed=seed, **params).validate()
     out_dir = Path(out_dir)
     (out_dir / "instances").mkdir(parents=True, exist_ok=True)
-    params = dict(params or {})
     names = []
     for k in range(count):
-        cfg = GeneratorConfig(family=family, seed=seed + k, **params)
-        inst = generate(cfg)
+        inst = generate(GeneratorConfig(family=family, seed=seed + k, **params))
         fname = f"{inst.name}.json"
         write_instance(inst, out_dir / "instances" / fname)
         names.append(fname)
@@ -177,6 +176,19 @@ def instance_paths(instances_dir) -> list[Path]:
     raise FileNotFoundError(p)
 
 
+def solve_root(path):
+    """``(inst, lp, root)`` for the instance file ``path``: the instance, its
+    standard form and its root LP solved cold at the LP's own bounds, or
+    None for ``root`` when that solve raised.  Every command solves its
+    roots here and hands them on."""
+    inst = read_instance(path)
+    lp = to_standard_form(inst)
+    try:
+        return inst, lp, solve_lp(lp)
+    except SimplexError:
+        return inst, lp, None
+
+
 # ---------------------------------------------------------------------------
 # data collection
 # ---------------------------------------------------------------------------
@@ -190,6 +202,10 @@ class CollectConfig:
     enum_node_limit: int = 20_000
     jobs: int = 1
 
+    def __post_init__(self):
+        SolveConfig(node_limit=self.node_limit, tick_limit=self.tick_limit,
+                    pool_capacity=self.pool_capacity)  # refuses bad limits
+
 
 def _family_of(name: str) -> str:
     for fam in FAMILIES:
@@ -200,20 +216,20 @@ def _family_of(name: str) -> str:
 
 def _collect_one(task):
     path, cfg = task
-    inst = read_instance(path)
-    family = _family_of(inst.name)
+    inst, lp, root = solve_root(path)
+    if root is None:
+        return {"instance": str(path), "skip": "root_lp_error"}
+    if root.status != simplex.OPTIMAL:
+        return {"instance": str(path), "skip": f"root_{root.status}"}
+    if inst.is_integral(root.x):
+        return {"instance": str(path), "skip": "solved_at_root"}
     res = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
         pool_capacity=cfg.pool_capacity,
-    ))
-    if res.root is None:
-        return {"instance": str(path), "skip": "root_lp_error"}
-    if res.root.status != simplex.OPTIMAL:
-        return {"instance": str(path), "skip": f"root_{res.root.status}"}
-    if inst.is_integral(res.root.x):
-        return {"instance": str(path), "skip": "solved_at_root"}
+    ), lp=lp, root_sol=root)
     if len(res.pool) == 0:
         return {"instance": str(path), "skip": "no_solution"}
+    family = _family_of(inst.name)
     symmetric = family in SYMMETRIC_FAMILIES
     mode = cfg.augment
     if mode == "auto":
@@ -257,8 +273,9 @@ def _pmap(fn, tasks, jobs):
 
 def collect_corpus(instances_dir, out_dir, cfg: CollectConfig) -> dict:
     """Solve every instance under the collection budget and store its
-    solution pool; instances already integral at the root are dropped (read
-    from branch and bound's root solution, so each root LP is solved once).
+    solution pool; instances already integral at the root are dropped before
+    any branch and bound, which is handed the root (``solve_root``), so each
+    root LP is solved once.
     Pools and corpus entries are named after the instance file's stem, so two
     files with the same stem are refused."""
     paths = instance_paths(instances_dir)
@@ -334,13 +351,8 @@ def load_pool_solutions(pool_path):
 # ---------------------------------------------------------------------------
 
 def _example_task(entry):
-    inst = read_instance(entry["instance_path"])
-    lp = to_standard_form(inst)
-    try:
-        root = solve_lp(lp)
-    except SimplexError:
-        return None
-    if root.status != simplex.OPTIMAL:
+    inst, _, root = solve_root(entry["instance_path"])
+    if root is None or root.status != simplex.OPTIMAL:
         return None
     graph = extract_graph(inst, root)
     sols = load_pool_solutions(entry["pool_path"])
@@ -372,6 +384,8 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
     """Train a fresh model on a collected corpus; writes the checkpoint and
     a loss-history CSV next to it."""
     cfg = cfg or TrainingConfig()
+    if hidden < 1 or not 0.0 <= val_fraction < 1.0:
+        raise ValueError("hidden must be >= 1 and val_fraction in [0, 1)")
     entries = load_corpus(corpus_dir)
     examples, tau, bits = build_examples(entries, temperature=cfg.temperature, jobs=jobs)
     if not examples:
@@ -436,17 +450,16 @@ class DiveEvalConfig:
 
     def __post_init__(self):
         check_diver_names(self.divers)
+        if len(set(self.divers)) != len(self.divers):
+            raise ValueError("duplicate diver names in one comparison table")
+        if self.d_max < 0:
+            raise ValueError("d_max must be >= 0")
         check_model(self.divers, self.model_path)
 
 
 def _eval_dive_one(task):
     entry, cfg, model = task
-    inst = read_instance(entry["instance_path"])
-    lp = to_standard_form(inst)
-    try:
-        root = solve_lp(lp)
-    except SimplexError:
-        root = None
+    inst, lp, root = solve_root(entry["instance_path"])
     rows = []
     for name in cfg.divers:
         if root is None:
@@ -470,8 +483,6 @@ DIVE_COLUMNS = ("instance", "diver", "seed", "primal_gap", "failed", "depth",
 def eval_dives(corpus_dir, cfg: DiveEvalConfig, out_dir) -> dict:
     """One dive per instance and diver under a shared budget; reports the
     primal gap against the corpus reference objective."""
-    if len(set(cfg.divers)) != len(cfg.divers):
-        raise ValueError("duplicate diver names in one comparison table")
     entries = load_corpus(corpus_dir)
     model = load_model(cfg.model_path) if cfg.model_path and "l2dive" in cfg.divers else None
     tasks = [(e, cfg, model) for e in entries]
@@ -521,6 +532,8 @@ class BnbRunSpec:
 
     def __post_init__(self):
         check_diver_names(m[0] for m in self.members)
+        if self.d_max < 0:
+            raise ValueError("d_max must be >= 0")
         for name, period, offset in self.members:
             if not ((period is None or period >= 1) and 0 <= offset < (period or 1)):
                 raise ValueError(f"diver {name!r}: period {period}, offset {offset} cannot run; "
@@ -543,6 +556,10 @@ class BnbEvalConfig:
     save_traces: bool = False
 
     def __post_init__(self):
+        names = [spec.name for spec in self.specs]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate config names in one comparison table")
+        SolveConfig(node_limit=self.node_limit, tick_limit=self.tick_limit)  # refuses bad limits
         check_model([m[0] for spec in self.specs for m in spec.members], self.model_path)
 
 
@@ -571,11 +588,15 @@ def _ensemble_hook(members, model, d_max, seed):
     return hook
 
 
+def _root_lp(path):
+    """Only the root LP solution, so that a run's task stays small."""
+    return solve_root(path)[2]
+
+
 def _eval_bnb_run(task):
-    """One B&B run from a given root LP solution (solved here when
-    ``root`` is None), reported under every seed in ``seeds`` (more than
-    one only for configs no seed can change); returns the rows and the
-    run's root solution."""
+    """One B&B run from the instance's root LP solution (None after a root
+    solve that raised: the run then retries it), reported under every seed
+    in ``seeds`` (more than one only for configs no seed can change)."""
     entry, spec, seeds, root, cfg, model, trace_dir = task
     inst = read_instance(entry["instance_path"])
     diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
@@ -591,7 +612,7 @@ def _eval_bnb_run(task):
             res.trace.to_csv(Path(trace_dir) / f"{entry['name']}_{safe}_s{seed}.csv")
         rows.append((entry["name"], spec.name, seed, integral, gap,
                      res.objective, res.bound, res.status, res.nodes, res.ticks, res.dives))
-    return rows, res.root
+    return rows
 
 
 def _run_seeds(spec, seeds):
@@ -614,16 +635,13 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
         trace_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(cfg.model_path) if cfg.model_path and any(
         m[0] == "l2dive" for spec in cfg.specs for m in spec.members) else None
-    # Each run is one task.  The first run of every instance solves its root
-    # LP, and the instance's other runs are handed that solution, so each
-    # root is solved once (again by each later run after a root solve that
-    # raised, which leaves ``root`` None).
+    # One pass solves every root LP; each run is then one task that carries
+    # its instance's root solution.
     runs = [(spec, seeds) for spec in cfg.specs for seeds in _run_seeds(spec, cfg.seeds)]
-    first = _pmap(_eval_bnb_run, [(e, *runs[0], None, cfg, model, trace_dir)
-                                  for e in entries], cfg.jobs) if runs else []
-    later = [(e, spec, seeds, root, cfg, model, trace_dir)
-             for e, (_, root) in zip(entries, first) for spec, seeds in runs[1:]]
-    rows = [r for rs, _ in first + _pmap(_eval_bnb_run, later, cfg.jobs) for r in rs]
+    roots = _pmap(_root_lp, [e["instance_path"] for e in entries], cfg.jobs) if runs else []
+    tasks = [(e, spec, seeds, root, cfg, model, trace_dir)
+             for e, root in zip(entries, roots) for spec, seeds in runs]
+    rows = [r for rs in _pmap(_eval_bnb_run, tasks, cfg.jobs) for r in rs]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     meta = {
         "command": "eval-bnb",

@@ -133,6 +133,43 @@ def test_bad_divers_exit_before_any_work(argv, message, monkeypatch):
         main(argv[:1] + ["--corpus", "c", "--out", "o"] + argv[1:])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval-dive", "--divers", "fractional,fractional"], "eval-dive: duplicate diver names"),
+    (["eval-bnb", "--divers", "fractional:10,fractional:10"],
+     "eval-bnb: duplicate config names"),
+    (["train", "--epochs", "0"], "train: bad training configuration"),
+    (["train", "--hidden", "0"], "train: hidden must be >= 1"),
+    (["train", "--val-fraction", "1"], r"train: .* val_fraction in \[0, 1\)"),
+    (["tune", "--seeds", "x"], "tune: invalid literal"),
+    (["eval-dive", "--d-max", "-1"], "eval-dive: d_max must be >= 0"),
+    (["eval-bnb", "--d-max", "-1"], "eval-bnb: d_max must be >= 0"),
+    (["collect", "--node-limit", "0"], "collect: node_limit must be positive"),
+], ids=["eval-dive-duplicate", "eval-bnb-duplicate", "train-epochs", "train-hidden",
+        "train-val-fraction", "tune-seeds", "eval-dive-depth", "eval-bnb-depth",
+        "collect-nodes"])
+def test_bad_arguments_exit_with_one_line(argv, message, monkeypatch, tmp_path):
+    """A bad argument ends the command with one ``<command>: <reason>`` line
+    before it reads its input or writes anything."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("load_corpus", "instance_paths"):
+        monkeypatch.setattr(harness, name, lambda *a: pytest.fail("input read"))
+    source = "--instances" if argv[0] == "collect" else "--corpus"
+    with pytest.raises(SystemExit, match=message):
+        main(argv[:1] + [source, "c", "--out", "o"] + argv[1:])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("param, message", [
+    ("rows=0", "gen: rows must be >= 1"),
+    ("colour=1", "gen: .*unexpected keyword argument 'colour'"),
+], ids=["out-of-range", "unknown"])
+def test_gen_refuses_bad_params_before_writing(param, message, tmp_path):
+    with pytest.raises(SystemExit, match=message):
+        main(["gen", "--family", "set-cover", "--out", str(tmp_path / "out"),
+              "--param", param])
+    assert not (tmp_path / "out").exists()
+
+
 def test_parser_defaults_are_the_defaults_they_fill(monkeypatch):
     """Every command run without optional flags passes exactly the defaults
     of the configs and functions it fills."""

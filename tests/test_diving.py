@@ -339,6 +339,15 @@ class TestDiveEngine:
         assert len(res.solutions) == 1
         assert res.best_z == -5.0
 
+    def test_solutions_enter_only_through_rounding(self, monkeypatch):
+        """An integral root LP point is recorded through ``round_solution``
+        like every other LP point, so with no rounding there is no solution."""
+        monkeypatch.setattr(diving, "round_solution", lambda x, inst: None)
+        inst = generate(GeneratorConfig("indep-set", seed=1, nodes=5, affinity=0))
+        res = dive(inst, make_scorer("fractional"))
+        assert res.termination == "integral" and res.depth_reached == 0
+        assert res.solutions == [] and res.best_z == np.inf
+
     def test_dmax_zero_only_rounds(self):
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
         res = dive(inst, make_scorer("fractional"), d_max=0)

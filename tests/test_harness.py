@@ -130,7 +130,7 @@ def count_cold_solves(monkeypatch):
 
 class TestCollect:
     def test_one_root_solve_per_instance(self, tiny_world, tmp_path, monkeypatch):
-        """Branch and bound's root solve is the only cold LP solve that
+        """The root solve of ``solve_root`` is the only cold LP solve that
         collection makes per instance."""
         root, manifest = tiny_world
         cold = count_cold_solves(monkeypatch)
@@ -162,6 +162,20 @@ class TestCollect:
                                             "reason": "solved_at_root"}]
             manifests.append((parent / "corpus" / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
+
+    def test_no_branch_and_bound_on_a_root_integral_instance(self, tmp_path,
+                                                             monkeypatch):
+        import divekit.harness as harness
+
+        runs = TestNoRepeatedWork.count_calls(monkeypatch, harness, "branch_and_bound")
+        (tmp_path / "inst").mkdir()
+        write_instance(make_instance("easy", c=[1.0, 2.0], rows=[(0, 0, 1.0), (0, 1, 1.0)],
+                                     senses=[SENSE_GE], b=[1.0], lb=[0, 0], ub=[1, 1],
+                                     integer=[0, 1]), tmp_path / "inst" / "easy.json")
+        manifest = collect_corpus(tmp_path / "inst", tmp_path / "corpus",
+                                  CollectConfig(node_limit=60, jobs=1))
+        assert [s["reason"] for s in manifest["skipped"]] == ["solved_at_root"]
+        assert runs == []
 
     def test_root_integral_instances_dropped(self, tiny_world):
         root, manifest = tiny_world
@@ -250,9 +264,9 @@ class TestCollect:
 class TestEvalDives:
     def test_duplicate_divers_rejected(self, tiny_world):
         root, _ = tiny_world
-        cfg = DiveEvalConfig(divers=("lower", "lower"))
-        with pytest.raises(ValueError):
-            eval_dives(root / "corpus", cfg, root / "out_dup")
+        with pytest.raises(ValueError, match="duplicate diver names"):
+            eval_dives(root / "corpus", DiveEvalConfig(divers=("lower", "lower")),
+                       root / "out_dup")
 
     def test_budget_parity_and_rows(self, tiny_world):
         root, manifest = tiny_world
@@ -489,6 +503,55 @@ class TestNoRepeatedWork:
         assert report["solver_calls"] > n
         assert len(cold) == n
 
+    def test_every_command_solves_each_root_once_through_harness(self, tiny_world, tmp_path,
+                                                                 monkeypatch):
+        """collect, train, eval-dive, eval-bnb and tune each solve every
+        instance's root LP once, as ``harness.solve_lp(lp)``, and hand it on:
+        branch and bound makes no cold solve."""
+        import divekit.bnb as bnb
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        corpus = root / "corpus"
+        roots, cold = [], []
+        real_root, real_bnb = harness.solve_lp, bnb.solve_lp
+
+        def root_solve(lp, *a, **kw):
+            assert not a and not kw
+            roots.append(lp.c.tobytes() + lp.A.data.tobytes())
+            return real_root(lp)
+
+        def bnb_solve(lp, warm=None, **kw):
+            if warm is None:
+                cold.append(lp)
+            return real_bnb(lp, warm=warm, **kw)
+
+        monkeypatch.setattr(harness, "solve_lp", root_solve)
+        monkeypatch.setattr(bnb, "solve_lp", bnb_solve)
+        specs = (BnbRunSpec(name="none"),
+                 BnbRunSpec(name="random:5", members=(("random", 5, 0),), d_max=10))
+        ecfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        n = len(manifest["entries"])
+        commands = {
+            "collect": (8, lambda: collect_corpus(
+                root / "inst", tmp_path / "corpus",
+                CollectConfig(node_limit=150, pool_capacity=5, jobs=1))),
+            "train": (n, lambda: train_from_corpus(
+                corpus, tmp_path / "model.npz", TrainingConfig(epochs=1), hidden=8)),
+            "eval-dive": (n, lambda: eval_dives(
+                corpus, DiveEvalConfig(divers=("fractional", "lower"), d_max=10, jobs=1),
+                tmp_path / "dives")),
+            "eval-bnb": (n, lambda: eval_bnb(corpus, ecfg, tmp_path / "bnb")),
+            "tune": (n, lambda: tune_ensemble(
+                corpus, TuneConfig(divers=("fractional", "random"), samples=2, d_max=10),
+                replace(ecfg, specs=()), tmp_path / "tune.json")),
+        }
+        for name, (count, run) in commands.items():
+            roots.clear()
+            run()
+            assert len(roots) == len(set(roots)) == count, name
+        assert cold == []
+
     @staticmethod
     def first_entries(tiny_world, dest, k):
         """A corpus of the first ``k`` entries of the shared one."""
@@ -550,7 +613,10 @@ class TestNoRepeatedWork:
         cfg = CollectConfig(node_limit=150, pool_capacity=5, augment="enumerate",
                             enum_node_limit=300, jobs=1)
         manifest = collect_corpus(root / "inst", tmp_path / "corpus", cfg)
-        assert len(runs) == 8 == len(manifest["entries"]) + len(manifest["skipped"])
+        # only an instance with a fractional root LP reaches branch and bound
+        reasons = [s["reason"] for s in manifest["skipped"]]
+        assert len(manifest["entries"]) + len(reasons) == 8
+        assert len(runs) == len(manifest["entries"]) + reasons.count("no_solution")
         proven = [e for e in manifest["entries"] if e["status"] == OPTIMAL_PROVEN]
         assert proven and len(walks) == len(proven)
 
@@ -644,10 +710,10 @@ class TestRootLpFailure:
         return calls
 
     def test_collect_skips_the_instance(self, tiny_world, tmp_path, monkeypatch):
-        import divekit.bnb as bnb
+        import divekit.harness as harness
 
         root, _ = tiny_world
-        calls = self.fail_first_solve(monkeypatch, bnb)
+        calls = self.fail_first_solve(monkeypatch, harness)
         manifest = collect_corpus(root / "inst", tmp_path / "corpus",
                                   CollectConfig(node_limit=150, pool_capacity=5, jobs=1))
         assert calls["n"] > 1
@@ -704,10 +770,25 @@ class TestRootLpFailure:
         assert len(examples) == len(manifest["entries"]) - 1
 
     def test_eval_bnb_writes_one_row_per_seed(self, tiny_world, tmp_path, monkeypatch):
+        """The shared root solve of the first instance raises, and so does the
+        run's retry of it: the only cold solves branch and bound makes are
+        such retries."""
         import divekit.bnb as bnb
+        import divekit.harness as harness
+        from divekit.simplex import NumericalBreakdown
 
         root, manifest = tiny_world
-        self.fail_first_solve(monkeypatch, bnb)
+        self.fail_first_solve(monkeypatch, harness)
+        real = bnb.solve_lp
+        retries = []
+
+        def solve_lp(lp, warm=None, **kw):
+            if warm is None:
+                retries.append(lp)
+                raise NumericalBreakdown("injected failure")
+            return real(lp, warm=warm, **kw)
+
+        monkeypatch.setattr(bnb, "solve_lp", solve_lp)
         cfg = BnbEvalConfig(specs=(BnbRunSpec(name="none"),), tick_limit=500.0,
                             node_limit=20, seeds=(0, 1), jobs=1, save_traces=True)
         res = eval_bnb(root / "corpus", cfg, tmp_path / "bnb")
@@ -720,6 +801,7 @@ class TestRootLpFailure:
         assert len(list((tmp_path / "bnb" / "traces").glob("*.csv"))) == len(res["rows"])
         trace = (tmp_path / "bnb" / "traces" / f"{failed[0][0]}_none_s0.csv").read_text()
         assert trace.splitlines()[1:] == ["0.0,inf,-inf"]
+        assert len(retries) == 1
 
 
 class TestTraining:
