@@ -108,9 +108,6 @@ class SolutionPool:
     def solutions(self):
         return [(x, z) for z, _, x in self.entries]
 
-    def objectives(self):
-        return [z for z, _, _ in self.entries]
-
     def __len__(self):
         return len(self.entries)
 
@@ -178,7 +175,6 @@ class BnbResult:
     ticks: float
     node_errors: int
     dives: int = 0  # dives the diver callback ran, not calls of it
-    root: LpSolution | None = None  # the root node's LP solution
 
 
 class _Node:
@@ -224,15 +220,15 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
     infeasibility pruning only, and an optional diver callback at every node
     with a fractional LP point.  A node whose LP fails keeps its parent's
     bound in the global bound, so such a run ends ``limit``; when the root
-    LP fails, the run ends ``lp_error`` with no root solution.
+    LP fails, the run ends ``lp_error``.
 
     ``lp`` is ``inst`` in standard form (built when not given).  A given
     ``root_sol`` must be ``solve_lp(lp)``, the cold solve at ``lp``'s own
     bounds, of this LP or of one built from the same instance: the root
     node uses it in place of solving, and everything else runs as if it
-    had been solved here.  Its pivots stay on the tick clock, it is the
-    root trace point's bound and it is reported as ``BnbResult.root``;
-    nothing writes into it, so one solution can serve many runs."""
+    had been solved here.  Its pivots stay on the tick clock and it is the
+    root trace point's bound; nothing writes into it, so one solution can
+    serve many runs."""
     cfg = cfg or SolveConfig()
     if lp is None:
         lp = to_standard_form(inst)
@@ -243,7 +239,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
     nodes = 0
     node_errors = 0
     dives = 0
-    solved_root = None  # the root node's LP solution, given or solved
+    solved_root = False
     incumbent = None
     z_inc = np.inf
     seq = 0
@@ -251,26 +247,27 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
     int_idx = inst.integer_index
     heap: list[tuple[float, int, _Node]] = []
     plunge: list[_Node] = []  # LIFO chain of depth-first children
-    cur_bound = np.inf  # LP bound of the node currently being processed
     lost_bound = np.inf  # smallest parent bound of a node whose LP failed
 
-    def global_bound():
-        best = min(cur_bound, lost_bound)
+    def open_bound():
+        """The smallest bound of a node still to process or lost to a failed LP."""
+        best = lost_bound
         if heap:
             best = min(best, heap[0][0])
         for nd in plunge:
             best = min(best, nd.bound)
         return best
 
-    def register(x, z=None):
+    def register(x, node_bound, z=None):
+        """Pool ``x``, found at the node in hand; that node's LP bound
+        ``node_bound`` is still part of the global bound a new incumbent is
+        traced with."""
         nonlocal incumbent, z_inc
         if pool.add(x, z):
             bx, bz = pool.best()
             if bz < z_inc - 1e-12:
                 incumbent, z_inc = bx, bz
-                trace.record(ticks, z_inc, global_bound())
-                return True
-        return False
+                trace.record(ticks, z_inc, min(node_bound, open_bound()))
 
     def run_diver(sol, lo, hi):
         nonlocal dives, node_errors
@@ -282,7 +279,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
         dives += len(results)
         for res in results:
             for sx in res.solutions:
-                register(sx)
+                register(sx, sol.objective)
 
     plunge.append(_Node(None, -1, False, 0.0, -np.inf, None))
     status = LIMIT
@@ -303,7 +300,6 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
         if node.bound >= z_inc - BOUND_PRUNE_TOL:
             continue
         nodes += 1
-        cur_bound = node.bound
         lo, hi = node.bounds(lp.lb, lp.ub)
         if node.parent is None and root_sol is not None:
             sol = root_sol
@@ -315,62 +311,51 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
         if sol is not None:
             ticks += sol.iterations
             if node.parent is None:
-                solved_root = sol
+                solved_root = True
             if sol.status == simplex.INFEASIBLE:
-                cur_bound = np.inf
                 continue
         if sol is None or sol.status != simplex.OPTIMAL:
             # the subtree stays unexplored: its parent's bound stays in the
             # global bound, so the run cannot end proven
             node_errors += 1
             lost_bound = min(lost_bound, node.bound)
-            cur_bound = np.inf
             continue
-        node.bound = max(node.bound, sol.objective)
-        cur_bound = sol.objective
+        z = sol.objective
         if node.parent is None:
-            trace.record(ticks, z_inc, sol.objective)
-        if sol.objective >= z_inc - BOUND_PRUNE_TOL:
-            cur_bound = np.inf
+            trace.record(ticks, z_inc, z)
+        if z >= z_inc - BOUND_PRUNE_TOL:
             continue
         x = sol.x[: inst.n]
         branch_var = _most_fractional(x, int_idx)
         if branch_var < 0:
-            register(x, sol.objective)
-            cur_bound = np.inf
+            register(x, z, z)
             continue
         rounded = round_solution(x, inst)
         if rounded is not None:
-            register(rounded)
+            register(rounded, z)
         if cfg.diver is not None:
             run_diver(sol, lo, hi)
-        if sol.objective >= z_inc - BOUND_PRUNE_TOL:
-            cur_bound = np.inf
+        if z >= z_inc - BOUND_PRUNE_TOL:
             continue
         # children: down (upper bound floor) first so plunging goes down
-        up_child = _Node(node, branch_var, False, float(np.ceil(x[branch_var])),
-                         sol.objective, sol.basis)
-        dn_child = _Node(node, branch_var, True, float(np.floor(x[branch_var])),
-                         sol.objective, sol.basis)
-        plunge.append(up_child)
-        plunge.append(dn_child)
-        cur_bound = np.inf
-        trace.record(ticks, z_inc, global_bound())
+        v = x[branch_var]
+        plunge.append(_Node(node, branch_var, False, float(np.ceil(v)), z, sol.basis))
+        plunge.append(_Node(node, branch_var, True, float(np.floor(v)), z, sol.basis))
+        trace.record(ticks, z_inc, open_bound())
     else:
-        if solved_root is None:
+        if not solved_root:
             status = LP_ERROR
         elif lost_bound < z_inc - BOUND_PRUNE_TOL:
             status = LIMIT
         else:
             status = OPTIMAL_PROVEN if incumbent is not None else INFEASIBLE
-    cur_bound = np.inf
 
-    final_bound = z_inc if status == OPTIMAL_PROVEN else global_bound()
+    final_bound = z_inc if status == OPTIMAL_PROVEN else open_bound()
     trace.record(ticks, z_inc, final_bound)
     return BnbResult(
         status=status, x=incumbent, objective=z_inc, bound=final_bound,
         pool=pool, trace=trace, nodes=nodes, ticks=ticks,
-        node_errors=node_errors, dives=dives, root=solved_root,
+        node_errors=node_errors, dives=dives,
     )
 
 
@@ -380,8 +365,10 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
 
 @dataclass
 class EnumerationResult:
-    optimum: float | None
     assignments: list
+    # per assignment, the face LP's point at its leaf with the divable
+    # columns set to the assignment: the continuous columns' completion
+    points: list
     complete: bool
     nodes: int
     status: str
@@ -397,17 +384,15 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None) -> Enum
         pool_capacity=cfg.pool_capacity,
     ))
     if base.status != OPTIMAL_PROVEN:
-        return EnumerationResult(
-            optimum=None if base.x is None else base.objective,
-            assignments=[], complete=False, nodes=base.nodes, status=base.status,
-        )
+        return EnumerationResult(assignments=[], points=[], complete=False,
+                                 nodes=base.nodes, status=base.status)
     return enumerate_optimal_face(inst, base.objective, cfg)
 
 
 def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
                            cfg: SolveConfig) -> EnumerationResult:
     """All distinct assignments of the divable variables on the face of
-    proven optimum ``z_opt``.
+    proven optimum ``z_opt``, each with the point its leaf LP completes it to.
 
     Restricts the objective to the optimal face (two inequality rows at
     ``FACE_TOL``) and depth-first fixes every divable variable, pruning only
@@ -453,7 +438,9 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
                 if len(seen) >= cfg.pool_capacity:
                     complete = False
                     break
-                seen[key] = float(sol.objective)
+                x = sol.x[: inst.n].copy()
+                x[div] = key
+                seen[key] = x
             continue
         j = div[pos]
         lo_v = int(np.ceil(lo[j] - INT_TOL))
@@ -464,8 +451,9 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
             lo2[j] = hi2[j] = float(v)
             stack.append((pos + 1, lo2, hi2, sol.basis))
 
-    assignments = [np.asarray(k, dtype=np.int64) for k in sorted(seen)]
+    keys = sorted(seen)
     return EnumerationResult(
-        optimum=z_opt, assignments=assignments, complete=complete,
+        assignments=[np.asarray(k, dtype=np.int64) for k in keys],
+        points=[seen[k] for k in keys], complete=complete,
         nodes=nodes, status=OPTIMAL_PROVEN if complete else LIMIT,
     )

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+from .diving import check_model
 from .graphnet import TrainingConfig
 from .harness import (
     BnbEvalConfig,
@@ -19,7 +20,6 @@ from .harness import (
     CollectConfig,
     DiveEvalConfig,
     TuneConfig,
-    check_model,
     collect_corpus,
     eval_bnb,
     eval_dives,
@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--model", default=None)
     _add_common(d)
 
-    b = sub.add_parser("eval-bnb", help="branch-and-bound evaluation")
+    # no abbreviations, so that --seed is not read as --seeds
+    b = sub.add_parser("eval-bnb", help="branch-and-bound evaluation", allow_abbrev=False)
     b.add_argument("--corpus", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--divers", default="",
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--model", default=None)
     b.add_argument("--save-traces", action="store_true",
                    help="write one (t, primal_bound, dual_bound) CSV per run")
-    _add_common(b)
+    b.add_argument("--jobs", type=int, default=_default_jobs())
 
     u = sub.add_parser("tune", help="random-search the diving ensemble")
     u.add_argument("--corpus", required=True)

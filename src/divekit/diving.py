@@ -352,9 +352,9 @@ class FixAtBoundScorer:
 
 
 def _l2dive(model=None, **_kw):
-    from .l2dive import l2dive_scorer  # l2dive imports this module
+    from .l2dive import L2DiveScorer  # l2dive imports this module
 
-    return l2dive_scorer(model)
+    return L2DiveScorer(model)
 
 
 SCORERS = {
@@ -378,12 +378,23 @@ HEURISTIC_DIVERS = ("fractional", "coefficient", "linesearch", "vectorlength",
 SEEDED_SCORERS = frozenset({"random"})
 
 
+def check_diver_names(names):
+    """Refuse an unknown diver name before any work."""
+    for name in names:
+        if name not in SCORERS:
+            raise ValueError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}")
+
+
+def check_model(names, model):
+    """Refuse the learned diver without a model (or a checkpoint path) before
+    any work."""
+    if "l2dive" in names and not model:
+        raise ValueError("the l2dive diver needs a trained model (--model PATH)")
+
+
 def make_scorer(name: str, **kwargs):
     """Instantiate a registered scorer by name (see ``SCORERS``); extra
     keyword arguments are passed to the factory."""
-    try:
-        factory = SCORERS[name]
-    except KeyError:
-        raise KeyError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}") from None
-    return factory(**kwargs)
-
+    check_diver_names([name])
+    check_model([name], kwargs.get("model"))
+    return SCORERS[name](**kwargs)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, simplex
 from .bnb import OPTIMAL_PROVEN, SolveConfig, branch_and_bound, enumerate_optimal_face
-from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SCORERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
-from .diving import DiveResult, make_scorer
+from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
+from .diving import DiveResult, check_diver_names, check_model, make_scorer
 from .graphnet import (
     GraphNet,
     TrainExample,
@@ -239,13 +239,7 @@ def _collect_one(task):
         enum = enumerate_optimal_face(inst, res.objective, SolveConfig(
             node_limit=cfg.enum_node_limit, pool_capacity=cfg.pool_capacity,
         ))
-        if enum.assignments:
-            div = inst.divable_index
-            for key in enum.assignments:
-                x_full = np.zeros(inst.n)
-                x_full[div] = key
-                if inst.is_feasible(x_full):
-                    entries.append((x_full, float(inst.c @ x_full)))
+        entries = [(x, float(inst.c @ x)) for x in enum.points if inst.is_feasible(x)]
     if not entries:
         sols = res.pool.solutions()
         entries = sols if mode in ("pool", "enumerate") else sols[:1]
@@ -386,6 +380,7 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
     cfg = cfg or TrainingConfig()
     if hidden < 1 or not 0.0 <= val_fraction < 1.0:
         raise ValueError("hidden must be >= 1 and val_fraction in [0, 1)")
+    Path(model_path).parent.mkdir(parents=True, exist_ok=True)
     entries = load_corpus(corpus_dir)
     examples, tau, bits = build_examples(entries, temperature=cfg.temperature, jobs=jobs)
     if not examples:
@@ -425,19 +420,6 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
 # ---------------------------------------------------------------------------
 # single-dive evaluation
 # ---------------------------------------------------------------------------
-
-def check_diver_names(names):
-    """Refuse an unknown diver name before any work."""
-    for name in names:
-        if name not in SCORERS:
-            raise ValueError(f"unknown diver {name!r}; registered: {sorted(SCORERS)}")
-
-
-def check_model(names, model_path):
-    """Refuse the learned diver without a model checkpoint before any work."""
-    if "l2dive" in names and not model_path:
-        raise ValueError("the l2dive diver needs a trained model (--model PATH)")
-
 
 @dataclass
 class DiveEvalConfig:

@@ -171,26 +171,9 @@ class MilpInstance:
         if np.any(self.divable & ~self.integer):
             raise InstanceError("divable variable is not integer")
         coo = self.A.tocoo()
-        keys = coo.row.astype(np.int64) * n + coo.col
-        if np.unique(keys).size != keys.size:
-            raise InstanceError("duplicate (row, col) entry")
+        _refuse_duplicates(coo.row, coo.col, n)
         if not set(np.unique(self.senses)) <= set(SENSE_NAMES):
             raise InstanceError("unknown row sense")
-
-    def copy(self) -> "MilpInstance":
-        return replace(
-            self,
-            c=self.c.copy(),
-            A=self.A.copy(),
-            senses=self.senses.copy(),
-            b=self.b.copy(),
-            lb=self.lb.copy(),
-            ub=self.ub.copy(),
-            integer=self.integer.copy(),
-            divable=self.divable.copy(),
-            _coo_cache=None,
-            _counts_cache=None,
-        )
 
     def with_extra_rows(self, rows, senses, rhs, name_suffix="aux") -> "MilpInstance":
         """New instance with dense ``rows`` appended (used for optimality-face
@@ -209,9 +192,16 @@ class MilpInstance:
         )
 
 
+def _refuse_duplicates(rows, cols, n) -> None:
+    keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+    if np.unique(keys).size != keys.size:
+        raise InstanceError("duplicate (row, col) entry")
+
+
 def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
                   var_names=None, row_names=None, shape=None) -> MilpInstance:
-    """Build and validate an instance from triplets or any scipy-convertible matrix."""
+    """Build and validate an instance from triplets or any scipy-convertible
+    matrix; two triplets at one (row, col) are refused, not summed."""
     c = np.asarray(c, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = c.shape[0], b.shape[0]
@@ -219,6 +209,7 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
         data = np.array([t[2] for t in rows], dtype=np.float64)
         ii = np.array([t[0] for t in rows], dtype=np.int64)
         jj = np.array([t[1] for t in rows], dtype=np.int64)
+        _refuse_duplicates(ii, jj, n)  # the CSR constructor would sum them
         A = sp.csr_matrix((data, (ii, jj)), shape=(m, n))
     else:
         A = sp.csr_matrix(rows, shape=shape or (m, n))

@@ -129,13 +129,6 @@ class L2DiveScorer:
         return ScoreDecision(j, new_lower=None, new_upper=target, score=float(score[k]))
 
 
-def l2dive_scorer(model):
-    """Factory behind ``diving.SCORERS["l2dive"]``."""
-    if model is None:
-        raise ValueError("the l2dive diver needs a trained model (--model PATH)")
-    return L2DiveScorer(model)
-
-
 def verify_tightening_optimality(inst: MilpInstance, x_tilde) -> dict:
     """Check that tightening exactly the slackness-violation set of a
     feasible point makes that point LP-optimal.

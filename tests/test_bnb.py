@@ -97,7 +97,6 @@ class TestLocks:
         np.testing.assert_array_equal(counts[1], down)
         np.testing.assert_array_equal(counts[2], np.diff(inst.A.tocsc().indptr))
         assert inst.column_counts() is counts
-        assert inst.copy().column_counts() is not counts
         face = inst.with_extra_rows([inst.c], [SENSE_EQ], [1.0])
         assert face.column_counts()[0][0] == counts[0][0] + (inst.c[0] != 0)
 
@@ -204,7 +203,7 @@ class TestPoolAndTrace:
             pool.add(np.array(bits, dtype=float))
             count += 1
         assert len(pool) <= 2
-        zs = pool.objectives()
+        zs = [z for _, z in pool.solutions()]
         assert zs == sorted(zs)
 
     def test_trace_monotone(self):
@@ -303,6 +302,7 @@ class TestDiverCallback:
         bounds."""
         from divekit import bnb
         from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
 
         inst = generate(self.INST)
         lp = to_standard_form(inst)
@@ -330,7 +330,7 @@ class TestDiverCallback:
             np.testing.assert_array_equal(lo[lp.slack_start:], lp.lb[lp.slack_start:])
             np.testing.assert_array_equal(hi[lp.slack_start:], lp.ub[lp.slack_start:])
         x0, lo0, hi0 = calls[0]
-        np.testing.assert_array_equal(x0, res.root.x[: inst.n])
+        np.testing.assert_array_equal(x0, solve_lp(lp).x[: inst.n])
         np.testing.assert_array_equal(lo0, lp.lb)
         np.testing.assert_array_equal(hi0, lp.ub)
 
@@ -405,7 +405,7 @@ class TestFailedNodeLp:
 
     def test_failed_root_ends_lp_error(self, monkeypatch):
         """A raising root LP is a result, not an exception: one node, one
-        node error, no root solution and no finite bound."""
+        node error, no solution and no finite bound."""
         from divekit import bnb, simplex
 
         def failing(*a, **kw):
@@ -414,7 +414,7 @@ class TestFailedNodeLp:
         monkeypatch.setattr(bnb, "solve_lp", failing)
         res = branch_and_bound(generate(self.INST))
         assert res.status == bnb.LP_ERROR
-        assert res.root is None and res.x is None
+        assert res.x is None
         assert (res.nodes, res.node_errors, res.ticks) == (1, 1, 0.0)
         assert res.objective == np.inf and res.bound == -np.inf
         assert res.trace.points == [(0.0, np.inf, -np.inf)]
@@ -448,8 +448,8 @@ class TestFailedNodeLp:
 
 class TestGivenRoot:
     """A root LP solution handed to branch and bound changes nothing: the
-    run equals the one that solves its own root, and nothing writes into
-    the shared solution."""
+    run equals the one that solves its own root, never solves that root
+    again, and nothing writes into the shared solution."""
 
     INSTANCES = (GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08),
                  GeneratorConfig("comb-auction", seed=0, items=20, bids=40))
@@ -462,12 +462,21 @@ class TestGivenRoot:
             arr.flags.writeable = False
         return sol
 
-    def test_given_root_changes_nothing(self):
+    def test_given_root_changes_nothing(self, monkeypatch):
+        from divekit import bnb
         from divekit.graphnet import GraphNet
         from divekit.harness import _ensemble_hook
         from divekit.instances import to_standard_form
         from divekit.simplex import solve_lp
 
+        # every node LP but the root's is warm-started from its parent
+        solves = []
+
+        def spy(*a, **kw):
+            solves.append(kw.get("warm") is None)
+            return solve_lp(*a, **kw)
+
+        monkeypatch.setattr(bnb, "solve_lp", spy)
         model = GraphNet(hidden=8, seed=0)
         for gen in self.INSTANCES:
             inst = generate(gen)
@@ -475,22 +484,25 @@ class TestGivenRoot:
             root = self.frozen(solve_lp(lp))
             for members in self.CONFIGS:
                 def run(**kw):
+                    solves.clear()
                     diver = _ensemble_hook(members, model, 10, 0) if members else None
-                    return branch_and_bound(inst, SolveConfig(node_limit=60, diver=diver), **kw)
+                    res = branch_and_bound(inst, SolveConfig(node_limit=60, diver=diver), **kw)
+                    return res, list(solves)
 
-                own = run()
-                assert own.root.objective == root.objective
+                own, own_solves = run()
+                assert own.trace.points[0][2] == root.objective
+                assert own_solves.count(True) == 1 and own_solves[0]
                 assert own.nodes > 1 and (own.dives > 0) == bool(members)
                 # with the LP the root was solved on, and with one B&B builds
-                for given in (run(lp=lp, root_sol=root), run(root_sol=root)):
-                    assert given.root is root
+                for given, given_solves in (run(lp=lp, root_sol=root), run(root_sol=root)):
+                    assert given_solves == own_solves[1:]
                     assert ((given.status, given.objective, given.bound, given.nodes,
                              given.ticks, given.dives, given.node_errors, given.trace.points)
                             == (own.status, own.objective, own.bound, own.nodes, own.ticks,
                                 own.dives, own.node_errors, own.trace.points))
-                    assert given.pool.objectives() == own.pool.objectives()
-                    assert all(np.array_equal(a, b) for (a, _), (b, _)
+                    assert all(za == zb and np.array_equal(a, b) for (a, za), (b, zb)
                                in zip(given.pool.solutions(), own.pool.solutions()))
+                    assert len(given.pool) == len(own.pool)
 
 
 class TestEnumerate:

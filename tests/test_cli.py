@@ -111,6 +111,15 @@ def test_collect_reads_mps_files_without_a_manifest(tmp_path):
                  "--out", str(tmp_path / "corpus"), "--node-limit", "60", "--jobs", "1"]) == 0
 
 
+def test_eval_bnb_refuses_seed(capsys):
+    """eval-bnb reads only --seeds; --seed is refused, not taken as an
+    abbreviation of --seeds."""
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-bnb", "--corpus", "c", "--out", "o", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("divers", ["fractional:10:15", "fractional:0", "fractional:-3:-1",
                                     "fractionl:10", "fractional:x"])
 def test_eval_bnb_rejects_unrunnable_schedules(divers):

@@ -415,8 +415,10 @@ class TestDiveEngine:
     def test_registry_names(self):
         for name in ALL_BASELINES:
             assert name in SCORERS
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown diver 'nope'"):
             make_scorer("nope")
+        with pytest.raises(ValueError, match="l2dive diver needs a trained model"):
+            make_scorer("l2dive")
 
 
 def _same_dive(a, b):

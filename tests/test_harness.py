@@ -249,6 +249,34 @@ class TestCollect:
         assert [p.name for p in instance_paths(inst_dir)] == \
             ["cover0.mps", "cover1.json", "cover2.mps"]
 
+    def test_enumerate_keeps_the_continuous_completion(self, tmp_path):
+        """On facility-location only the facility columns are divable: each
+        enumerated optimal assignment is stored with the continuous columns
+        its leaf LP completes it with, so the pool holds the optimal face,
+        not the branch-and-bound pool it would fall back to."""
+        from conftest import reference_feasible
+        from divekit.bnb import FACE_TOL, OPTIMAL_PROVEN
+        from divekit.instances import read_instance
+
+        generate_batch("facility-location", 3, 0, tmp_path / "inst",
+                       params={"customers": 5, "facilities": 4})
+        manifest = collect_corpus(tmp_path / "inst", tmp_path / "corpus",
+                                  CollectConfig(augment="enumerate", jobs=1))
+        assert len(manifest["entries"]) == 3
+        for e in manifest["entries"]:
+            assert e["status"] == OPTIMAL_PROVEN
+            inst = read_instance(tmp_path / "inst" / "instances" / f"{e['name']}.json")
+            assert inst.divable_index.size < inst.n
+            pool = json.loads((tmp_path / "corpus" / e["pool"]).read_text())
+            keys = set()
+            for entry in pool["entries"]:
+                x = np.asarray(entry["x"])
+                assert reference_feasible(inst, x)
+                assert entry["z"] == float(inst.c @ x)
+                assert abs(entry["z"] - pool["bound"]) <= 2 * FACE_TOL
+                keys.add(tuple(x[inst.divable_index]))
+            assert len(keys) == len(pool["entries"]) >= 1
+
     def test_files_sharing_a_stem_are_refused(self, tmp_path):
         inst_dir = write_mps_instances(tmp_path / "inst", 2, name="cover")
         for k, sub in enumerate(("a", "b")):
@@ -805,6 +833,25 @@ class TestRootLpFailure:
 
 
 class TestTraining:
+    def test_checkpoint_directory_is_created_before_any_work(self, tiny_world, tmp_path,
+                                                              monkeypatch):
+        import divekit.harness as harness
+
+        root, _ = tiny_world
+        out = tmp_path / "new" / "dir" / "model.npz"
+        seen = []
+        real = harness.build_examples
+
+        def spy(*a, **kw):
+            seen.append(out.parent.is_dir())
+            return real(*a, **kw)
+
+        monkeypatch.setattr(harness, "build_examples", spy)
+        train_from_corpus(root / "corpus", out, TrainingConfig(epochs=1, batch_size=4, seed=0),
+                          jobs=1)
+        assert seen == [True]
+        assert out.exists() and out.with_suffix(".history.csv").exists()
+
     def test_train_writes_model_and_history(self, tiny_world):
         root, _ = tiny_world
         report = train_from_corpus(

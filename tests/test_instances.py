@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -154,6 +155,21 @@ class TestValidation:
         with pytest.raises(InstanceError):
             make_instance("bad", c=[1.0], rows=[], senses=[], b=[],
                           lb=[0.0], ub=[1.0], integer=[], divable=[0])
+
+    def test_duplicate_triplets_rejected_not_summed(self, tmp_path):
+        rows = [(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0)]
+        with pytest.raises(InstanceError, match="duplicate"):
+            make_instance("dup", c=[1.0, 1.0], rows=rows, senses=[SENSE_LE], b=[4.0],
+                          lb=[0.0, 0.0], ub=[1.0, 1.0], integer=[])
+        inst = make_instance("dup", c=[1.0, 1.0], rows=rows[:2], senses=[SENSE_LE], b=[4.0],
+                             lb=[0.0, 0.0], ub=[1.0, 1.0], integer=[])
+        p = tmp_path / "dup.json"
+        write_instance(inst, p)
+        doc = json.loads(p.read_text())
+        doc["rows"].append([0, 0, 3.0])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match="duplicate"):
+            read_instance(p)
 
 
 class TestJsonIo:
