@@ -366,8 +366,9 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
 @dataclass
 class EnumerationResult:
     assignments: list
-    # per assignment, the face LP's point at its leaf with the divable
-    # columns set to the assignment: the continuous columns' completion
+    # per assignment, its completion: the LP on the original rows under the
+    # leaf's bounds (the face LP's point at the leaf when that LP does not
+    # give an integral optimum), with the divable columns set to the assignment
     points: list
     complete: bool
     nodes: int
@@ -392,7 +393,8 @@ def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None) -> Enum
 def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
                            cfg: SolveConfig) -> EnumerationResult:
     """All distinct assignments of the divable variables on the face of
-    proven optimum ``z_opt``, each with the point its leaf LP completes it to.
+    proven optimum ``z_opt``, each with the point the LP on the original
+    rows completes it to under the leaf's bounds.
 
     Restricts the objective to the optimal face (two inequality rows at
     ``FACE_TOL``) and depth-first fixes every divable variable, pruning only
@@ -406,6 +408,9 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
         [z_opt + FACE_TOL, z_opt - FACE_TOL], name_suffix="face",
     )
     lp = to_standard_form(face)
+    # the face rows' logical columns come last, so the original LP's columns
+    # are the face LP's first ones
+    orig = to_standard_form(inst)
     div = [int(j) for j in inst.divable_index]
 
     seen = {}
@@ -439,6 +444,15 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
                     complete = False
                     break
                 x = sol.x[: inst.n].copy()
+                # the face rows hold c'x up to FACE_TOL off z_opt; without
+                # them the LP completes the assignment at its optimum
+                try:
+                    comp = solve_lp(orig, lower=lo[: orig.ncols], upper=hi[: orig.ncols])
+                except SimplexError:
+                    comp = None
+                if (comp is not None and comp.status == simplex.OPTIMAL
+                        and inst.is_integral(comp.x)):
+                    x = comp.x[: inst.n].copy()
                 x[div] = key
                 seen[key] = x
             continue

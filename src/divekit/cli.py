@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # an OSError names its path
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

@@ -173,7 +173,7 @@ def instance_paths(instances_dir) -> list[Path]:
             manifest = json.loads(mf.read_text())
             return [p / "instances" / name for name in manifest["instances"]]
         return sorted([*p.glob("*.json"), *p.glob("*.mps")])
-    raise FileNotFoundError(p)
+    raise FileNotFoundError(f"no instance directory {str(p)!r}")
 
 
 def solve_root(path):
@@ -384,7 +384,7 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
     entries = load_corpus(corpus_dir)
     examples, tau, bits = build_examples(entries, temperature=cfg.temperature, jobs=jobs)
     if not examples:
-        raise RuntimeError("corpus has no usable entries")
+        raise ValueError(f"corpus {str(corpus_dir)!r} has no usable entries")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(examples))
     n_val = int(round(val_fraction * len(examples)))

@@ -216,16 +216,26 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
     senses = np.asarray(
         [SENSE_CODES[s] if isinstance(s, str) else int(s) for s in senses], dtype=np.int8
     )
-    integer_mask = np.zeros(n, dtype=bool)
-    integer_mask[np.asarray(integer, dtype=np.int64)] = True
-    if divable is None:
-        divable_mask = integer_mask.copy()
-    else:
-        divable_mask = np.zeros(n, dtype=bool)
-        divable_mask[np.asarray(divable, dtype=np.int64)] = True
-    # one convention for infinite bounds: |v| >= INF_BOUND becomes +-inf
     lb = np.array(lb, dtype=np.float64)
     ub = np.array(ub, dtype=np.float64)
+    for field, v, size in (("lb", lb, n), ("ub", ub, n), ("senses", senses, m)):
+        if v.shape != (size,):
+            raise InstanceError(f"{field} has shape {v.shape}, expected ({size},)")
+
+    def column_mask(field, index):
+        index = np.asarray(index)
+        if index.size and not np.issubdtype(index.dtype, np.integer):
+            raise InstanceError(f"{field} holds {index.dtype} values, not column indices")
+        index = index.astype(np.int64)
+        if np.any((index < 0) | (index >= n)):
+            raise InstanceError(f"{field} index outside [0, {n})")
+        mask = np.zeros(n, dtype=bool)
+        mask[index] = True
+        return mask
+
+    integer_mask = column_mask("integer", integer)
+    divable_mask = integer_mask.copy() if divable is None else column_mask("divable", divable)
+    # one convention for infinite bounds: |v| >= INF_BOUND becomes +-inf
     lb[lb <= -INF_BOUND] = -np.inf
     ub[ub >= INF_BOUND] = np.inf
     inst = MilpInstance(

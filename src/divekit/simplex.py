@@ -11,10 +11,11 @@ Implementation notes:
 
 - the solver works on the columns of the :class:`StandardLp` as given:
   every row has a logical column (a slack, a surplus, or for an equality
-  row a column fixed at zero), and cold starts take the logical columns as
-  the initial basis.  The LP's dense matrix serves the basis kernel and the
-  entering columns, its CSR transpose pricing and the dual pivot row; both
-  are built once per LP;
+  row a column fixed at zero).  One start places the columns: the logical
+  columns form the basis of a cold start, a warm start takes the given
+  basis and its columns at their upper bound.  The LP's dense matrix
+  serves the basis kernel and the entering columns, its CSR transpose
+  pricing and the dual pivot row; both are built once per LP;
 - the basis is factored through its kernel: a basic logical column is a
   signed unit column that covers its row, so only the structural basic
   columns on the uncovered rows form a matrix to invert (Suhl & Suhl 1990;
@@ -28,9 +29,10 @@ Implementation notes:
   variable farthest outside its bounds leaves, the dual ratio test picks the
   entering column, and the reduced costs are updated from the pivot row.
   An infeasibility verdict is confirmed on fresh factors;
-- the primal phases then clean up, and solve cold starts and warm bases that
-  are not dual feasible: phase 1 minimizes the total bound violation of
-  basic variables using shifted blocking bounds, phase 2 the cost;
+- one primal loop then cleans up, and solves cold starts and warm bases
+  that are not dual feasible: phase 1 minimizes the total bound violation
+  of basic variables using shifted blocking bounds until the point is
+  feasible, then phase 2 the cost;
 - a singular basis or a numerical breakdown anywhere in a warm solve is
   retried once from the cold start;
 - an LP without rows takes the same path: its basis is empty (a 0x0
@@ -195,30 +197,26 @@ class _Solver:
 
     # -- setup ---------------------------------------------------------------
 
-    def _place_nonbasic(self):
-        """Every column at its lower bound, at its upper bound when the lower
-        one is infinite, or free at zero when both are."""
+    def start(self, basis: Basis | None = None):
+        """Every nonbasic column at its lower bound, at its upper bound when
+        the lower one is infinite or ``basis`` lists it there, or free at zero
+        when both are infinite; the basic columns are those of ``basis``, or
+        the logical columns without one."""
+        if basis is not None and basis.basic.shape[0] != self.m:
+            raise SimplexError("warm basis has the wrong size")
+        self.bland = False
+        # every column is placed first, so a status in ``basis`` that is
+        # stale for the current bounds falls back to a finite bound
         has_lo = np.isfinite(self.lb)
         free = ~has_lo & ~np.isfinite(self.ub)
         self.stat[:] = np.where(has_lo, _AT_LOWER, np.where(free, _FREE, _AT_UPPER))
         self.xval[:] = np.where(has_lo, self.lb, np.where(free, 0.0, self.ub))
-
-    def cold_start(self):
-        self.bland = False
-        self._place_nonbasic()
-        self.basic[:] = np.arange(self.lp.slack_start, self.N)  # the logical columns
-        self.stat[self.basic] = _BASIC
-        self.refactorize()
-
-    def warm_start(self, basis: Basis):
-        if basis.basic.shape[0] != self.m:
-            raise SimplexError("warm basis has the wrong size")
-        # every column is re-placed first, so a status that is stale for the
-        # current bounds falls back to a finite bound
-        self._place_nonbasic()
-        self.stat[basis.at_upper] = _AT_UPPER
-        self.xval[basis.at_upper] = self.ub[basis.at_upper]
-        self.basic[:] = basis.basic
+        if basis is None:
+            self.basic[:] = np.arange(self.lp.slack_start, self.N)  # the logical columns
+        else:
+            self.stat[basis.at_upper] = _AT_UPPER
+            self.xval[basis.at_upper] = self.ub[basis.at_upper]
+            self.basic[:] = basis.basic
         self.stat[self.basic] = _BASIC
         self.refactorize()
 
@@ -229,11 +227,18 @@ class _Solver:
         y = self.btran(c_eff[self.basic])
         return y, c_eff - self.At @ y
 
-    def _entering(self, d, etol):
+    def _movable_against(self, v, tol):
+        """The nonbasic columns that can move against the sign of ``v``: up
+        from the lower bound where ``v < -tol``, down from the upper bound
+        where ``v > tol``, either way when free and ``|v| > tol``."""
         movable = self.ub - self.lb > 0
-        elig = (self.stat == _AT_LOWER) & (d < -etol) & movable
-        elig |= (self.stat == _AT_UPPER) & (d > etol) & movable
-        elig |= (self.stat == _FREE) & (np.abs(d) > etol)
+        elig = (self.stat == _AT_LOWER) & (v < -tol) & movable
+        elig |= (self.stat == _AT_UPPER) & (v > tol) & movable
+        elig |= (self.stat == _FREE) & (np.abs(v) > tol)
+        return elig
+
+    def _entering(self, d, etol):
+        elig = self._movable_against(d, etol)
         if not elig.any():
             return -1
         if self.bland:
@@ -243,43 +248,22 @@ class _Solver:
 
     # -- pivoting ------------------------------------------------------------
 
-    def _step(self, q, s, w, lo_eff, up_eff):
-        xb = self.xval[self.basic]
-        rate = -s * w
-        t_block, pos, _hit_up = ratio_test(rate, xb, lo_eff, up_eff, self.basic, PIVOT_TOL)
-        t_flip = self.ub[q] - self.lb[q]  # inf when a bound is infinite
-        t = min(t_block, t_flip)
-        if not np.isfinite(t):
-            return None  # unbounded direction
-        if t > 0:
-            self.xval[self.basic] = xb + t * rate
-            self.xval[q] += s * t
-        if t_flip <= t_block:
-            self.stat[q] = _AT_UPPER if self.stat[q] == _AT_LOWER else _AT_LOWER
-            self.xval[q] = self.ub[q] if self.stat[q] == _AT_UPPER else self.lb[q]
-        else:
-            leave = int(self.basic[pos])
-            v = up_eff[pos] if _hit_up else lo_eff[pos]
-            if abs(v - self.lb[leave]) <= abs(v - self.ub[leave]):
-                self.stat[leave] = _AT_LOWER
-                self.xval[leave] = self.lb[leave]
-            else:
-                self.stat[leave] = _AT_UPPER
-                self.xval[leave] = self.ub[leave]
-            self._replace(pos, q, w)
-        self.iterations += 1
-        return t
+    def _set_nonbasic(self, j, at_upper):
+        """Column ``j`` goes to its upper bound when ``at_upper``, else to its
+        lower bound."""
+        self.stat[j] = _AT_UPPER if at_upper else _AT_LOWER
+        self.xval[j] = self.ub[j] if at_upper else self.lb[j]
 
     def _replace(self, pos, q, w):
         """Column ``q`` (``w`` = its ftran) becomes the basic variable of row
-        position ``pos``; one eta, or a refactorization when the file is full."""
+        position ``pos``; one eta, or a refactorization when the file is full.
+        Counts the iteration."""
         self.basic[pos] = q
         self.stat[q] = _BASIC
-        if abs(w[pos]) < PIVOT_TOL:
-            raise NumericalBreakdown("tiny pivot element")
         self.eta_rows[self.n_eta] = pos
         self.etas[self.n_eta, :] = w
         self.n_eta += 1
+        self.iterations += 1
         if self.n_eta >= REFACTOR_EVERY:
             self.refactorize()
 
@@ -299,11 +283,7 @@ class _Solver:
         pivot row ``alpha`` (negated when it must fall): the smallest
         ``|d_j / alpha_j|`` over the columns whose move raises it, ties to the
         lowest index, or -1 when none can."""
-        movable = self.ub - self.lb > 0
-        elig = (self.stat == _AT_LOWER) & (alpha < -PIVOT_TOL) & movable
-        elig |= (self.stat == _AT_UPPER) & (alpha > PIVOT_TOL) & movable
-        elig |= (self.stat == _FREE) & (np.abs(alpha) > PIVOT_TOL)
-        idx = np.flatnonzero(elig)
+        idx = np.flatnonzero(self._movable_against(alpha, PIVOT_TOL))
         if idx.size == 0:
             return -1
         # |d_j| with the sign dual feasibility gives it, clamped at 0
@@ -318,13 +298,12 @@ class _Solver:
 
         Returns OPTIMAL once the point is primal feasible, and also, without
         a pivot, when the basis is not dual feasible: either way the primal
-        phases finish the solve.
+        loop finishes the solve.
         """
         _, d = self.price(self.c)
         if self._entering(d, OPT_TOL) >= 0:
             return OPTIMAL
-        self._last_obj = np.inf
-        self._stall = 0
+        self._last_obj, self._stall = np.inf, 0
         while True:
             xb = self.xval[self.basic]
             lo, up = self.lb[self.basic], self.ub[self.basic]
@@ -355,20 +334,16 @@ class _Solver:
             w = self.ftran(self.A[:, q])
             if abs(w[r]) < PIVOT_TOL:
                 raise NumericalBreakdown("tiny pivot element")
-            leave = int(self.basic[r])
-            target = lo[r] if rises else up[r]
-            theta = (xb[r] - target) / w[r]
+            theta = (xb[r] - (lo[r] if rises else up[r])) / w[r]
             self.xval[self.basic] = xb - theta * w
             self.xval[q] += theta
-            self.stat[leave] = _AT_LOWER if rises else _AT_UPPER
-            self.xval[leave] = target
+            self._set_nonbasic(int(self.basic[r]), not rises)
             d -= (d[q] / alpha[q]) * alpha
             self._replace(r, q, w)
-            self.iterations += 1
             if not self.n_eta:
                 _, d = self.price(self.c)
 
-    # -- primal phases ---------------------------------------------------------
+    # -- primal loop -----------------------------------------------------------
 
     def violations(self):
         xb = self.xval[self.basic]
@@ -380,72 +355,67 @@ class _Solver:
         )
         return below, above, total
 
-    def phase1(self, iter_limit):
-        self._last_obj = np.inf
-        self._stall = 0
+    def primal(self, iter_limit):
+        """Bounded primal simplex.  Phase 1 minimizes the total bound
+        violation of the basic variables, which block at shifted bounds,
+        until the point is feasible; phase 2 then minimizes the cost and
+        never returns to phase 1."""
+        self._last_obj, self._stall = np.inf, 0
+        phase1 = True
         while True:
-            below, above, total = self.violations()
-            if total <= FEAS_TOL:
-                return OPTIMAL
+            if phase1:
+                below, above, total = self.violations()
+                if total <= FEAS_TOL:
+                    phase1 = False
+                    self._last_obj, self._stall = np.inf, 0
             if self.iterations >= iter_limit:
                 return ITERATION_LIMIT
-            c1 = np.zeros(self.N)
-            c1[self.basic[below]] = -1.0
-            c1[self.basic[above]] = 1.0
-            self._note_progress(total)
-            _, d = self.price(c1)
+            if phase1:
+                cost = np.zeros(self.N)
+                cost[self.basic[below]] = -1.0
+                cost[self.basic[above]] = 1.0
+                self._note_progress(total)
+            else:
+                cost = self.c
+                self._note_progress(float(self.c @ self.xval))
+            _, d = self.price(cost)
             q = self._entering(d, OPT_TOL)
+            if q < 0 and not phase1 and self.n_eta:
+                # confirm optimality against fresh factors
+                self.refactorize()
+                _, d = self.price(cost)
+                q = self._entering(d, OPT_TOL)
             if q < 0:
-                return INFEASIBLE
+                return INFEASIBLE if phase1 else OPTIMAL
             s = 1.0 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and d[q] < 0)) else -1.0
             w = self.ftran(self.A[:, q])
-            lo_eff = self.lb[self.basic].copy()
-            up_eff = self.ub[self.basic].copy()
-            lo_eff[below] = -np.inf
-            up_eff[below] = self.lb[self.basic[below]]
-            lo_eff[above] = self.ub[self.basic[above]]
-            up_eff[above] = np.inf
-            if self._step(q, s, w, lo_eff, up_eff) is None:
-                raise NumericalBreakdown("unbounded phase-1 direction")
-
-    def phase2(self, iter_limit):
-        self._last_obj = np.inf
-        self._stall = 0
-        while True:
-            if self.iterations >= iter_limit:
-                return ITERATION_LIMIT
-            self._note_progress(float(self.c @ self.xval))
-            _, d = self.price(self.c)
-            q = self._entering(d, OPT_TOL)
-            if q < 0:
-                if self.n_eta:
-                    # confirm optimality against fresh factors
-                    self.refactorize()
-                    _, d = self.price(self.c)
-                    q = self._entering(d, OPT_TOL)
-                    if q < 0:
-                        return OPTIMAL
-                else:
-                    return OPTIMAL
-            s = 1.0 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and d[q] < 0)) else -1.0
-            w = self.ftran(self.A[:, q])
-            lo_eff = self.lb[self.basic]
-            up_eff = self.ub[self.basic]
-            if self._step(q, s, w, lo_eff, up_eff) is None:
-                ray = np.zeros(self.N)
-                ray[q] = s
-                ray[self.basic] += -s * w
-                self.ray = ray
+            lo_eff, up_eff = self.lb[self.basic], self.ub[self.basic]
+            if phase1:  # a violated bound blocks from the other side
+                lo_eff[below], up_eff[below] = -np.inf, self.lb[self.basic[below]]
+                lo_eff[above], up_eff[above] = self.ub[self.basic[above]], np.inf
+            xb = self.xval[self.basic]
+            rate = -s * w
+            t_block, pos, hit_up = ratio_test(rate, xb, lo_eff, up_eff, self.basic, PIVOT_TOL)
+            t_flip = self.ub[q] - self.lb[q]  # inf when a bound is infinite
+            t = min(t_block, t_flip)
+            if not np.isfinite(t):
+                if phase1:
+                    raise NumericalBreakdown("unbounded phase-1 direction")
+                self.ray = np.zeros(self.N)
+                self.ray[q] = s
+                self.ray[self.basic] += rate
                 return UNBOUNDED
-
-    def run(self, iter_limit, dual):
-        """The dual phase when ``dual`` is set, then primal phases 1 and 2."""
-        status = self.dual_phase(iter_limit) if dual else OPTIMAL
-        if status == OPTIMAL:
-            status = self.phase1(iter_limit)
-        if status == OPTIMAL:
-            status = self.phase2(iter_limit)
-        return status
+            if t > 0:
+                self.xval[self.basic] = xb + t * rate
+                self.xval[q] += s * t
+            if t_flip <= t_block:
+                self._set_nonbasic(q, self.stat[q] == _AT_LOWER)
+                self.iterations += 1
+            else:
+                leave = int(self.basic[pos])
+                v = up_eff[pos] if hit_up else lo_eff[pos]  # it leaves at the bound nearer v
+                self._set_nonbasic(leave, abs(v - self.lb[leave]) > abs(v - self.ub[leave]))
+                self._replace(pos, q, w)
 
     # -- extraction --------------------------------------------------------------
 
@@ -465,13 +435,12 @@ class _Solver:
         return DualValues(y_b=y, y_lb=y_lb, y_ub=y_ub)
 
     def solution(self, status) -> LpSolution:
-        x = self.xval.copy()
-        obj = float(self.c @ x)
+        obj = float(self.c @ self.xval)
         duals = self.extract_duals() if status == OPTIMAL else None
         _, _, infeas = self.violations()
         return LpSolution(
             status=status,
-            x=x,
+            x=None if status == INFEASIBLE else self.xval.copy(),
             objective=obj,
             duals=duals,
             basis=self.make_basis(),
@@ -506,17 +475,15 @@ def solve_lp(
     status = None
     if warm is not None:
         try:
-            solver.warm_start(warm)
-            status = solver.run(budget, dual=True)
+            solver.start(warm)
+            status = solver.dual_phase(budget)
+            if status == OPTIMAL:
+                status = solver.primal(budget)
         except (SingularBasis, NumericalBreakdown):
-            pass  # retried once from the cold start
+            status = None  # retried once from the cold start
     if status is None:
-        solver.cold_start()
-        status = solver.run(budget, dual=False)
-    if status == INFEASIBLE:
-        sol = solver.solution(INFEASIBLE)
-        sol.x = None
-        return sol
+        solver.start()
+        status = solver.primal(budget)
     if status == ITERATION_LIMIT and iter_limit is None:
         raise NumericalBreakdown(f"no convergence within {budget} iterations")
     return solver.solution(status)

@@ -424,21 +424,22 @@ class TestFailedNodeLp:
 
         inst = generate(self.INST)
         clean = branch_and_bound(inst)
-        real_warm, real_phase2 = simplex._Solver.warm_start, simplex._Solver.phase2
+        real_start, real_primal = simplex._Solver.start, simplex._Solver.primal
         raised = []
 
-        def marking_warm_start(self, basis):
-            self.warm_attempt = True
-            return real_warm(self, basis)
+        def marking_start(self, basis=None):
+            if basis is not None:
+                self.warm_attempt = True
+            return real_start(self, basis)
 
-        def failing_phase2(self, iter_limit):
+        def failing_primal(self, iter_limit):
             if getattr(self, "warm_attempt", False) and not raised:
                 raised.append(True)
                 raise simplex.NumericalBreakdown("injected")
-            return real_phase2(self, iter_limit)
+            return real_primal(self, iter_limit)
 
-        monkeypatch.setattr(simplex._Solver, "warm_start", marking_warm_start)
-        monkeypatch.setattr(simplex._Solver, "phase2", failing_phase2)
+        monkeypatch.setattr(simplex._Solver, "start", marking_start)
+        monkeypatch.setattr(simplex._Solver, "primal", failing_primal)
         res = branch_and_bound(inst)
         assert raised
         assert res.node_errors == 0

@@ -168,6 +168,28 @@ def test_bad_arguments_exit_with_one_line(argv, message, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["collect", "--instances", "{tmp}/nope"], "collect: .*nope"),
+    (["eval-dive", "--corpus", "{tmp}/nope"], "eval-dive: .*nope"),
+    (["eval-dive", "--corpus", "{corpus}", "--divers", "l2dive", "--model", "{tmp}/missing.npz"],
+     "eval-dive: .*missing.npz"),
+    (["train", "--corpus", "{tmp}/nope"], "train: .*nope"),
+], ids=["collect", "eval-dive-corpus", "eval-dive-model", "train"])
+def test_missing_input_path_exits_with_one_line(argv, message, workspace, tmp_path):
+    """A missing input path ends the command with one line that names it."""
+    argv = [a.format(tmp=tmp_path, corpus=workspace / "corpus") for a in argv]
+    with pytest.raises(SystemExit, match=message):
+        main(argv + ["--out", str(tmp_path / "out"), "--jobs", "1"])
+
+
+def test_train_on_a_corpus_without_usable_entries_exits_with_one_line(tmp_path):
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "manifest.json").write_text(json.dumps({"entries": []}))
+    with pytest.raises(SystemExit, match="train: corpus .* has no usable entries"):
+        main(["train", "--corpus", str(tmp_path / "corpus"),
+              "--out", str(tmp_path / "model.npz"), "--jobs", "1"])
+
+
 @pytest.mark.parametrize("param, message", [
     ("rows=0", "gen: rows must be >= 1"),
     ("colour=1", "gen: .*unexpected keyword argument 'colour'"),

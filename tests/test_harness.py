@@ -277,6 +277,28 @@ class TestCollect:
                 keys.add(tuple(x[inst.divable_index]))
             assert len(keys) == len(pool["entries"]) >= 1
 
+    def test_enumerate_completions_sit_at_the_optimum(self, tmp_path):
+        """The continuous completion of each enumerated assignment is taken
+        at the optimum, not on the face LP's lower row FACE_TOL below it."""
+        from conftest import reference_feasible
+        from divekit.bnb import branch_and_bound
+        from divekit.instances import read_instance
+
+        generate_batch("facility-location", 6, 0, tmp_path / "inst",
+                       params={"customers": 5, "facilities": 4})
+        manifest = collect_corpus(tmp_path / "inst", tmp_path / "corpus",
+                                  CollectConfig(augment="enumerate", jobs=1))
+        assert len(manifest["entries"]) == 6
+        for e in manifest["entries"]:
+            inst = read_instance(tmp_path / "inst" / "instances" / f"{e['name']}.json")
+            z_opt = branch_and_bound(inst).objective
+            pool = json.loads((tmp_path / "corpus" / e["pool"]).read_text())
+            assert pool["entries"]
+            for entry in pool["entries"]:
+                x = np.asarray(entry["x"])
+                assert reference_feasible(inst, x)
+                assert abs(float(inst.c @ x) - z_opt) <= 1e-9
+
     def test_files_sharing_a_stem_are_refused(self, tmp_path):
         inst_dir = write_mps_instances(tmp_path / "inst", 2, name="cover")
         for k, sub in enumerate(("a", "b")):

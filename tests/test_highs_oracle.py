@@ -4,8 +4,9 @@ instance sizes the pipeline uses.
 Root LPs of every family at default generator size, one facility-location
 variant whose demand rows are equalities, warm resolves (the dual simplex
 path) after one branching bound change, after several tightenings at once
-and after a tightening that leaves no feasible point, and proven
-branch-and-bound optima on small instances, the equality variant among them.
+and after a tightening that leaves no feasible point, all of these again
+under Bland's rule, and proven branch-and-bound optima on small instances,
+the equality variant among them.
 """
 
 import dataclasses
@@ -158,6 +159,31 @@ def test_infeasible_tightening_matches_highs(root):
     status, _ = highs_lp(lp, lower, upper)
     assert warm.status == status == simplex.INFEASIBLE
     assert warm.x is None and warm.duals is None
+
+
+def test_blands_rule_matches_highs(root, monkeypatch):
+    """With Bland's rule from the first stalled pivot on, the root and every
+    warm resolve above still meet HiGHS and their certificates."""
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+    bland = []
+    real = simplex._Solver.solution
+
+    def solution(self, status):
+        bland.append(self.bland)
+        return real(self, status)
+
+    monkeypatch.setattr(simplex._Solver, "solution", solution)
+    inst, lp, _ = root
+    root = (inst, lp, solve_lp(lp))
+    test_root_lp_matches_highs(root)
+    for side in ("down", "up"):
+        test_warm_resolve_matches_highs(root, side)
+    for k in (4, 12):
+        test_multi_variable_tightening_matches_highs(root, k)
+    test_infeasible_tightening_matches_highs(root)
+    # the rule ran in the cold root's primal loop and in the dual phase that
+    # proves the last tightening infeasible
+    assert len(bland) == 6 and bland[0] and bland[-1]
 
 
 SMALL = {

@@ -171,6 +171,34 @@ class TestValidation:
         with pytest.raises(InstanceError, match="duplicate"):
             read_instance(p)
 
+    @pytest.mark.parametrize("field, index", [
+        ("integer", [-1]), ("integer", [2]), ("divable", [-1]), ("divable", [2]),
+        ("integer", [0.7]), ("integer", [True, False]),
+    ])
+    def test_column_index_outside_the_columns_rejected(self, field, index):
+        kw = {"integer": [0, 1], field: index}
+        with pytest.raises(InstanceError, match=field):
+            make_instance("bad", c=[1.0, 1.0], rows=[], senses=[], b=[],
+                          lb=[0.0, 0.0], ub=[1.0, 1.0], **kw)
+
+    def test_negative_index_in_a_json_file_rejected(self, tmp_path):
+        inst = make_instance("neg", c=[1.0, 1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
+                             b=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0], integer=[1])
+        p = tmp_path / "neg.json"
+        write_instance(inst, p)
+        doc = json.loads(p.read_text())
+        doc["int"] = doc["divable"] = [-1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match="integer"):
+            read_instance(p)
+
+    @pytest.mark.parametrize("field", ["lb", "ub", "senses"])
+    def test_vector_of_the_wrong_length_rejected(self, field):
+        kw = {"lb": [0.0, 0.0], "ub": [1.0, 1.0], "senses": [SENSE_LE]}
+        kw[field] = kw[field] + kw[field]
+        with pytest.raises(InstanceError, match=field):
+            make_instance("bad", c=[1.0, 1.0], rows=[(0, 0, 1.0)], b=[1.0], integer=[], **kw)
+
 
 class TestJsonIo:
     def test_round_trip_equal(self, tmp_path):

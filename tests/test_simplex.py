@@ -256,7 +256,7 @@ class TestDualExtraction:
         sol = solve_lp(lp, lower=lo, upper=hi)
         assert sol.status == simplex.OPTIMAL
         solver = simplex._Solver(lp, lo, hi)
-        solver.warm_start(sol.basis)
+        solver.start(sol.basis)
         _, d = solver.price(solver.c)
         y_lb, y_ub = self.loop_reference(solver, d)
         duals = solver.extract_duals()
@@ -340,7 +340,7 @@ class TestBasisKernel:
         lp = std(make_instance("free", c=[1.0, -1.0], rows=[], senses=[], b=[],
                                lb=[0, 0], ub=[1, 1], integer=[]))
         solver = simplex._Solver(lp, None, None)
-        solver.cold_start()
+        solver.start()
         assert solver.Kinv.shape == (0, 0)
         assert solver.ftran(np.zeros(0)).shape == (0,)
         assert solver.btran(np.zeros(0)).shape == (0,)
@@ -411,12 +411,11 @@ class TestDualPhase:
         # optimal for the negated costs, so columns price out for the real ones
         flipped = solve_lp(dataclasses.replace(lp, c=-lp.c))
         solver = simplex._Solver(lp, None, hi)
-        solver.warm_start(flipped.basis)
+        solver.start(flipped.basis)
         _, d = solver.price(solver.c)
         assert solver._entering(d, simplex.OPT_TOL) >= 0
         budget = max(20000, 200 * (solver.m + 10))
-        assert solver.phase1(budget) == simplex.OPTIMAL
-        assert solver.phase2(budget) == simplex.OPTIMAL
+        assert solver.primal(budget) == simplex.OPTIMAL
         log = _spy_dual(monkeypatch)
         sol = solve_lp(lp, warm=flipped.basis, upper=hi)
         assert log["dual_tests"] == 0
@@ -446,7 +445,7 @@ class TestDualPhase:
         lp = std(make_instance("t", c=[0.0, 0.0, 2.0], rows=[], senses=[], b=[],
                                lb=[0, 0, 0], ub=[1, 1, 1], integer=[]))
         solver = simplex._Solver(lp, None, None)
-        solver.cold_start()
+        solver.start()
         d = np.array([2.0, -1e-12, 0.0])
         alpha = np.array([-1.0, -1.0, -1.0])
         assert solver._dual_ratio_test(d, alpha) == 1
