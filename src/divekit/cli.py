@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train the generative diving model")
     t.add_argument("--corpus", required=True)
-    t.add_argument("--out", required=True, help="checkpoint path (.npz)")
+    t.add_argument("--out", required=True, help="checkpoint path, written at exactly this name")
     t.add_argument("--epochs", type=int, default=TrainingConfig.epochs)
     t.add_argument("--lr", type=float, default=TrainingConfig.lr)
     t.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)

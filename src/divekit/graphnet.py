@@ -12,10 +12,12 @@ use one head per bit of their domain width, decoded little-endian and
 clamped into the domain.
 
 Forward/backward are written out by hand (verified against central finite
-differences in the tests); message passing is a sparse product with the two
-degree-normalized adjacencies that ``make_batch`` builds once per batch.
-Training minimizes the exact KL divergence from the pooled target
-distribution to the factorized model, with ADAM.
+differences in the tests) from one table of the dense layers, ``LAYERS``.
+Message passing is a sparse product with the two degree-normalized
+adjacencies that ``make_batch`` builds once per batch.  Train mode
+normalizes by the batch and updates the running batch-norm statistics that
+eval mode reads.  Training minimizes the exact KL divergence from the
+pooled target distribution to the factorized model, with ADAM.
 """
 
 from __future__ import annotations
@@ -51,6 +53,21 @@ LOG_CLAMP = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+#: the dense layers in parameter order: (weight, bias, fan-in, fan-out), each
+#: fan named by its size: "v"/"c" the variable/constraint feature counts,
+#: "hidden" the width and "bits" the heads
+LAYERS = (
+    ("emb_v_w1", "emb_v_b1", "v", "hidden"),
+    ("emb_v_w2", "emb_v_b2", "hidden", "hidden"),
+    ("emb_c_w1", "emb_c_b1", "c", "hidden"),
+    ("emb_c_w2", "emb_c_b2", "hidden", "hidden"),
+    ("conv_vc_w", "conv_vc_b", "hidden", "hidden"),
+    ("conv_cv_w", "conv_cv_b", "hidden", "hidden"),
+    ("out_w1", "out_b1", "hidden", "hidden"),
+    ("out_w2", "out_b2", "hidden", "bits"),
+)
+_BIAS = {w: b for w, b, _, _ in LAYERS}
 
 
 class ShapeMismatch(ValueError):
@@ -233,155 +250,108 @@ class GraphNet:
     for the architecture."""
 
     def __init__(self, hidden=64, n_bits=1, seed=0):
-        n_var_feats, n_cons_feats = len(VAR_FEATURES), len(CONS_FEATURES)
         self.hidden = hidden
         self.n_bits = n_bits
         rng = np.random.default_rng(seed)
-
-        def he(fan_in, shape):
-            return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-        h = hidden
-        self.params = {
-            "bn_v_gamma": np.ones(n_var_feats),
-            "bn_v_beta": np.zeros(n_var_feats),
-            "bn_c_gamma": np.ones(n_cons_feats),
-            "bn_c_beta": np.zeros(n_cons_feats),
-            "emb_v_w1": he(n_var_feats, (n_var_feats, h)),
-            "emb_v_b1": np.zeros(h),
-            "emb_v_w2": he(h, (h, h)),
-            "emb_v_b2": np.zeros(h),
-            "emb_c_w1": he(n_cons_feats, (n_cons_feats, h)),
-            "emb_c_b1": np.zeros(h),
-            "emb_c_w2": he(h, (h, h)),
-            "emb_c_b2": np.zeros(h),
-            "conv_vc_w": he(h, (h, h)),
-            "conv_vc_b": np.zeros(h),
-            "conv_cv_w": he(h, (h, h)),
-            "conv_cv_b": np.zeros(h),
-            "out_w1": he(h, (h, h)),
-            "out_b1": np.zeros(h),
-            "out_w2": he(h, (h, n_bits)),
-            "out_b2": np.zeros(n_bits),
-        }
-        self.running = {
-            "bn_v_mean": np.zeros(n_var_feats),
-            "bn_v_var": np.ones(n_var_feats),
-            "bn_c_mean": np.zeros(n_cons_feats),
-            "bn_c_var": np.ones(n_cons_feats),
-        }
+        dims = {"v": len(VAR_FEATURES), "c": len(CONS_FEATURES), "hidden": hidden,
+                "bits": n_bits}
+        self.params = {}
+        self.running = {}
+        for t in ("v", "c"):
+            self.params[f"bn_{t}_gamma"] = np.ones(dims[t])
+            self.params[f"bn_{t}_beta"] = np.zeros(dims[t])
+            self.running[f"bn_{t}_mean"] = np.zeros(dims[t])
+            self.running[f"bn_{t}_var"] = np.ones(dims[t])
+        for w, b, fan_in, fan_out in LAYERS:  # He-normal weights, zero biases
+            shape = (dims[fan_in], dims[fan_out])
+            self.params[w] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            self.params[b] = np.zeros(shape[1])
 
     # -- forward -----------------------------------------------------------
 
-    def _bn(self, raw, prefix, train, update_stats, cache):
-        p = self.params
+    def _bn(self, raw, prefix, train, cache):
+        p, r = self.params, self.running
         if train:
             mu = raw.mean(axis=0) if raw.shape[0] else np.zeros(raw.shape[1])
             var = raw.var(axis=0) if raw.shape[0] else np.ones(raw.shape[1])
-            if update_stats:
-                r = self.running
-                r[f"bn_{prefix}_mean"] = (1 - BN_MOMENTUM) * r[f"bn_{prefix}_mean"] + BN_MOMENTUM * mu
-                r[f"bn_{prefix}_var"] = (1 - BN_MOMENTUM) * r[f"bn_{prefix}_var"] + BN_MOMENTUM * var
+            r[f"bn_{prefix}_mean"] = (1 - BN_MOMENTUM) * r[f"bn_{prefix}_mean"] + BN_MOMENTUM * mu
+            r[f"bn_{prefix}_var"] = (1 - BN_MOMENTUM) * r[f"bn_{prefix}_var"] + BN_MOMENTUM * var
         else:
-            mu = self.running[f"bn_{prefix}_mean"]
-            var = self.running[f"bn_{prefix}_var"]
-        xhat = (raw - mu) / np.sqrt(var + BN_EPS)
-        if cache is not None:
-            cache[f"xhat_{prefix}"] = xhat
+            mu, var = r[f"bn_{prefix}_mean"], r[f"bn_{prefix}_var"]
+        cache[f"xhat_{prefix}"] = xhat = (raw - mu) / np.sqrt(var + BN_EPS)
         return p[f"bn_{prefix}_gamma"] * xhat + p[f"bn_{prefix}_beta"]
 
-    def forward(self, batch: GraphBatch, train=False, update_stats=False):
+    def _dense(self, layer, x, residual=None):
+        """``(residual + x @ W) + b`` for the ``LAYERS`` row of weight ``layer``
+        (summed in this order: ``residual + (x @ W + b)`` rounds differently)."""
+        z = x @ self.params[layer]
+        if residual is not None:
+            z = residual + z
+        return z + self.params[_BIAS[layer]]
+
+    def forward(self, batch: GraphBatch, train=False):
         """Bernoulli means for every variable node (restrict to candidate
         rows for predictions); returns ``(means, cache)`` with the cache
-        populated only in train mode."""
-        p = self.params
+        populated only in train mode, where the batch-norm running
+        statistics are also updated."""
         for kind, feats, names in (("variable", batch.var_feats, VAR_FEATURES),
                                    ("constraint", batch.cons_feats, CONS_FEATURES)):
             if feats.shape[1] != len(names):
                 raise ShapeMismatch(f"expected {len(names)} {kind} features, got {feats.shape[1]}")
-        cache = {} if train else None
-        v0 = self._bn(batch.var_feats, "v", train, update_stats, cache)
-        c0 = self._bn(batch.cons_feats, "c", train, update_stats, cache)
-
-        v1 = np.maximum(v0 @ p["emb_v_w1"] + p["emb_v_b1"], 0.0)
-        v2 = np.maximum(v1 @ p["emb_v_w2"] + p["emb_v_b2"], 0.0)
-        c1 = np.maximum(c0 @ p["emb_c_w1"] + p["emb_c_b1"], 0.0)
-        c2 = np.maximum(c1 @ p["emb_c_w2"] + p["emb_c_b2"], 0.0)
+        cache = {"batch": batch}
+        for t, feats in (("v", batch.var_feats), ("c", batch.cons_feats)):
+            cache[f"{t}0"] = self._bn(feats, t, train, cache)
+            cache[f"{t}1"] = np.maximum(self._dense(f"emb_{t}_w1", cache[f"{t}0"]), 0.0)
+            cache[f"{t}2"] = np.maximum(self._dense(f"emb_{t}_w2", cache[f"{t}1"]), 0.0)
+        v2, c2 = cache["v2"], cache["c2"]
 
         agg_c = scatter_messages(batch.to_cons, v2, np.zeros_like(c2))
-        c3 = np.maximum(c2 + agg_c @ p["conv_vc_w"] + p["conv_vc_b"], 0.0)
+        c3 = np.maximum(self._dense("conv_vc_w", agg_c, residual=c2), 0.0)
 
         agg_v = scatter_messages(batch.to_vars, c3, np.zeros_like(v2))
-        v3 = np.maximum(v2 + agg_v @ p["conv_cv_w"] + p["conv_cv_b"], 0.0)
+        v3 = np.maximum(self._dense("conv_cv_w", agg_v, residual=v2), 0.0)
 
-        o1 = np.maximum(v3 @ p["out_w1"] + p["out_b1"], 0.0)
-        logits = o1 @ p["out_w2"] + p["out_b2"]
-        means = _sigmoid(logits)
-        if train:
-            cache.update(v0=v0, c0=c0, v1=v1, v2=v2, c1=c1, c2=c2,
-                         agg_c=agg_c, c3=c3, agg_v=agg_v, v3=v3, o1=o1,
-                         batch=batch)
+        o1 = np.maximum(self._dense("out_w1", v3), 0.0)
+        means = _sigmoid(self._dense("out_w2", o1))
+        if not train:
+            return means, None
+        cache.update(agg_c=agg_c, c3=c3, agg_v=agg_v, v3=v3, o1=o1)
         return means, cache
 
     # -- backward ----------------------------------------------------------
 
+    def _dense_back(self, g, layer, x, dz):
+        """Store the gradients of the ``LAYERS`` row of weight ``layer`` in
+        ``g`` given its input ``x`` and d(loss)/d(output) ``dz``; returns
+        d(loss)/d(x)."""
+        g[layer] = x.T @ dz
+        g[_BIAS[layer]] = dz.sum(axis=0)
+        return dz @ self.params[layer].T
+
     def backward(self, cache, dlogits):
         """Gradients of every parameter given d(loss)/d(logits)."""
-        p = self.params
         batch: GraphBatch = cache["batch"]
         g = {}
+        o1, v3, c3 = cache["o1"], cache["v3"], cache["c3"]
+        do1 = self._dense_back(g, "out_w2", o1, dlogits) * (o1 > 0)
+        dv3 = self._dense_back(g, "out_w1", v3, do1) * (v3 > 0)
 
-        o1 = cache["o1"]
-        g["out_w2"] = o1.T @ dlogits
-        g["out_b2"] = dlogits.sum(axis=0)
-        do1 = (dlogits @ p["out_w2"].T) * (o1 > 0)
-        v3 = cache["v3"]
-        g["out_w1"] = v3.T @ do1
-        g["out_b1"] = do1.sum(axis=0)
-        dv3 = (do1 @ p["out_w1"].T) * (v3 > 0)
-
-        agg_v = cache["agg_v"]
-        g["conv_cv_w"] = agg_v.T @ dv3
-        g["conv_cv_b"] = dv3.sum(axis=0)
-        dagg_v = dv3 @ p["conv_cv_w"].T
+        dagg_v = self._dense_back(g, "conv_cv_w", cache["agg_v"], dv3)
         dv2 = dv3.copy()  # residual
-        dc3 = scatter_messages(batch.to_vars.T, dagg_v, np.zeros_like(cache["c3"]))
-        dc3 *= cache["c3"] > 0
+        dc3 = scatter_messages(batch.to_vars.T, dagg_v, np.zeros_like(c3))
+        dc3 *= c3 > 0
 
-        agg_c = cache["agg_c"]
-        g["conv_vc_w"] = agg_c.T @ dc3
-        g["conv_vc_b"] = dc3.sum(axis=0)
-        dagg_c = dc3 @ p["conv_vc_w"].T
+        dagg_c = self._dense_back(g, "conv_vc_w", cache["agg_c"], dc3)
         dc2 = dc3.copy()  # residual
         scatter_messages(batch.to_cons.T, dagg_c, dv2)
 
-        v1, v2 = cache["v1"], cache["v2"]
-        dv2 *= v2 > 0
-        g["emb_v_w2"] = v1.T @ dv2
-        g["emb_v_b2"] = dv2.sum(axis=0)
-        dv1 = (dv2 @ p["emb_v_w2"].T) * (v1 > 0)
-        v0 = cache["v0"]
-        g["emb_v_w1"] = v0.T @ dv1
-        g["emb_v_b1"] = dv1.sum(axis=0)
-        dv0 = dv1 @ p["emb_v_w1"].T
-        g["bn_v_gamma"] = (dv0 * cache["xhat_v"]).sum(axis=0)
-        g["bn_v_beta"] = dv0.sum(axis=0)
-
-        c1, c2 = cache["c1"], cache["c2"]
-        dc2 *= c2 > 0
-        g["emb_c_w2"] = c1.T @ dc2
-        g["emb_c_b2"] = dc2.sum(axis=0)
-        dc1 = (dc2 @ p["emb_c_w2"].T) * (c1 > 0)
-        c0 = cache["c0"]
-        g["emb_c_w1"] = c0.T @ dc1
-        g["emb_c_b1"] = dc1.sum(axis=0)
-        dc0 = dc1 @ p["emb_c_w1"].T
-        g["bn_c_gamma"] = (dc0 * cache["xhat_c"]).sum(axis=0)
-        g["bn_c_beta"] = dc0.sum(axis=0)
-
-        for name, grad in g.items():
-            if not np.all(np.isfinite(grad)):
-                raise NonFiniteGradient(f"non-finite gradient in {name}")
+        for t, d2 in (("v", dv2), ("c", dc2)):
+            h1 = cache[f"{t}1"]
+            d2 *= cache[f"{t}2"] > 0
+            d1 = self._dense_back(g, f"emb_{t}_w2", h1, d2) * (h1 > 0)
+            d0 = self._dense_back(g, f"emb_{t}_w1", cache[f"{t}0"], d1)
+            g[f"bn_{t}_gamma"] = (d0 * cache[f"xhat_{t}"]).sum(axis=0)
+            g[f"bn_{t}_beta"] = d0.sum(axis=0)
         return g
 
     # -- prediction ----------------------------------------------------------
@@ -465,9 +435,9 @@ def kl_grad_logits(means_cand: np.ndarray, target: TargetDistribution) -> np.nda
     return (means_cand - pbar) * target.mask
 
 
-def batch_loss_and_grads(model: GraphNet, batch: GraphBatch, targets, update_stats=True):
+def batch_loss_and_grads(model: GraphNet, batch: GraphBatch, targets):
     """Mean KL over the batch and the full parameter gradient dict."""
-    means, cache = model.forward(batch, train=True, update_stats=update_stats)
+    means, cache = model.forward(batch, train=True)
     G = len(targets)
     loss = 0.0
     dlogits = np.zeros_like(means)
@@ -501,13 +471,15 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr=1e-3, beta1=ADAM_BETA1, beta2=ADAM_BETA2,
               eps=ADAM_EPS):
-    """One bias-corrected ADAM update, applied in sorted parameter order."""
+    """One bias-corrected ADAM update, applied in sorted parameter order; a
+    non-finite gradient refuses the step before anything changes."""
+    for k in sorted(params):
+        if not np.all(np.isfinite(grads[k])):
+            raise NonFiniteGradient(f"non-finite gradient in {k}")
     state.t += 1
     t = state.t
     for k in sorted(params):
         gk = grads[k]
-        if not np.all(np.isfinite(gk)):
-            raise NonFiniteGradient(f"non-finite gradient in {k}")
         state.m[k] = beta1 * state.m[k] + (1 - beta1) * gk
         state.v[k] = beta2 * state.v[k] + (1 - beta2) * gk * gk
         mhat = state.m[k] / (1 - beta1 ** t)
@@ -610,23 +582,42 @@ def save_model(model: GraphNet, path) -> None:
     }
     arrays = {f"p_{k}": v for k, v in model.params.items()}
     arrays.update({f"r_{k}": v for k, v in model.running.items()})
-    np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    with open(path, "wb") as f:  # given a name, np.savez would append ".npz" to it
+        np.savez(f, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def load_model(path) -> GraphNet:
+    """The model in the checkpoint at ``path``; a ``ValueError`` naming the
+    file and the field refuses any field a fresh model of its size lacks or
+    shapes otherwise."""
+    def refuse(why):
+        return ValueError(f"checkpoint {str(path)!r}: {why}")
+
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
+        meta = json.loads(str(data["meta"])) if "meta" in data.files else None
+        if not isinstance(meta, dict):
+            raise refuse("no meta field holding a JSON object")
         if meta.get("format") != CHECKPOINT_FORMAT or meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint: {meta.get('format')} v{meta.get('version')}")
+            raise refuse(f"unsupported format {meta.get('format')} v{meta.get('version')}")
         if meta.get("feature_version") != FEATURE_VERSION:
-            raise ValueError(
-                f"checkpoint feature set {meta.get('feature_version')} does not match {FEATURE_VERSION}"
-            )
+            raise refuse(f"feature set {meta.get('feature_version')} does not match "
+                         f"{FEATURE_VERSION}")
         counts = [meta.get("n_var_feats"), meta.get("n_cons_feats")]
         if counts != [len(VAR_FEATURES), len(CONS_FEATURES)]:
-            raise ValueError(f"checkpoint variable/constraint feature counts {counts} do not "
-                             f"match {FEATURE_VERSION}")
-        model = GraphNet(hidden=meta["hidden"], n_bits=meta["n_bits"])
-        model.params = {k[2:]: data[k].copy() for k in data.files if k.startswith("p_")}
-        model.running = {k[2:]: data[k].copy() for k in data.files if k.startswith("r_")}
+            raise refuse(f"variable/constraint feature counts {counts} do not match "
+                         f"{FEATURE_VERSION}")
+        sizes = [meta.get("hidden"), meta.get("n_bits")]
+        if not all(type(v) is int and v >= 1 for v in sizes):
+            raise refuse(f"hidden/n_bits {sizes} are not positive integers")
+        model = GraphNet(hidden=sizes[0], n_bits=sizes[1])
+        for prefix, fresh in (("p_", model.params), ("r_", model.running)):
+            stored = {k[2:]: data[k] for k in data.files if k.startswith(prefix)}
+            if stored.keys() != fresh.keys():
+                odd = sorted(prefix + k for k in stored.keys() ^ fresh.keys())
+                raise refuse(f"fields {odd} are missing or unknown")
+            for k, v in fresh.items():
+                if stored[k].shape != v.shape:
+                    raise refuse(f"field {prefix}{k} has shape {stored[k].shape}, "
+                                 f"expected {v.shape}")
+                fresh[k] = stored[k]
     return model

@@ -387,9 +387,10 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
         raise ValueError(f"corpus {str(corpus_dir)!r} has no usable entries")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(examples))
-    n_val = int(round(val_fraction * len(examples)))
+    # keep one example out of validation, so training never validates on its own set
+    n_val = min(int(round(val_fraction * len(examples))), len(examples) - 1)
     val = [examples[i] for i in order[:n_val]]
-    tr = [examples[i] for i in order[n_val:]] or examples
+    tr = [examples[i] for i in order[n_val:]]
     model = GraphNet(hidden=hidden, n_bits=bits, seed=cfg.seed)
     result = train_model(model, tr, val or None, cfg)
     save_model(model, model_path)

@@ -188,7 +188,7 @@ def _min_kink_distance(model, batch):
     must not push one across zero, or the check compares different linear
     pieces of the piecewise-linear network."""
     p = model.params
-    _, cache = model.forward(batch, train=True, update_stats=False)
+    _, cache = model.forward(batch, train=True)
     dists = []
     for inp, w, b in (("v0", "emb_v_w1", "emb_v_b1"), ("v1", "emb_v_w2", "emb_v_b2"),
                       ("c0", "emb_c_w1", "emb_c_b1"), ("c1", "emb_c_w2", "emb_c_b2")):
@@ -245,16 +245,16 @@ def test_criterion_05_gradient_check():
     t0 = time.time()
     for seed in range(20):
         model, batch, targets = _fd_case(seed)
-        _, grads = batch_loss_and_grads(model, batch, targets, update_stats=False)
+        _, grads = batch_loss_and_grads(model, batch, targets)
         for name in sorted(model.params):
             flat = model.params[name].reshape(-1)
             gflat = grads[name].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                lp = batch_loss_and_grads(model, batch, targets, update_stats=False)[0]
+                lp = batch_loss_and_grads(model, batch, targets)[0]
                 flat[i] = orig - h
-                lm = batch_loss_and_grads(model, batch, targets, update_stats=False)[0]
+                lm = batch_loss_and_grads(model, batch, targets)[0]
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 err = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6)

@@ -64,6 +64,19 @@ def test_train_eval_dive_and_bnb(workspace):
     assert {r[0] for r in rows} == {"no-diving", "fractional:10"}
 
 
+def test_checkpoint_at_a_path_without_npz_suffix(workspace, tmp_path):
+    """``train --out`` writes the checkpoint at exactly the given path, so
+    ``eval-dive --model`` reads it back from the same path."""
+    rc = main(["train", "--corpus", str(workspace / "corpus"),
+               "--out", str(tmp_path / "m.ckpt"), "--epochs", "1",
+               "--batch-size", "4", "--jobs", "1"])
+    assert rc == 0 and (tmp_path / "m.ckpt").is_file()
+    rc = main(["eval-dive", "--corpus", str(workspace / "corpus"),
+               "--out", str(tmp_path / "dives"), "--divers", "l2dive",
+               "--model", str(tmp_path / "m.ckpt"), "--d-max", "10", "--jobs", "1"])
+    assert rc == 0
+
+
 def test_tune_command(workspace):
     rc = main(["tune", "--corpus", str(workspace / "corpus"),
                "--out", str(workspace / "tune.json"),

@@ -7,6 +7,7 @@ from divekit.bnb import SolveConfig, branch_and_bound
 from divekit.graphnet import (
     AdamState,
     GraphNet,
+    NonFiniteGradient,
     ShapeMismatch,
     TargetDistribution,
     TrainExample,
@@ -152,7 +153,7 @@ class TestForward:
         _, g, _ = small_example
         model = GraphNet(hidden=8, seed=2)
         before = model.running["bn_v_mean"].copy()
-        model.forward(make_batch([g]), train=True, update_stats=True)
+        model.forward(make_batch([g]), train=True)
         assert not np.allclose(before, model.running["bn_v_mean"])
 
 
@@ -237,7 +238,7 @@ class TestGradients:
         inst, g, target = small_example
         model = GraphNet(hidden=6, seed=4)
         batch = make_batch([g])
-        _, grads = batch_loss_and_grads(model, batch, [target], update_stats=False)
+        _, grads = batch_loss_and_grads(model, batch, [target])
         h = 1e-4
         rng = np.random.default_rng(0)
         for name in sorted(model.params):
@@ -247,9 +248,9 @@ class TestGradients:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + h
-                lp = batch_loss_and_grads(model, batch, [target], update_stats=False)[0]
+                lp = batch_loss_and_grads(model, batch, [target])[0]
                 flat[i] = orig - h
-                lm = batch_loss_and_grads(model, batch, [target], update_stats=False)[0]
+                lm = batch_loss_and_grads(model, batch, [target])[0]
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(fd - gflat[i]) <= 1e-4 * max(abs(fd), abs(gflat[i]), 1e-6), name
@@ -289,6 +290,19 @@ class TestAdam:
         v_hat = (1 - b2) * 1.0 / (1 - b2)
         expect = -lr * m_hat / (np.sqrt(v_hat) + eps)
         assert params["w"][0] == pytest.approx(expect, rel=1e-12)
+
+    def test_refused_step_changes_nothing(self):
+        # the NaN sits in the parameter updated last in sorted order
+        params = {"a": np.array([1.0]), "b": np.array([2.0]), "z": np.array([3.0])}
+        state = AdamState(params)
+        adam_step(params, {"a": np.ones(1), "b": np.ones(1), "z": np.ones(1)}, state)
+        before = ({k: v.copy() for k, v in params.items()},
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()}, state.t)
+        with pytest.raises(NonFiniteGradient, match="in z"):
+            adam_step(params, {"a": np.ones(1), "b": np.ones(1), "z": np.array([np.nan])},
+                      state)
+        assert (params, state.m, state.v, state.t) == before
 
 
 class TestPredict:
@@ -417,7 +431,7 @@ def _fixed_means(model, means):
     import types
 
     return types.MethodType(
-        lambda self, batch, train=False, update_stats=False: (means, None), model)
+        lambda self, batch, train=False: (means, None), model)
 
 
 class TestSerialization:
@@ -459,6 +473,21 @@ class TestSerialization:
         arrays["meta"] = np.array(json.dumps(meta))
         np.savez(p, **arrays)
         with pytest.raises(ValueError, match="feature counts"):
+            load_model(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.pop("meta"), "no meta field"),
+        (lambda a: a.pop("p_out_w2"), "p_out_w2"),
+        (lambda a: a.update(p_conv_vc_w=np.zeros((4, 5))), r"p_conv_vc_w has shape \(4, 5\)"),
+    ], ids=["no-meta", "missing-weight", "wrong-shape"])
+    def test_incomplete_checkpoint_refused(self, edit, message, tmp_path):
+        p = tmp_path / "m.npz"
+        save_model(GraphNet(hidden=4), p)
+        with np.load(p, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez(p, **arrays)
+        with pytest.raises(ValueError, match=r"m\.npz.*" + message):
             load_model(p)
 
 

@@ -886,6 +886,25 @@ class TestTraining:
         losses = [float(r[1]) for r in rows]
         assert all(v >= -1e-9 for v in losses)
 
+    def test_validation_never_takes_every_example(self, tiny_world, tmp_path, monkeypatch):
+        import divekit.harness as harness
+
+        root, _ = tiny_world
+        seen = []
+        real = harness.train_model
+
+        def spy(model, examples, val_examples, cfg):
+            seen.append((examples, val_examples))
+            return real(model, examples, val_examples, cfg)
+
+        monkeypatch.setattr(harness, "train_model", spy)
+        train_from_corpus(root / "corpus", tmp_path / "m.npz",
+                          TrainingConfig(epochs=1, batch_size=4, seed=0),
+                          val_fraction=0.99, jobs=1)
+        [(tr, val)] = seen
+        assert len(tr) == 1 and len(val) >= 2
+        assert not {id(e) for e in tr} & {id(e) for e in val}
+
     def test_l2dive_eval_with_model(self, tiny_world):
         root, _ = tiny_world
         cfg = DiveEvalConfig(divers=("l2dive", "lower"), d_max=30, seed=0,
