@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import (
-    INT_TOL, MilpInstance, SENSE_GE, SENSE_LE, StandardLp, to_standard_form,
+    INT_TOL, MilpInstance, SENSE_GE, SENSE_LE, StandardLp, fractionality, to_standard_form,
 )
 from . import simplex
 from .simplex import LpSolution, SimplexError, solve_lp
@@ -48,7 +48,7 @@ def round_solution(x, inst: MilpInstance):
         return x.copy() if inst.is_feasible(x) else None
     xi = x[idx]
     rounded = np.floor(xi + 0.5)
-    frac = np.abs(xi - rounded)
+    frac = fractionality(xi)
     snapped = x.copy()
     snapped[idx] = rounded
     if np.max(frac) <= INT_TOL:
@@ -205,7 +205,7 @@ class _Node:
 
 def _most_fractional(x, idx):
     xi = x[idx]
-    frac = np.abs(xi - np.floor(xi + 0.5))
+    frac = fractionality(xi)
     if frac.size == 0 or frac.max() <= INT_TOL:
         return -1
     fractional = frac > INT_TOL

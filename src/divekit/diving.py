@@ -12,11 +12,18 @@ which checks each against the original instance, so bound tightenings
 never leak unsound solutions; ``solution_key`` drops repeats.
 
 Scorers only decide *which* variable and *which* bound; the engine owns the
-loop and the resolve.  A scorer sees a ``DiveContext``: the instance (whose
-locks and column degrees ``MilpInstance.column_counts`` computes once), the
+loop and the resolve, and refuses a decision on a non-candidate or one that
+bounds nothing.  A scorer sees a ``DiveContext``: the instance (whose locks
+and column degrees ``MilpInstance.column_counts`` computes once), the
 current bounds, the current and the dive-root LP solutions, and the
 candidates.  Stateful scorers (pseudocost, the learned diver) get
 ``begin_dive`` and ``observe`` callbacks.
+
+The five rounding divers (fractional, coefficient, linesearch, vectorlength,
+pseudocost) share one rule, ``_RoundingScorer``: keep the candidates whose
+``fractionality`` exceeds ``INT_TOL``, let the diver rank them to one
+candidate and a direction, and either raise its lower bound to ``ceil(v)``
+or cap its upper bound at ``floor(v)``.  Each diver holds only its ranking.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bnb import round_solution
-from .instances import INT_TOL, MilpInstance, StandardLp, to_standard_form
+from .instances import INT_TOL, MilpInstance, StandardLp, fractionality, to_standard_form
 from . import simplex
 from .simplex import LpSolution, SimplexError, solve_lp
 
@@ -40,18 +47,18 @@ DEFAULT_DEPTH = 100
 
 
 class DiveError(RuntimeError):
-    """A scorer violated its contract (no decision on a divable candidate set)."""
+    """A scorer violated its contract: no decision on a fractional candidate
+    set, or a decision on a non-candidate or one that bounds nothing."""
 
 
 @dataclass
 class ScoreDecision:
     """Tighten ``var``: raise its lower bound to ``new_lower`` and/or cap its
-    upper bound at ``new_upper`` (both set = fix)."""
+    upper bound at ``new_upper`` (both set = fix, at least one set)."""
 
     var: int
     new_lower: float | None
     new_upper: float | None
-    score: float = 0.0
 
 
 @dataclass
@@ -71,10 +78,6 @@ class DiveResult:
     depth_reached: int = 0
     termination: str = TERM_DEPTH
     lp_iterations: int = 0
-
-
-def _fractional(values, tol=INT_TOL):
-    return np.abs(values - np.floor(values + 0.5)) > tol
 
 
 def dive(
@@ -126,7 +129,7 @@ def dive(
             break
         decision = scorer(ctx) if ctx.cands.size else None
         if decision is None:
-            if np.any(_fractional(ctx.sol.x[ctx.cands])):
+            if np.any(fractionality(ctx.sol.x[ctx.cands]) > INT_TOL):
                 raise DiveError(
                     f"scorer {scorer!r} returned no decision on a fractional candidate set"
                 )
@@ -135,14 +138,14 @@ def dive(
         j = int(decision.var)
         if j not in ctx.cands:
             raise DiveError(f"scorer picked non-candidate variable {j}")
+        if decision.new_lower is None and decision.new_upper is None:
+            raise DiveError(f"scorer decision on variable {j} bounds nothing")
         old_x = float(ctx.sol.x[j])
         old_z = float(ctx.sol.objective)
-        target = None
+        target = float(decision.new_upper if decision.new_lower is None else decision.new_lower)
         if decision.new_lower is not None:
-            target = decision.new_lower
             lo[j] = min(max(decision.new_lower, lo[j]), hi[j])
         if decision.new_upper is not None:
-            target = decision.new_upper if target is None else target
             hi[j] = max(min(decision.new_upper, hi[j]), lo[j])
         d += 1
         result.depth_reached = d
@@ -160,9 +163,8 @@ def dive(
             result.termination = TERM_ITER
             break
         if hasattr(scorer, "observe"):
-            moved = max(abs(float(target) - old_x), 1e-6) if target is not None else 1e-6
-            scorer.observe(j, target is not None and float(target) > old_x,
-                           moved, max(sol.objective - old_z, 0.0))
+            scorer.observe(j, target > old_x, max(abs(target - old_x), 1e-6),
+                           max(sol.objective - old_z, 0.0))
         ctx.sol = sol
         ctx.cands = inst.candidates(lo, hi)
 
@@ -176,67 +178,56 @@ def dive(
 # baseline scorers
 # ---------------------------------------------------------------------------
 
-def _frac_candidates(ctx):
-    x = ctx.sol.x
-    c = ctx.cands
-    vals = x[c]
-    rounded = np.floor(vals + 0.5)
-    frac = np.abs(vals - rounded)
-    mask = frac > INT_TOL
-    return c[mask], vals[mask], rounded[mask], frac[mask]
-
-
-def _step_decision(j, value, rounded, frac, score):
-    # tighten toward the round-half-up nearest integer
-    if rounded > value:
-        return ScoreDecision(var=int(j), new_lower=float(np.ceil(value)),
-                             new_upper=None, score=score)
-    return ScoreDecision(var=int(j), new_lower=None,
-                         new_upper=float(np.floor(value)), score=score)
-
-
-class FractionalScorer:
-    """Lowest fractionality |x - round(x)|, bound toward the nearest integer."""
+class _RoundingScorer:
+    """The rounding rule of the generic divers: among the candidates that
+    are fractional in the current LP point, ``pick(ctx, cands, vals, frac)``
+    chooses a position ``k`` and a direction ``up`` (True to raise the lower
+    bound to ``ceil(v)``, False to cap the upper bound at ``floor(v)``,
+    None toward the round-half-up nearest integer); without a fractional
+    candidate there is no decision.  The default pick is the least
+    fractional candidate (the first on a tie), toward the nearest integer."""
 
     def __call__(self, ctx):
-        cands, vals, rounded, frac = _frac_candidates(ctx)
-        if cands.size == 0:
+        vals = ctx.sol.x[ctx.cands]
+        frac = fractionality(vals)
+        keep = frac > INT_TOL
+        if not keep.any():
             return None
-        k = int(np.argmin(frac))
-        return _step_decision(cands[k], vals[k], rounded[k], frac[k], -float(frac[k]))
+        cands, vals, frac = ctx.cands[keep], vals[keep], frac[keep]
+        k, up = self.pick(ctx, cands, vals, frac)
+        v = vals[k]
+        if up is None:
+            up = np.floor(v + 0.5) > v
+        if up:
+            return ScoreDecision(int(cands[k]), float(np.ceil(v)), None)
+        return ScoreDecision(int(cands[k]), None, float(np.floor(v)))
+
+    def pick(self, ctx, cands, vals, frac):
+        return int(np.argmin(frac)), None
 
 
-class CoefficientScorer:
+class FractionalScorer(_RoundingScorer):
+    """Lowest fractionality |x - round(x)|, bound toward the nearest integer."""
+
+
+class CoefficientScorer(_RoundingScorer):
     """Minimal positive up/down lock count, direction of the smaller count;
     ties fall back to fractional diving."""
 
-    def __call__(self, ctx):
-        cands, vals, rounded, frac = _frac_candidates(ctx)
-        if cands.size == 0:
-            return None
+    def pick(self, ctx, cands, vals, frac):
         up, down, _ = ctx.inst.column_counts()
-        lockmin = np.minimum(up[cands], down[cands]).astype(np.float64)
+        lockmin = np.minimum(up[cands], down[cands])
         k = int(np.lexsort((frac, lockmin))[0])
         j = cands[k]
-        if up[j] < down[j]:
-            return ScoreDecision(int(j), float(np.ceil(vals[k])), None, -float(lockmin[k]))
-        if down[j] < up[j]:
-            return ScoreDecision(int(j), None, float(np.floor(vals[k])), -float(lockmin[k]))
-        return _step_decision(j, vals[k], rounded[k], frac[k], -float(lockmin[k]))
+        return k, (up[j] < down[j] if up[j] != down[j] else None)
 
 
-class LinesearchScorer:
+class LinesearchScorer(_RoundingScorer):
     """First floor/ceiling hyperplane hit by the ray from the dive-root LP
     point through the current one; falls back to fractional diving when the
     ray is degenerate."""
 
-    def __init__(self):
-        self._fallback = FractionalScorer()
-
-    def __call__(self, ctx):
-        cands, vals, rounded, frac = _frac_candidates(ctx)
-        if cands.size == 0:
-            return None
+    def pick(self, ctx, cands, vals, frac):
         root = ctx.root.x[cands]
         delta = vals - root
         t = np.full(cands.size, np.inf)
@@ -245,39 +236,27 @@ class LinesearchScorer:
         t[up_move] = (np.ceil(vals[up_move]) - root[up_move]) / delta[up_move]
         t[dn_move] = (np.floor(vals[dn_move]) - root[dn_move]) / delta[dn_move]
         if not np.isfinite(t).any():
-            return self._fallback(ctx)
+            return super().pick(ctx, cands, vals, frac)
         k = int(np.argmin(t))
-        j = cands[k]
-        if up_move[k]:
-            return ScoreDecision(int(j), float(np.ceil(vals[k])), None, -float(t[k]))
-        return ScoreDecision(int(j), None, float(np.floor(vals[k])), -float(t[k]))
+        return k, bool(up_move[k])
 
 
-class VectorlengthScorer:
+class VectorlengthScorer(_RoundingScorer):
     """Smallest objective-delta-per-covered-row ratio over both directions."""
 
     EPS = 1e-9
 
-    def __call__(self, ctx):
-        cands, vals, rounded, frac = _frac_candidates(ctx)
-        if cands.size == 0:
-            return None
+    def pick(self, ctx, cands, vals, frac):
         c = ctx.inst.c[cands]
         deg = np.maximum(ctx.inst.column_counts()[2][cands], 1).astype(np.float64)
-        up_delta = c * (np.ceil(vals) - vals)
-        dn_delta = c * (np.floor(vals) - vals)
-        r_up = (np.maximum(up_delta, 0.0) + self.EPS) / deg
-        r_dn = (np.maximum(dn_delta, 0.0) + self.EPS) / deg
+        r_up = (np.maximum(c * (np.ceil(vals) - vals), 0.0) + self.EPS) / deg
+        r_dn = (np.maximum(c * (np.floor(vals) - vals), 0.0) + self.EPS) / deg
         best_dir_dn = r_dn <= r_up
-        best = np.where(best_dir_dn, r_dn, r_up)
-        k = int(np.argmin(best))
-        j = cands[k]
-        if best_dir_dn[k]:
-            return ScoreDecision(int(j), None, float(np.floor(vals[k])), -float(best[k]))
-        return ScoreDecision(int(j), float(np.ceil(vals[k])), None, -float(best[k]))
+        k = int(np.argmin(np.where(best_dir_dn, r_dn, r_up)))
+        return k, not best_dir_dn[k]
 
 
-class PseudocostScorer:
+class PseudocostScorer(_RoundingScorer):
     """Running average of observed LP degradation per unit moved, kept per
     variable and direction across the dives of this scorer instance; the
     cold-start estimate is |c_j|."""
@@ -285,7 +264,7 @@ class PseudocostScorer:
     def __init__(self):
         # per variable and direction (column 1 is up): the summed degradation
         # per unit moved and the number of observations, sized at the first
-        # call
+        # pick
         self.sums = self.counts = None
 
     def estimate(self, ctx, j):
@@ -299,21 +278,15 @@ class PseudocostScorer:
         self.sums[j, int(up)] += degradation / moved
         self.counts[j, int(up)] += 1
 
-    def __call__(self, ctx):
+    def pick(self, ctx, cands, vals, frac):
         if self.sums is None:
             self.sums = np.zeros((ctx.inst.c.size, 2))
             self.counts = np.zeros((ctx.inst.c.size, 2), dtype=np.int64)
-        cands, vals, rounded, frac = _frac_candidates(ctx)
-        if cands.size == 0:
-            return None
         est = self.estimate(ctx, cands)
         cost_dn = est[:, 0] * (vals - np.floor(vals))
         cost_up = est[:, 1] * (np.ceil(vals) - vals)
         k = int(np.argmin(np.minimum(cost_dn, cost_up)))
-        j = int(cands[k])
-        if cost_dn[k] <= cost_up[k]:
-            return ScoreDecision(j, None, float(np.floor(vals[k])), -float(cost_dn[k]))
-        return ScoreDecision(j, float(np.ceil(vals[k])), None, -float(cost_up[k]))
+        return k, cost_dn[k] > cost_up[k]
 
 
 class FixAtBoundScorer:
@@ -369,9 +342,8 @@ SCORERS = {
     "l2dive": _l2dive,
 }
 
-#: every diver that needs no trained model
-HEURISTIC_DIVERS = ("fractional", "coefficient", "linesearch", "vectorlength",
-                    "pseudocost", "lower", "upper", "random")
+#: every diver that needs no trained model, in registry order
+HEURISTIC_DIVERS = tuple(name for name in SCORERS if name != "l2dive")
 
 #: divers whose dives depend on the ``seed`` passed to ``make_scorer``
 #: (``l2dive`` predicts the mode, so it reads none)

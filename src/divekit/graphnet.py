@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .instances import MilpInstance, SENSE_EQ, SENSE_GE, SENSE_LE
+from .instances import MilpInstance, SENSE_EQ, SENSE_GE, SENSE_LE, fractionality
 from .kernels import scatter_messages
 from .simplex import LpSolution
 
@@ -148,7 +148,6 @@ def extract_graph(inst: MilpInstance, root_sol: LpSolution) -> BipartiteGraph:
     lb_fin = np.isfinite(inst.lb)
     ub_fin = np.isfinite(inst.ub)
     redcost = duals.y_lb[:n] + duals.y_ub[:n]
-    frac = np.abs(x - np.floor(x + 0.5))
     vf = np.column_stack([
         inst.c / (1.0 + np.max(np.abs(inst.c), initial=0.0)),
         lb_fin.astype(np.float64),
@@ -158,7 +157,7 @@ def extract_graph(inst: MilpInstance, root_sol: LpSolution) -> BipartiteGraph:
         inst.integer.astype(np.float64),
         is_cand,
         x,
-        frac,
+        fractionality(x),
         np.sign(redcost),
         (np.abs(x - inst.lb) <= 1e-7).astype(np.float64),
         (np.abs(x - inst.ub) <= 1e-7).astype(np.float64),

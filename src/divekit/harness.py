@@ -139,6 +139,8 @@ def read_csv_rows(path):
 def generate_batch(family: str, count: int, seed: int, out_dir,
                    params: dict | None = None) -> dict:
     """Write ``count`` instances with consecutive seeds plus a manifest."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     params = dict(params or {})
     # the seed is the only field that differs between the instances
     GeneratorConfig(family=family, seed=seed, **params).validate()
@@ -205,6 +207,10 @@ class CollectConfig:
     def __post_init__(self):
         SolveConfig(node_limit=self.node_limit, tick_limit=self.tick_limit,
                     pool_capacity=self.pool_capacity)  # refuses bad limits
+        if self.augment not in ("auto", "pool", "top1", "enumerate"):
+            raise ValueError(f"unknown augment mode {self.augment!r}")
+        if self.augment == "enumerate" and self.enum_node_limit < 1:
+            raise ValueError("enum_node_limit must be positive")
 
 
 def _family_of(name: str) -> str:
@@ -437,6 +443,8 @@ class DiveEvalConfig:
             raise ValueError("duplicate diver names in one comparison table")
         if self.d_max < 0:
             raise ValueError("d_max must be >= 0")
+        if self.lp_iter_limit is not None and self.lp_iter_limit < 0:
+            raise ValueError("lp_iter_limit must be >= 0")
         check_model(self.divers, self.model_path)
 
 
@@ -682,6 +690,8 @@ class TuneConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        if self.objective not in ("integral", "ticks"):
+            raise ValueError(f"unknown tune objective {self.objective!r}")
         check_diver_names(self.divers)
 
 

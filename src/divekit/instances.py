@@ -35,6 +35,13 @@ INT_TOL = 1e-6
 FAMILIES = ("set-cover", "comb-auction", "facility-location", "indep-set")
 
 
+def fractionality(x):
+    """Distance of each value to its round-half-up nearest integer,
+    ``|x - floor(x + 1/2)|``; a value is fractional when this exceeds
+    ``INT_TOL``."""
+    return np.abs(x - np.floor(x + 0.5))
+
+
 class InstanceError(ValueError):
     """An instance violates its structural invariants."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .diving import ScoreDecision
 from .graphnet import GraphNet, extract_graph
-from .instances import INT_TOL, MilpInstance, to_standard_form
+from .instances import INT_TOL, MilpInstance, fractionality, to_standard_form
 from . import simplex
 from .simplex import DualValues, bound_slackness, solve_lp
 
@@ -109,8 +109,7 @@ class L2DiveScorer:
         xhat = np.clip(self._values[pos], ctx.lo[cands], ctx.hi[cands])
         tset = compute_tighten_set(xhat, ctx.sol.duals, ctx.lo, ctx.hi, cands)
         in_j = np.isin(cands, tset.union)
-        x_now = ctx.sol.x[cands]
-        frac = np.abs(x_now - np.floor(x_now + 0.5)) > INT_TOL
+        frac = fractionality(ctx.sol.x[cands]) > INT_TOL
         # only moves that change the diving LP: slackness violations and
         # fractional candidates; a variable already at its predicted value
         # would burn depth without constraining anything
@@ -123,10 +122,10 @@ class L2DiveScorer:
         target = float(np.round(xhat[k]))
         current = float(ctx.sol.x[j])
         if abs(target - current) <= INT_TOL:
-            return ScoreDecision(j, new_lower=target, new_upper=target, score=float(score[k]))
+            return ScoreDecision(j, new_lower=target, new_upper=target)
         if target > current:
-            return ScoreDecision(j, new_lower=target, new_upper=None, score=float(score[k]))
-        return ScoreDecision(j, new_lower=None, new_upper=target, score=float(score[k]))
+            return ScoreDecision(j, new_lower=target, new_upper=None)
+        return ScoreDecision(j, new_lower=None, new_upper=target)
 
 
 def verify_tightening_optimality(inst: MilpInstance, x_tilde) -> dict:

@@ -203,14 +203,14 @@ def test_train_on_a_corpus_without_usable_entries_exits_with_one_line(tmp_path):
               "--out", str(tmp_path / "model.npz"), "--jobs", "1"])
 
 
-@pytest.mark.parametrize("param, message", [
-    ("rows=0", "gen: rows must be >= 1"),
-    ("colour=1", "gen: .*unexpected keyword argument 'colour'"),
-], ids=["out-of-range", "unknown"])
-def test_gen_refuses_bad_params_before_writing(param, message, tmp_path):
+@pytest.mark.parametrize("args, message", [
+    (["--param", "rows=0"], "gen: rows must be >= 1"),
+    (["--param", "colour=1"], "gen: .*unexpected keyword argument 'colour'"),
+    (["--count", "-2"], "gen: count must be >= 1"),
+], ids=["out-of-range", "unknown", "count"])
+def test_gen_refuses_bad_params_before_writing(args, message, tmp_path):
     with pytest.raises(SystemExit, match=message):
-        main(["gen", "--family", "set-cover", "--out", str(tmp_path / "out"),
-              "--param", param])
+        main(["gen", "--family", "set-cover", "--out", str(tmp_path / "out"), *args])
     assert not (tmp_path / "out").exists()
 
 

@@ -6,6 +6,7 @@ from divekit.diving import (
     DiveError,
     FixAtBoundScorer,
     FractionalScorer,
+    HEURISTIC_DIVERS,
     LinesearchScorer,
     PseudocostScorer,
     SCORERS,
@@ -22,8 +23,7 @@ from divekit.l2dive import L2DiveScorer
 from divekit.simplex import NumericalBreakdown
 from conftest import mps_without_bounds, reference_feasible
 
-ALL_BASELINES = ("fractional", "coefficient", "linesearch", "vectorlength",
-                 "pseudocost", "lower", "upper", "random")
+ALL_BASELINES = HEURISTIC_DIVERS
 
 
 class _Ctx:
@@ -75,11 +75,17 @@ class TestScorerRules:
         locks = (np.array([2, 2]), np.array([2, 2]))
         d = CoefficientScorer()(_Ctx([0.5, 0.9], [0, 1], locks=locks))
         assert d.var == 1  # fractionality 0.1 < 0.5
+        d = CoefficientScorer()(_Ctx([0.5, 0.1], [0, 1], locks=locks))
+        assert (d.var, d.new_lower, d.new_upper) == (1, None, 0.0)  # toward the nearest
 
     def test_linesearch_ray(self):
-        d = LinesearchScorer()(_Ctx([0.8, 0.4], [0, 1], root=[0.0, 0.0]))
-        assert d.var == 0 and d.new_lower == 1.0
-        assert d.score == pytest.approx(-1.25)
+        # ray ratios (1 + 0.7) / 1.0 = 1.7 against (1 - 0.8) / 0.1 = 2.0: the
+        # more fractional candidate, rounded up although nearer to zero
+        d = LinesearchScorer()(_Ctx([0.3, 0.9], [0, 1], root=[-0.7, 0.8]))
+        assert (d.var, d.new_lower, d.new_upper) == (0, 1.0, None)
+        # (1 - 0.7) / 0.2 = 1.5 now beats 1.7
+        d = LinesearchScorer()(_Ctx([0.3, 0.9], [0, 1], root=[-0.7, 0.7]))
+        assert (d.var, d.new_lower, d.new_upper) == (1, 1.0, None)
 
     def test_linesearch_zero_ray_falls_back(self):
         d = LinesearchScorer()(_Ctx([0.4, 0.6], [0, 1], root=[0.4, 0.6]))
@@ -91,10 +97,17 @@ class TestScorerRules:
         assert d.var == 1  # only the moved fractional candidate gets a ratio
 
     def test_vectorlength_ratio(self):
-        d = VectorlengthScorer()(
-            _Ctx([0.4], [0], c=[1.0], degrees=np.array([5])))
-        assert d.var == 0 and d.new_upper == 0.0
-        assert -d.score == pytest.approx((0.0 + 1e-9) / 5)
+        # the free direction of each (down for c > 0, up for c < 0) has ratio
+        # 1e-9 / degree, so the candidate in more rows wins
+        ctx = _Ctx([0.4, 0.6], [0, 1], c=[1.0, -1.0], degrees=np.array([3, 5]))
+        d = VectorlengthScorer()(ctx)
+        assert (d.var, d.new_lower, d.new_upper) == (1, 1.0, None)
+        ctx = _Ctx([0.4, 0.6], [0, 1], c=[1.0, -1.0], degrees=np.array([5, 3]))
+        d = VectorlengthScorer()(ctx)
+        assert (d.var, d.new_lower, d.new_upper) == (0, None, 0.0)
+        # with c = 0 both directions tie and the rule rounds down
+        d = VectorlengthScorer()(_Ctx([0.6], [0], c=[0.0], degrees=np.array([1])))
+        assert (d.var, d.new_lower, d.new_upper) == (0, None, 0.0)
 
     def test_vectorlength_tie_lowest_index(self):
         d = VectorlengthScorer()(
@@ -194,6 +207,74 @@ class _LoopFix:
         return None
 
 
+def _loop_fractional_candidates(ctx):
+    """``(j, x_j)`` of each candidate more than ``INT_TOL`` from its
+    round-half-up nearest integer, in candidate order."""
+    for j in ctx.cands:
+        v = ctx.sol.x[j]
+        if abs(v - np.floor(v + 0.5)) > diving.INT_TOL:
+            yield int(j), v
+
+
+def _loop_round(j, v, up):
+    """Round ``x_j = v`` up (raise the lower bound) or down (cap the upper)."""
+    if up:
+        return ScoreDecision(j, float(np.ceil(v)), None)
+    return ScoreDecision(j, None, float(np.floor(v)))
+
+
+def _loop_nearest(j, v):
+    return _loop_round(j, v, np.floor(v + 0.5) > v)
+
+
+def _loop_first_min(keyed):
+    """The decision of the first smallest key among ``(key, decision)``."""
+    best = None
+    for key, decision in keyed:
+        if best is None or key < best[0]:
+            best = (key, decision)
+    return None if best is None else best[1]
+
+
+def _loop_fractional(ctx):
+    return _loop_first_min((abs(v - np.floor(v + 0.5)), _loop_nearest(j, v))
+                           for j, v in _loop_fractional_candidates(ctx))
+
+
+def _loop_coefficient(ctx):
+    up, down, _ = ctx.inst.column_counts()
+
+    def decide(j, v):
+        if up[j] != down[j]:
+            return _loop_round(j, v, up[j] < down[j])
+        return _loop_nearest(j, v)
+
+    return _loop_first_min(((min(up[j], down[j]), abs(v - np.floor(v + 0.5))), decide(j, v))
+                           for j, v in _loop_fractional_candidates(ctx))
+
+
+def _loop_linesearch(ctx):
+    keyed = []
+    for j, v in _loop_fractional_candidates(ctx):
+        r = ctx.root.x[j]
+        if v - r > 1e-9:
+            keyed.append(((np.ceil(v) - r) / (v - r), _loop_round(j, v, True)))
+        elif v - r < -1e-9:
+            keyed.append(((np.floor(v) - r) / (v - r), _loop_round(j, v, False)))
+    return _loop_first_min(keyed) if keyed else _loop_fractional(ctx)
+
+
+def _loop_vectorlength(ctx):
+    keyed = []
+    for j, v in _loop_fractional_candidates(ctx):
+        c = ctx.inst.c[j]
+        deg = float(max(ctx.inst.column_counts()[2][j], 1))
+        r_up = (max(c * (np.ceil(v) - v), 0.0) + 1e-9) / deg
+        r_dn = (max(c * (np.floor(v) - v), 0.0) + 1e-9) / deg
+        keyed.append((min(r_dn, r_up), _loop_round(j, v, r_dn > r_up)))
+    return _loop_first_min(keyed)
+
+
 class _DictPseudocost:
     """Pseudocosts as a ``(var, up)`` dict, scored by a loop over the
     candidates that keeps the first cheapest one, down on a tie."""
@@ -211,25 +292,17 @@ class _DictPseudocost:
         rec[1] += 1
 
     def __call__(self, ctx):
-        best = None
-        for j in ctx.cands:
-            v = ctx.sol.x[j]
-            if abs(v - np.floor(v + 0.5)) <= diving.INT_TOL:
-                continue
+        keyed = []
+        for j, v in _loop_fractional_candidates(ctx):
             dn = self.estimate(ctx, j, False) * (v - np.floor(v))
             up = self.estimate(ctx, j, True) * (np.ceil(v) - v)
-            if dn <= up:
-                cand = ScoreDecision(int(j), None, float(np.floor(v)), -float(dn))
-            else:
-                cand = ScoreDecision(int(j), float(np.ceil(v)), None, -float(up))
-            if best is None or -cand.score < -best.score:
-                best = cand
-        return best
+            keyed.append((min(dn, up), _loop_round(j, v, dn > up)))
+        return _loop_first_min(keyed)
 
 
 class _Lockstep:
     """Scores with ``got`` and checks every decision against ``ref``; both
-    observe every resolve."""
+    observe every resolve when ``got`` observes."""
 
     def __init__(self, got, ref):
         self.got, self.ref = got, ref
@@ -239,14 +312,46 @@ class _Lockstep:
         d, r = self.got(ctx), self.ref(ctx)
         assert (d is None) == (r is None)
         if d is not None:
-            assert (d.var, d.new_lower, d.new_upper, d.score) == \
-                (r.var, r.new_lower, r.new_upper, r.score)
+            assert (d.var, d.new_lower, d.new_upper) == (r.var, r.new_lower, r.new_upper)
             self.decisions += 1
         return d
 
     def observe(self, *a):
-        self.got.observe(*a)
-        self.ref.observe(*a)
+        if hasattr(self.got, "observe"):
+            self.got.observe(*a)
+            self.ref.observe(*a)
+
+
+class TestRoundingLoops:
+    @pytest.mark.parametrize("name, ref", [
+        ("fractional", _loop_fractional),
+        ("coefficient", _loop_coefficient),
+        ("linesearch", _loop_linesearch),
+        ("vectorlength", _loop_vectorlength),
+    ])
+    def test_matches_candidate_loop_over_dives(self, name, ref):
+        """The vectorized diver picks what a loop over the candidates picks,
+        bit for bit, in every step of several dives."""
+        from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
+
+        step = _Lockstep(make_scorer(name), ref)
+        for seed in (0, 1):
+            for gen in (GeneratorConfig("set-cover", seed=seed, rows=50, cols=100, density=0.1),
+                        GeneratorConfig("comb-auction", seed=seed, items=20, bids=40),
+                        GeneratorConfig("facility-location", seed=seed, customers=10,
+                                        facilities=6),
+                        GeneratorConfig("indep-set", seed=seed, nodes=40)):
+                inst = generate(gen)
+                lp = to_standard_form(inst)
+                root = solve_lp(lp)
+                for k in range(4):
+                    # each dive starts with one more variable capped at zero
+                    hi = lp.ub.copy()
+                    hi[:k] = 0.0
+                    dive(inst, step, d_max=20, lp=lp, root_sol=root if k == 0 else None,
+                         upper=hi)
+        assert step.decisions > 40
 
 
 class TestPseudocostArrays:
@@ -411,6 +516,17 @@ class TestDiveEngine:
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
         with pytest.raises(DiveError):
             dive(inst, Bad(), d_max=5)
+
+    def test_decision_that_bounds_nothing_raises(self):
+        """A decision with neither bound would re-solve the same LP until
+        the depth limit; the engine refuses it as it refuses a non-candidate."""
+        class Empty:
+            def __call__(self, ctx):
+                return ScoreDecision(int(ctx.cands[0]), None, None)
+
+        inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
+        with pytest.raises(DiveError, match="bounds nothing"):
+            dive(inst, Empty(), d_max=30)
 
     def test_registry_names(self):
         for name in ALL_BASELINES:

@@ -311,6 +311,20 @@ class TestCollect:
             collect_corpus(inst_dir, tmp_path / "corpus", CollectConfig(node_limit=60, jobs=1))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CollectConfig(augment="enumrate"), "unknown augment mode 'enumrate'"),
+    (lambda: CollectConfig(enum_node_limit=0, augment="enumerate"),
+     "enum_node_limit must be positive"),
+    (lambda: TuneConfig(objective="tick"), "unknown tune objective 'tick'"),
+    (lambda: DiveEvalConfig(lp_iter_limit=-5), "lp_iter_limit must be >= 0"),
+], ids=["collect-augment", "collect-enum-nodes", "tune-objective", "dive-iter-limit"])
+def test_configs_refuse_bad_values(make, message):
+    """A config refuses a value it cannot run when it is built, before any
+    work, instead of running something else or failing midway."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestEvalDives:
     def test_duplicate_divers_rejected(self, tiny_world):
         root, _ = tiny_world
