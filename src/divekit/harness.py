@@ -381,8 +381,8 @@ def build_examples(corpus_entries, temperature=None, jobs=1):
 def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
                       val_fraction: float = 0.2, hidden: int = 64,
                       jobs: int = 1) -> dict:
-    """Train a fresh model on a collected corpus; writes the checkpoint and
-    a loss-history CSV next to it."""
+    """Train a fresh model on a collected corpus; writes the checkpoint and,
+    next to it, its loss history as ``<checkpoint>.history.csv``."""
     cfg = cfg or TrainingConfig()
     if hidden < 1 or not 0.0 <= val_fraction < 1.0:
         raise ValueError("hidden must be >= 1 and val_fraction in [0, 1)")
@@ -400,7 +400,7 @@ def train_from_corpus(corpus_dir, model_path, cfg: TrainingConfig | None = None,
     model = GraphNet(hidden=hidden, n_bits=bits, seed=cfg.seed)
     result = train_model(model, tr, val or None, cfg)
     save_model(model, model_path)
-    hist_path = Path(model_path).with_suffix(".history.csv")
+    hist_path = Path(f"{model_path}.history.csv")
     meta = {
         "command": "train",
         "seed": cfg.seed,
@@ -550,6 +550,8 @@ class BnbEvalConfig:
         names = [spec.name for spec in self.specs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate config names in one comparison table")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds {list(self.seeds)} must be nonempty, with no seed repeated")
         SolveConfig(node_limit=self.node_limit, tick_limit=self.tick_limit)  # refuses bad limits
         check_model([m[0] for spec in self.specs for m in spec.members], self.model_path)
 
@@ -579,31 +581,29 @@ def _ensemble_hook(members, model, d_max, seed):
     return hook
 
 
-def _root_lp(path):
-    """Only the root LP solution, so that a run's task stays small."""
-    return solve_root(path)[2]
-
-
-def _eval_bnb_run(task):
-    """One B&B run from the instance's root LP solution (None after a root
-    solve that raised: the run then retries it), reported under every seed
-    in ``seeds`` (more than one only for configs no seed can change)."""
-    entry, spec, seeds, root, cfg, model, trace_dir = task
-    inst = read_instance(entry["instance_path"])
-    diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
-    res = branch_and_bound(inst, SolveConfig(
-        node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
-    ), root_sol=root)
-    safe = spec.name.replace(":", "_").replace("/", "_")
-    integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
-    gap = primal_dual_gap(*res.trace.final())
+def _eval_bnb_entry(task):
+    """Every run of ``runs`` on one corpus entry, from one read, one standard
+    form and one root LP solve (None after a root solve that raised: each
+    run then retries it).  A run's rows go under every seed of its group
+    (more than one only for configs no seed can change); the rows come
+    sorted by config, then seed, the order the win count averages them in."""
+    entry, runs, cfg, model, trace_dir = task
+    inst, lp, root = solve_root(entry["instance_path"])
     rows = []
-    for seed in seeds:
-        if trace_dir is not None:
-            res.trace.to_csv(Path(trace_dir) / f"{entry['name']}_{safe}_s{seed}.csv")
-        rows.append((entry["name"], spec.name, seed, integral, gap,
-                     res.objective, res.bound, res.status, res.nodes, res.ticks, res.dives))
-    return rows
+    for spec, seeds in runs:
+        diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
+        res = branch_and_bound(inst, SolveConfig(
+            node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
+        ), lp=lp, root_sol=root)
+        safe = spec.name.replace(":", "_").replace("/", "_")
+        integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
+        gap = primal_dual_gap(*res.trace.final())
+        for seed in seeds:
+            if trace_dir is not None:
+                res.trace.to_csv(Path(trace_dir) / f"{entry['name']}_{safe}_s{seed}.csv")
+            rows.append((entry["name"], spec.name, seed, integral, gap,
+                         res.objective, res.bound, res.status, res.nodes, res.ticks, res.dives))
+    return sorted(rows, key=lambda r: (r[1], r[2]))
 
 
 def _run_seeds(spec, seeds):
@@ -611,7 +611,7 @@ def _run_seeds(spec, seeds):
     member diver reads the seed, otherwise a single group of all seeds."""
     if any(m[0] in SEEDED_SCORERS for m in spec.members):
         return [(s,) for s in seeds]
-    return [tuple(seeds)] if seeds else []
+    return [tuple(seeds)]
 
 
 BNB_COLUMNS = ("instance", "config", "seed", "pd_integral", "pd_gap_final",
@@ -626,14 +626,11 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
         trace_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(cfg.model_path) if cfg.model_path and any(
         m[0] == "l2dive" for spec in cfg.specs for m in spec.members) else None
-    # One pass solves every root LP; each run is then one task that carries
-    # its instance's root solution.
+    # One task per instance: it solves the root LP once and makes every run.
     runs = [(spec, seeds) for spec in cfg.specs for seeds in _run_seeds(spec, cfg.seeds)]
-    roots = _pmap(_root_lp, [e["instance_path"] for e in entries], cfg.jobs) if runs else []
-    tasks = [(e, spec, seeds, root, cfg, model, trace_dir)
-             for e, root in zip(entries, roots) for spec, seeds in runs]
-    rows = [r for rs in _pmap(_eval_bnb_run, tasks, cfg.jobs) for r in rs]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    tasks = [(e, runs, cfg, model, trace_dir) for e in entries] if runs else []
+    per_entry = _pmap(_eval_bnb_entry, tasks, cfg.jobs)
+    rows = sorted((r for rs in per_entry for r in rs), key=lambda r: (r[0], r[1], r[2]))
     meta = {
         "command": "eval-bnb",
         "seeds": ",".join(str(s) for s in cfg.seeds),
@@ -645,13 +642,10 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     write_csv(out_dir / "bnb_per_run.csv", meta, BNB_COLUMNS, rows)
 
-    by_cfg = {s.name: {} for s in cfg.specs}
-    for r in rows:
-        by_cfg[r[1]].setdefault(r[0], []).append(r[3])
     wins = {s.name: 0 for s in cfg.specs}
-    for inst_name in sorted({r[0] for r in rows}):
-        means = {name: float(np.mean(vals[inst_name]))
-                 for name, vals in by_cfg.items() if inst_name in vals}
+    for rs in per_entry:
+        means = {s.name: float(np.mean([r[3] for r in rs if r[1] == s.name]))
+                 for s in cfg.specs}
         best = min(means.values())
         for name, m in means.items():
             if m <= best + 1e-12:
@@ -672,6 +666,7 @@ def eval_bnb(corpus_dir, cfg: BnbEvalConfig, out_dir) -> dict:
         "summary": str(out_dir / "bnb_summary.csv"),
         "rows": rows,
         "summary_rows": summary,
+        "runs": len(tasks) * len(runs),
     }
 
 
@@ -738,13 +733,12 @@ def tune_ensemble(corpus_dir, tune_cfg: TuneConfig, eval_cfg: BnbEvalConfig,
     if scores[best_name] >= scores["default"]:
         best_name = "default"
     best_spec = next(s for s in specs if s.name == best_name)
-    n_entries = len(load_corpus(corpus_dir))
     report = {
         "best": best_spec.describe(),
         "best_name": best_name,
         "objective": tune_cfg.objective,
         "scores": {k: scores[k] for k in sorted(scores)},
-        "solver_calls": n_entries * sum(len(_run_seeds(s, cfg.seeds)) for s in specs),
+        "solver_calls": result["runs"],
         "samples": tune_cfg.samples,
         "seed": tune_cfg.seed,
     }

@@ -205,21 +205,31 @@ def _refuse_duplicates(rows, cols, n) -> None:
         raise InstanceError("duplicate (row, col) entry")
 
 
+def _index(field, values, size) -> np.ndarray:
+    """``values`` as int64 indices; each must be an integer in [0, size)."""
+    index = np.asarray(values)
+    if index.size and not np.issubdtype(index.dtype, np.integer):
+        raise InstanceError(f"{field} holds {index.dtype} values, not indices")
+    if np.any((index < 0) | (index >= size)):
+        raise InstanceError(f"{field} index outside [0, {size})")
+    return index.astype(np.int64)
+
+
 def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
-                  var_names=None, row_names=None, shape=None) -> MilpInstance:
-    """Build and validate an instance from triplets or any scipy-convertible
-    matrix; two triplets at one (row, col) are refused, not summed."""
+                  var_names=None, row_names=None) -> MilpInstance:
+    """Build and validate an instance from ``(row, col, value)`` triplets:
+    ``len(b)`` rows and ``len(c)`` columns; two triplets at one (row, col)
+    are refused, not summed."""
     c = np.asarray(c, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = c.shape[0], b.shape[0]
-    if isinstance(rows, (list, tuple)) and (len(rows) == 0 or len(rows[0]) == 3):
-        data = np.array([t[2] for t in rows], dtype=np.float64)
-        ii = np.array([t[0] for t in rows], dtype=np.int64)
-        jj = np.array([t[1] for t in rows], dtype=np.int64)
-        _refuse_duplicates(ii, jj, n)  # the CSR constructor would sum them
-        A = sp.csr_matrix((data, (ii, jj)), shape=(m, n))
-    else:
-        A = sp.csr_matrix(rows, shape=shape or (m, n))
+    if any(len(t) != 3 for t in rows):
+        raise InstanceError("rows must be (row, col, value) triplets")
+    ii = _index("triplet row", [t[0] for t in rows], m)
+    jj = _index("triplet column", [t[1] for t in rows], n)
+    _refuse_duplicates(ii, jj, n)  # the CSR constructor would sum them
+    A = sp.csr_matrix((np.array([t[2] for t in rows], dtype=np.float64), (ii, jj)),
+                      shape=(m, n))
     senses = np.asarray(
         [SENSE_CODES[s] if isinstance(s, str) else int(s) for s in senses], dtype=np.int8
     )
@@ -230,15 +240,7 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
             raise InstanceError(f"{field} has shape {v.shape}, expected ({size},)")
 
     def column_mask(field, index):
-        index = np.asarray(index)
-        if index.size and not np.issubdtype(index.dtype, np.integer):
-            raise InstanceError(f"{field} holds {index.dtype} values, not column indices")
-        index = index.astype(np.int64)
-        if np.any((index < 0) | (index >= n)):
-            raise InstanceError(f"{field} index outside [0, {n})")
-        mask = np.zeros(n, dtype=bool)
-        mask[index] = True
-        return mask
+        return np.bincount(_index(field, index, n), minlength=n) > 0
 
     integer_mask = column_mask("integer", integer)
     divable_mask = integer_mask.copy() if divable is None else column_mask("divable", divable)
@@ -676,7 +678,9 @@ def _read_json(text, path) -> MilpInstance:
         raise ParseError(f"not a {JSON_FORMAT} file: {path}")
     if doc.get("version") != JSON_VERSION:
         raise UnsupportedFeature(f"unsupported schema version {doc.get('version')}")
-    n = int(doc["n"])
+    if (doc["n"], doc["m"]) != (len(doc["c"]), len(doc["b"])):
+        raise ParseError(f"header says n={doc['n']}, m={doc['m']}, but c has "
+                         f"{len(doc['c'])} entries and b {len(doc['b'])}")
     return make_instance(
         name=doc.get("name", path.stem),
         c=doc["c"],
@@ -689,7 +693,6 @@ def _read_json(text, path) -> MilpInstance:
         divable=doc["divable"],
         var_names=doc.get("var_names"),
         row_names=doc.get("row_names"),
-        shape=(int(doc["m"]), n),
     )
 
 
@@ -818,7 +821,6 @@ def _read_mps(text) -> MilpInstance:
     if obj_row is None:
         raise ParseError("no objective (N) row")
     n = len(col_order)
-    m = len(row_order)
     row_index = {rname: i for i, rname in enumerate(row_order)}
     triplets = []
     for j, cname in enumerate(col_order):
@@ -837,5 +839,5 @@ def _read_mps(text) -> MilpInstance:
         name=name, c=c, rows=sorted(triplets),
         senses=[row_sense[rname] for rname in row_order],
         b=b, lb=lb, ub=ub, integer=integer, divable=divable,
-        var_names=col_order, row_names=row_order, shape=(m, n),
+        var_names=col_order, row_names=row_order,
     )

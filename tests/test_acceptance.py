@@ -426,7 +426,7 @@ def test_criterion_10_determinism(pipeline, criterion3_run, tmp_path_factory):
     root1 = pipeline["root"]
     comparisons = []
     for rel in ("dive_out/dives_per_instance.csv", "dive_out/dives_summary.csv",
-                "model.history.csv"):
+                "model.npz.history.csv"):
         comparisons.append((rel, (root1 / rel).read_bytes() == (root2 / rel).read_bytes()))
     same8 = all(ok for _, ok in comparisons)
     ok = same3 and same8

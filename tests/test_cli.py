@@ -166,9 +166,11 @@ def test_bad_divers_exit_before_any_work(argv, message, monkeypatch):
     (["eval-dive", "--d-max", "-1"], "eval-dive: d_max must be >= 0"),
     (["eval-bnb", "--d-max", "-1"], "eval-bnb: d_max must be >= 0"),
     (["collect", "--node-limit", "0"], "collect: node_limit must be positive"),
+    (["eval-bnb", "--seeds", "0,0"], r"eval-bnb: seeds \[0, 0\] must be nonempty, with no "),
+    (["tune", "--seeds", "1,2,1"], r"tune: seeds \[1, 2, 1\] must be nonempty, with no "),
 ], ids=["eval-dive-duplicate", "eval-bnb-duplicate", "train-epochs", "train-hidden",
         "train-val-fraction", "tune-seeds", "eval-dive-depth", "eval-bnb-depth",
-        "collect-nodes"])
+        "collect-nodes", "eval-bnb-repeated-seed", "tune-repeated-seed"])
 def test_bad_arguments_exit_with_one_line(argv, message, monkeypatch, tmp_path):
     """A bad argument ends the command with one ``<command>: <reason>`` line
     before it reads its input or writes anything."""

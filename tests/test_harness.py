@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,7 +318,11 @@ class TestCollect:
      "enum_node_limit must be positive"),
     (lambda: TuneConfig(objective="tick"), "unknown tune objective 'tick'"),
     (lambda: DiveEvalConfig(lp_iter_limit=-5), "lp_iter_limit must be >= 0"),
-], ids=["collect-augment", "collect-enum-nodes", "tune-objective", "dive-iter-limit"])
+    (lambda: BnbEvalConfig(specs=(), seeds=(0, 1, 0)),
+     r"seeds \[0, 1, 0\] must be nonempty, with no seed repeated"),
+    (lambda: BnbEvalConfig(specs=(), seeds=()), r"seeds \[\] must be nonempty"),
+], ids=["collect-augment", "collect-enum-nodes", "tune-objective", "dive-iter-limit",
+        "bnb-repeated-seed", "bnb-no-seed"])
 def test_configs_refuse_bad_values(make, message):
     """A config refuses a value it cannot run when it is built, before any
     work, instead of running something else or failing midway."""
@@ -463,6 +468,24 @@ class TestEvalBnb:
             assert (tmp_path / "all" / "traces" / name).read_bytes() == \
                 (tmp_path / f"s{seed}" / "traces" / name).read_bytes()
 
+    def test_forked_workers_write_the_same_files(self, tiny_world, tmp_path):
+        """Per-instance tasks in two worker processes write the same tables
+        and traces, byte for byte, as one process."""
+        root, manifest = tiny_world
+        specs = (BnbRunSpec(name="fractional:10", members=(("fractional", 10, 0),), d_max=10),
+                 BnbRunSpec(name="random:5", members=(("random", 5, 0),), d_max=10))
+        cfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1),
+                            jobs=1, save_traces=True)
+        outs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            eval_bnb(root / "corpus", replace(cfg, jobs=jobs), out)
+            outs[jobs] = {str(f.relative_to(out)): f.read_bytes()
+                          for f in sorted(out.rglob("*")) if f.is_file()}
+        traces = [name for name in outs[1] if name.startswith("traces/")]
+        assert len(traces) == len(manifest["entries"]) * 2 * 2
+        assert outs[2] == outs[1]
+
     def test_integral_within_horizon(self, tiny_world):
         root, _ = tiny_world
         specs = (BnbRunSpec(name="no-diving", members=()),)
@@ -566,6 +589,27 @@ class TestNoRepeatedWork:
                                tmp_path / "tune.json")
         assert report["solver_calls"] > n
         assert len(cold) == n
+
+    def test_eval_bnb_and_tune_read_each_instance_once(self, tiny_world, tmp_path,
+                                                      monkeypatch):
+        """One task per instance reads its file once and hands the instance,
+        its standard form and its root to every run."""
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        n = len(manifest["entries"])
+        reads = self.count_calls(monkeypatch, harness, "read_instance")
+        runs = self.count_calls(monkeypatch, harness, "branch_and_bound")
+        specs = (BnbRunSpec(name="none"),
+                 BnbRunSpec(name="random:5", members=(("random", 5, 0),), d_max=10))
+        cfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        eval_bnb(root / "corpus", cfg, tmp_path / "bnb")
+        assert len(runs) == 3 * n
+        assert len(reads) == len({str(a[0]) for a in reads}) == n
+        reads.clear()
+        tcfg = TuneConfig(divers=("fractional", "random"), samples=2, seed=0, d_max=10)
+        tune_ensemble(root / "corpus", tcfg, replace(cfg, specs=()), tmp_path / "tune.json")
+        assert len(reads) == len({str(a[0]) for a in reads}) == n
 
     def test_every_command_solves_each_root_once_through_harness(self, tiny_world, tmp_path,
                                                                  monkeypatch):
@@ -886,7 +930,7 @@ class TestTraining:
         train_from_corpus(root / "corpus", out, TrainingConfig(epochs=1, batch_size=4, seed=0),
                           jobs=1)
         assert seen == [True]
-        assert out.exists() and out.with_suffix(".history.csv").exists()
+        assert out.exists() and (out.parent / "model.npz.history.csv").exists()
 
     def test_train_writes_model_and_history(self, tiny_world):
         root, _ = tiny_world
@@ -899,6 +943,18 @@ class TestTraining:
         assert len(rows) == 8 + 1  # epoch-0 row plus one per epoch
         losses = [float(r[1]) for r in rows]
         assert all(v >= -1e-9 for v in losses)
+
+    def test_checkpoints_in_one_directory_keep_their_histories(self, tiny_world, tmp_path):
+        """The history is named after the whole checkpoint name, so two
+        checkpoints that differ only in their last suffix keep their own."""
+        root, _ = tiny_world
+        reports = [train_from_corpus(root / "corpus", tmp_path / f"m.v{seed}",
+                                     TrainingConfig(epochs=1, batch_size=4, seed=seed), jobs=1)
+                   for seed in (1, 2)]
+        assert [r["history"] for r in reports] == \
+            [str(tmp_path / "m.v1.history.csv"), str(tmp_path / "m.v2.history.csv")]
+        for seed, report in zip((1, 2), reports):
+            assert f"# seed: {seed}\n" in Path(report["history"]).read_text()
 
     def test_validation_never_takes_every_example(self, tiny_world, tmp_path, monkeypatch):
         import divekit.harness as harness

@@ -181,6 +181,57 @@ class TestValidation:
             make_instance("bad", c=[1.0, 1.0], rows=[], senses=[], b=[],
                           lb=[0.0, 0.0], ub=[1.0, 1.0], **kw)
 
+    @pytest.mark.parametrize("rows, field", [
+        ([(0.5, 1, 2.0)], "triplet row"),
+        ([(1.7, 2.9, 2.0)], "triplet row"),
+        ([(0, 1.5, 2.0)], "triplet column"),
+        ([(True, 0, 1.0)], "triplet row"),
+        ([(2, 0, 1.0)], "triplet row"),
+        ([(-1, 0, 1.0)], "triplet row"),
+        ([(0, 3, 1.0)], "triplet column"),
+        ([(0, -1, 1.0)], "triplet column"),
+    ], ids=["half-row", "fractional-both", "fractional-column", "bool-row", "row-past-end",
+            "negative-row", "column-past-end", "negative-column"])
+    def test_triplet_index_outside_the_matrix_rejected(self, rows, field):
+        """Triplet rows and columns are checked by the rule that ``integer``
+        and ``divable`` follow: integers inside the matrix, nothing else."""
+        with pytest.raises(InstanceError, match=field):
+            make_instance("bad", c=[1.0, 1.0, 1.0], rows=rows, senses=[SENSE_LE, SENSE_LE],
+                          b=[1.0, 1.0], lb=[0.0] * 3, ub=[1.0] * 3, integer=[])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 0.0], [0.0, 1.0]], "triplets"),  # a dense 2x2 matrix
+        (np.eye(3)[:2], "triplet row"),  # a dense 2x3 matrix reads as float triplets
+    ], ids=["dense-2x2", "dense-2x3"])
+    def test_matrix_form_rejected(self, rows, message):
+        with pytest.raises(InstanceError, match=message):
+            make_instance("dense", c=[1.0] * len(rows[0]), rows=rows,
+                          senses=[SENSE_LE, SENSE_LE], b=[1.0, 1.0], lb=[0.0] * len(rows[0]),
+                          ub=[1.0] * len(rows[0]), integer=[])
+
+    def test_fractional_triplet_in_a_json_file_rejected(self, tmp_path):
+        inst = make_instance("frac", c=[1.0, 1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
+                             b=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0], integer=[1])
+        p = tmp_path / "frac.json"
+        write_instance(inst, p)
+        doc = json.loads(p.read_text())
+        doc["rows"] = [[0.5, 1, 2.0]]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match="triplet row"):
+            read_instance(p)
+
+    @pytest.mark.parametrize("header", [{"n": 99, "m": 42}, {"n": 3}, {"m": 2}],
+                             ids=["both", "n", "m"])
+    def test_json_header_must_match_the_vectors(self, tmp_path, header):
+        inst = generate(GeneratorConfig("set-cover", seed=1, rows=5, cols=8, density=0.4))
+        p = tmp_path / "hdr.json"
+        write_instance(inst, p)
+        doc = json.loads(p.read_text())
+        doc.update(header)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="header says"):
+            read_instance(p)
+
     def test_negative_index_in_a_json_file_rejected(self, tmp_path):
         inst = make_instance("neg", c=[1.0, 1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
                              b=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0], integer=[1])

@@ -293,7 +293,8 @@ def _mixed_lp(dup=False):
     A = np.random.default_rng(5).normal(size=(4, 6)).round(3)
     if dup:
         A[:, 1] = A[:, 0]
-    inst = make_instance("mixed", c=np.ones(6), rows=A,
+    rows = [(i, j, A[i, j]) for i in range(4) for j in range(6) if A[i, j] != 0.0]
+    inst = make_instance("mixed", c=np.ones(6), rows=rows,
                          senses=[SENSE_LE, SENSE_GE, SENSE_EQ, SENSE_GE],
                          b=np.ones(4), lb=np.zeros(6), ub=np.full(6, 5.0), integer=[])
     return std(inst)
