@@ -623,6 +623,7 @@ def _gen_indep_set(n_nodes, affinity, rng) -> MilpInstance:
 
 JSON_FORMAT = "divekit-instance"
 JSON_VERSION = 1
+_JSON_FIELDS = ("n", "m", "c", "rows", "sense", "b", "lb", "ub", "int", "divable")
 
 
 def _bound_out(v):
@@ -678,6 +679,9 @@ def _read_json(text, path) -> MilpInstance:
         raise ParseError(f"not a {JSON_FORMAT} file: {path}")
     if doc.get("version") != JSON_VERSION:
         raise UnsupportedFeature(f"unsupported schema version {doc.get('version')}")
+    missing = [key for key in _JSON_FIELDS if key not in doc]
+    if missing:
+        raise ParseError(f"{path}: missing field {', '.join(map(repr, missing))}")
     if (doc["n"], doc["m"]) != (len(doc["c"]), len(doc["b"])):
         raise ParseError(f"header says n={doc['n']}, m={doc['m']}, but c has "
                          f"{len(doc['c'])} entries and b {len(doc['b'])}")

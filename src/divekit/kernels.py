@@ -48,28 +48,44 @@ def ratio_test(rate, x_b, lo_b, up_b, var_idx, tol):
 
 
 # ---------------------------------------------------------------------------
-# product-form eta updates for the basis factorisation
+# compact product-form eta file for the basis factorisation
 #
-# etas[k] is the ftran'd entering column of pivot k, pivot row eta_rows[k].
-# ``apply_etas`` maps B0^-1 v -> B^-1 v; ``apply_etas_t`` is the transposed
-# sweep used before the backward LU solve.  Both mutate ``z`` in place.
+# Pivot k puts the column with ftran w_k into row position r_k = rows[k].
+# Its eta matrix maps z to z - (z[r_k] / w_k[r_k]) u_k with u_k = w_k - e_r_k,
+# and etas[k] holds u_k.  The product E_k...E_1 is one low-rank correction:
+# with R = rows[:k] and L the k x k lower-triangular matrix L[i, j] = u_j[r_i]
+# (j < i), L[i, i] = w_i[r_i],
+#
+#     E_k...E_1 z = z - etas[:k]' (L^-1 z[R]).
+#
+# ``linv`` holds L^-1, which ``push_eta`` extends by one bordered row per
+# pivot.  ``apply_etas`` maps B0^-1 v -> B^-1 v; ``apply_etas_t`` is the
+# transposed sweep used before the backward solve.  Pivot rows repeat, so
+# its scatter onto R accumulates.  Both sweeps mutate ``z`` in place.
 # ---------------------------------------------------------------------------
 
-def apply_etas(z, eta_rows, etas, n_eta):
-    for k in range(n_eta):
-        r = eta_rows[k]
-        a = z[r] / etas[k, r]
-        if a != 0.0:
-            z -= a * etas[k]
-        z[r] = a
+def eta_file(capacity, m):
+    """An empty file of up to ``capacity`` etas on m-vectors: ``rows``,
+    ``etas`` and ``linv``."""
+    return (np.zeros(capacity, dtype=np.int64), np.zeros((capacity, m)),
+            np.zeros((capacity, capacity)))
+
+
+def push_eta(rows, etas, linv, k, r, w):
+    rows[k] = r
+    etas[k] = w
+    etas[k, r] -= 1.0
+    linv[k, :k] = -(etas[:k, r] @ linv[:k, :k]) / w[r]
+    linv[k, k] = 1.0 / w[r]
+
+
+def apply_etas(z, rows, etas, linv, k):
+    z -= (linv[:k, :k] @ z[rows[:k]]) @ etas[:k]
     return z
 
 
-def apply_etas_t(z, eta_rows, etas, n_eta):
-    for k in range(n_eta - 1, -1, -1):
-        r = eta_rows[k]
-        dot = float(etas[k] @ z)
-        z[r] = z[r] + (z[r] - dot) / etas[k, r]
+def apply_etas_t(z, rows, etas, linv, k):
+    np.subtract.at(z, rows[:k], (etas[:k] @ z) @ linv[:k, :k])
     return z
 
 

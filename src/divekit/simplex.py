@@ -21,9 +21,16 @@ Implementation notes:
   columns on the uncovered rows form a matrix to invert (Suhl & Suhl 1990;
   Bixby 1992).  That k x k kernel is factored by dense LU (scipy) and held
   as its inverse; k is 0 at a cold start and near m on dense families.
-  Product-form eta updates on full m-vectors follow each pivot, and the
-  kernel is refactored every ``REFACTOR_EVERY`` pivots and once more before
-  declaring optimality;
+  Each pivot adds one eta to a compact product-form file (``kernels``): the
+  etas since the last factorization act as one low-rank correction through
+  a small lower-triangular inverse, so ftran and btran cost two matrix
+  products each, whatever the number of etas.  The kernel is refactored
+  every ``REFACTOR_EVERY`` pivots and once more before declaring
+  optimality;
+- a returned basis carries the kernel inverse it was factored with, for the
+  LP it was factored on, whenever the eta file is empty (always so at
+  ``OPTIMAL``): a warm start on that same LP object then reuses the inverse
+  instead of factoring the kernel again;
 - a warm basis that is dual feasible (the optimal basis of the same LP before
   a bound tightening) is re-solved by a bounded dual simplex: the basic
   variable farthest outside its bounds leaves, the dual ratio test picks the
@@ -45,14 +52,14 @@ Implementation notes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import LinAlgWarning
 
 from .instances import StandardLp
-from .kernels import apply_etas, apply_etas_t, ratio_test
+from .kernels import apply_etas, apply_etas_t, eta_file, push_eta, ratio_test
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -84,11 +91,17 @@ class NumericalBreakdown(SimplexError):
 @dataclass
 class Basis:
     """The basic columns (ordered by row) and the nonbasic columns at their
-    upper bound: all a warm start reads, as it places every other column
-    the way a cold start does."""
+    upper bound, from which a warm start places every column (every other
+    one the way a cold start does).  A basis returned by a solve may also
+    carry ``kinv``, the inverse of its kernel, factored on the LP object
+    ``lp``: a warm start on that same object reuses it instead of factoring
+    again.  A hand-built basis, or one started on another LP, is factored
+    as usual."""
 
     basic: np.ndarray
     at_upper: np.ndarray
+    kinv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lp: StandardLp | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -129,8 +142,8 @@ class _Solver:
         # the kernel factors: see refactorize
         self.pos_S = self.pos_L = self.rows_U = self.rows_L = None
         self.sign_L = self.C = self.Kinv = None
-        self.eta_rows = np.zeros(REFACTOR_EVERY, dtype=np.int64)
-        self.etas = np.zeros((REFACTOR_EVERY, self.m))
+        # the eta file: see kernels
+        self.eta_rows, self.etas, self.eta_linv = eta_file(REFACTOR_EVERY, self.m)
         self.n_eta = 0
         self.iterations = 0
         self.bland = False
@@ -140,13 +153,15 @@ class _Solver:
 
     # -- factorization -----------------------------------------------------
 
-    def refactorize(self):
+    def refactorize(self, kinv=None):
         """Factor the basis through its kernel.
 
         A basic logical column covers its row, so ``B z = v`` splits into the
         kernel system ``K z_S = v_U`` (the uncovered rows of the structural
         basic columns) and ``sign * z_L = v_L - C z_S`` on the covered rows,
         where ``C`` holds the covered rows of the structural basic columns.
+        ``kinv``, the inverse of this basis's kernel on this LP, spares the
+        LU factorization.
         """
         basic, n0 = self.basic, self.lp.slack_start
         logical = basic >= n0
@@ -161,14 +176,16 @@ class _Solver:
         self.sign_L = self.lp.logical_sign[self.rows_L]
         B_S = self.A[:, basic[self.pos_S]]
         self.C = B_S[self.rows_L]
-        # a singular kernel raises SingularBasis below instead of warning here
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = sla.lu_factor(B_S[self.rows_U], check_finite=False)
-        diag = np.abs(np.diag(lu))
-        if diag.min(initial=np.inf) < 1e-12 * max(1.0, diag.max(initial=0.0)):
-            raise SingularBasis("singular basis matrix")
-        self.Kinv = sla.lu_solve((lu, piv), np.eye(self.pos_S.size), check_finite=False)
+        if kinv is None:
+            # a singular kernel raises SingularBasis below instead of warning here
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu, piv = sla.lu_factor(B_S[self.rows_U], check_finite=False)
+            diag = np.abs(np.diag(lu))
+            if diag.min(initial=np.inf) < 1e-12 * max(1.0, diag.max(initial=0.0)):
+                raise SingularBasis("singular basis matrix")
+            kinv = sla.lu_solve((lu, piv), np.eye(self.pos_S.size), check_finite=False)
+        self.Kinv = kinv
         self.n_eta = 0
         # recompute basic values against the fresh factors
         x_other = self.xval.copy()
@@ -182,13 +199,13 @@ class _Solver:
         z[self.pos_S] = z_S
         z[self.pos_L] = (v[self.rows_L] - self.C @ z_S) / self.sign_L
         if self.n_eta:
-            apply_etas(z, self.eta_rows, self.etas, self.n_eta)
+            apply_etas(z, self.eta_rows, self.etas, self.eta_linv, self.n_eta)
         return z
 
     def btran(self, z):
         """Solve ``B'y = z``; overwrites ``z``."""
         if self.n_eta:
-            apply_etas_t(z, self.eta_rows, self.etas, self.n_eta)
+            apply_etas_t(z, self.eta_rows, self.etas, self.eta_linv, self.n_eta)
         y = np.empty(self.m)
         y_L = z[self.pos_L] / self.sign_L
         y[self.rows_L] = y_L
@@ -201,7 +218,8 @@ class _Solver:
         """Every nonbasic column at its lower bound, at its upper bound when
         the lower one is infinite or ``basis`` lists it there, or free at zero
         when both are infinite; the basic columns are those of ``basis``, or
-        the logical columns without one."""
+        the logical columns without one.  The kernel inverse that ``basis``
+        carries for this LP is reused."""
         if basis is not None and basis.basic.shape[0] != self.m:
             raise SimplexError("warm basis has the wrong size")
         self.bland = False
@@ -218,7 +236,7 @@ class _Solver:
             self.xval[basis.at_upper] = self.ub[basis.at_upper]
             self.basic[:] = basis.basic
         self.stat[self.basic] = _BASIC
-        self.refactorize()
+        self.refactorize(basis.kinv if basis is not None and basis.lp is self.lp else None)
 
     # -- pricing -------------------------------------------------------------
 
@@ -260,8 +278,7 @@ class _Solver:
         Counts the iteration."""
         self.basic[pos] = q
         self.stat[q] = _BASIC
-        self.eta_rows[self.n_eta] = pos
-        self.etas[self.n_eta, :] = w
+        push_eta(self.eta_rows, self.etas, self.eta_linv, self.n_eta, pos, w)
         self.n_eta += 1
         self.iterations += 1
         if self.n_eta >= REFACTOR_EVERY:
@@ -420,7 +437,11 @@ class _Solver:
     # -- extraction --------------------------------------------------------------
 
     def make_basis(self) -> Basis:
-        return Basis(basic=self.basic.copy(), at_upper=np.flatnonzero(self.stat == _AT_UPPER))
+        basis = Basis(basic=self.basic.copy(), at_upper=np.flatnonzero(self.stat == _AT_UPPER))
+        if not self.n_eta:  # the kernel inverse factors exactly this basis
+            self.Kinv.setflags(write=False)  # shared from here on
+            basis.kinv, basis.lp = self.Kinv, self.lp
+        return basis
 
     def extract_duals(self) -> DualValues:
         y, d = self.price(self.c)

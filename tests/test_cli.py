@@ -17,7 +17,7 @@ from divekit.harness import (
     TuneConfig,
     read_csv_rows,
 )
-from divekit.instances import read_instance
+from divekit.instances import GeneratorConfig, generate, read_instance, write_instance
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,20 @@ def test_collect_reads_mps_files_without_a_manifest(tmp_path):
     inst = write_mps_instances(tmp_path / "inst", 2)
     assert main(["collect", "--instances", str(inst / "instances"),
                  "--out", str(tmp_path / "corpus"), "--node-limit", "60", "--jobs", "1"]) == 0
+
+
+def test_collect_refuses_a_json_instance_without_a_field(tmp_path):
+    """A JSON instance that lacks a field ends ``collect`` with one line
+    that names the file and the field."""
+    (tmp_path / "inst").mkdir()
+    path = tmp_path / "inst" / "cover.json"
+    write_instance(generate(GeneratorConfig("set-cover", rows=10, cols=20, density=0.2)), path)
+    doc = json.loads(path.read_text())
+    del doc["m"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=r"^collect: .*cover\.json: missing field 'm'$"):
+        main(["collect", "--instances", str(tmp_path / "inst"),
+              "--out", str(tmp_path / "corpus"), "--jobs", "1"])
 
 
 def test_eval_bnb_refuses_seed(capsys):

@@ -232,6 +232,16 @@ class TestValidation:
         with pytest.raises(ParseError, match="header says"):
             read_instance(p)
 
+    def test_json_fields_must_be_present(self, tmp_path):
+        inst = generate(GeneratorConfig("set-cover", seed=1, rows=5, cols=8, density=0.4))
+        p = tmp_path / "gap.json"
+        write_instance(inst, p)
+        doc = json.loads(p.read_text())
+        del doc["lb"], doc["divable"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="gap.json: missing field 'lb', 'divable'"):
+            read_instance(p)
+
     def test_negative_index_in_a_json_file_rejected(self, tmp_path):
         inst = make_instance("neg", c=[1.0, 1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE],
                              b=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0], integer=[1])

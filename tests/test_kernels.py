@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from divekit import kernels
+from divekit.simplex import REFACTOR_EVERY
 
 
 @pytest.fixture
@@ -64,7 +65,8 @@ def apply_etas_t_reference(z, eta_rows, etas, n_eta):
 
 class TestParity:
     """The numpy kernels agree with independent references: scipy sparse
-    products, plain loops and dense product-form matrices."""
+    products, plain loops and dense product-form matrices.  The eta
+    references take the ftran'd columns themselves, one eta per loop step."""
 
     def test_row_activities(self, data):
         got = kernels.row_activities(
@@ -114,42 +116,74 @@ class TestParity:
         _, pos, up = kernels.ratio_test(rate, xb, lob, upb, vidx, 1e-9)
         assert pos == 1 and up
 
-    def test_eta_sweeps(self, rng):
-        m, k = 40, 12
-        eta_rows = rng.integers(0, m, size=k)
-        etas = rng.normal(size=(k, m))
+    @staticmethod
+    def random_eta_file(rng, m, eta_rows):
+        """Random ftran'd columns ``W`` for the pivot rows ``eta_rows``, and
+        the compact file that ``push_eta`` builds from them."""
+        k = len(eta_rows)
+        W = rng.normal(size=(k, m))
         for i, r in enumerate(eta_rows):
-            etas[i, r] = 1.5 + rng.random()
-        z = rng.normal(size=m)
-        np.testing.assert_allclose(
-            kernels.apply_etas(z.copy(), eta_rows, etas, k),
-            apply_etas_reference(z.copy(), eta_rows, etas, k), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            kernels.apply_etas_t(z.copy(), eta_rows, etas, k),
-            apply_etas_t_reference(z.copy(), eta_rows, etas, k), rtol=1e-10, atol=1e-12)
+            W[i, r] = rng.choice([-1.0, 1.0]) * (1.5 + rng.random())
+        rows, etas, linv = kernels.eta_file(REFACTOR_EVERY, m)
+        for i, r in enumerate(eta_rows):
+            kernels.push_eta(rows, etas, linv, i, int(r), W[i].copy())
+        return W, (rows, etas, linv)
 
-    def test_eta_sweep_inverts_product_form(self, rng):
-        """apply_etas implements E_k...E_1 and apply_etas_t its transpose."""
-        m, k = 15, 5
-        eta_rows = rng.integers(0, m, size=k)
-        etas = rng.normal(size=(k, m))
-        for i, r in enumerate(eta_rows):
-            etas[i, r] = 2.0 + rng.random()
+    @staticmethod
+    def product_form(eta_rows, W):
+        """The dense product ``E_k...E_1`` of the eta matrices."""
+        m = W.shape[1]
         E = np.eye(m)
-        for i in range(k):
+        for r, w in zip(eta_rows, W):
             Ei = np.eye(m)
-            r = eta_rows[i]
-            w = etas[i]
             Ei[:, r] = -w / w[r]
             Ei[r, r] = 1.0 / w[r]
             E = Ei @ E
+        return E
+
+    def test_eta_sweeps(self, rng):
+        """The compact sweeps agree with the plain loops over the explicit
+        etas, with pivot rows that repeat, up to a full file."""
+        for m, k in [(40, 12), (60, REFACTOR_EVERY - 1)]:
+            eta_rows = rng.integers(0, m, size=k)
+            eta_rows[[1, 4, k - 1]] = eta_rows[0]  # one row pivots four times
+            W, compact = self.random_eta_file(rng, m, eta_rows)
+            z = rng.normal(size=m)
+            np.testing.assert_allclose(
+                kernels.apply_etas(z.copy(), *compact, k),
+                apply_etas_reference(z.copy(), eta_rows, W, k), rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(
+                kernels.apply_etas_t(z.copy(), *compact, k),
+                apply_etas_t_reference(z.copy(), eta_rows, W, k), rtol=1e-10, atol=1e-12)
+
+    def test_eta_sweep_inverts_product_form(self, rng):
+        """apply_etas implements E_k...E_1 and apply_etas_t its transpose, at
+        every length of the file."""
+        m, k = 15, 8
+        eta_rows = np.array([3, 7, 3, 0, 14, 3, 7, 9])  # rows 3 and 7 repeat
+        W, compact = self.random_eta_file(rng, m, eta_rows)
         z = rng.normal(size=m)
-        np.testing.assert_allclose(
-            kernels.apply_etas(z.copy(), eta_rows, etas, k), E @ z,
-            rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(
-            kernels.apply_etas_t(z.copy(), eta_rows, etas, k), E.T @ z,
-            rtol=1e-9, atol=1e-12)
+        for n in range(1, k + 1):
+            E = self.product_form(eta_rows[:n], W[:n])
+            np.testing.assert_allclose(kernels.apply_etas(z.copy(), *compact, n), E @ z,
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(kernels.apply_etas_t(z.copy(), *compact, n), E.T @ z,
+                                       rtol=1e-9, atol=1e-12)
+
+    def test_transposed_scatter_accumulates_repeated_rows(self, rng):
+        """The transposed sweep adds every pivot's share onto a repeated
+        row; a plain fancy-index scatter keeps only the last one, and the
+        sweep above tells the two apart."""
+        m, k = 10, 4
+        eta_rows = np.array([2, 5, 2, 2])
+        W, (rows, etas, linv) = self.random_eta_file(rng, m, eta_rows)
+        z = rng.normal(size=m)
+        expect = self.product_form(eta_rows, W).T @ z
+        np.testing.assert_allclose(kernels.apply_etas_t(z.copy(), rows, etas, linv, k),
+                                   expect, rtol=1e-9, atol=1e-12)
+        wrong = z.copy()
+        wrong[rows[:k]] -= (etas[:k] @ wrong) @ linv[:k, :k]
+        assert np.max(np.abs(wrong - expect)) > 1e-3
 
 
 def test_backend_reported():

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -493,3 +494,105 @@ class TestRowFree:
         assert sol.status == simplex.UNBOUNDED and sol.duals is None
         np.testing.assert_array_equal(sol.x, x)
         np.testing.assert_array_equal(sol.ray, ray)
+
+
+def _count_lu_factor(monkeypatch):
+    """Count the kernel LU factorizations of every solve; like the traced
+    benchmark, ``simplex.sla`` then provides only ``lu_factor`` and
+    ``lu_solve``."""
+    calls = {"lu_factor": 0}
+    real = simplex.sla
+
+    def lu_factor(*args, **kwargs):
+        calls["lu_factor"] += 1
+        return real.lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "sla", types.SimpleNamespace(
+        lu_factor=lu_factor, lu_solve=real.lu_solve))
+    return calls
+
+
+def _bare(basis):
+    """The same basis without the factors it carries."""
+    return simplex.Basis(basic=basis.basic.copy(), at_upper=basis.at_upper.copy())
+
+
+def _same_solution(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.x.tobytes() == b.x.tobytes()
+    for part in ("y_b", "y_lb", "y_ub"):
+        assert getattr(a.duals, part).tobytes() == getattr(b.duals, part).tobytes()
+    assert a.basis.basic.tobytes() == b.basis.basic.tobytes()
+    assert a.basis.at_upper.tobytes() == b.basis.at_upper.tobytes()
+
+
+class TestCarriedFactors:
+    """A basis returned at an optimum carries its kernel inverse, and a warm
+    start on the same LP object reuses it instead of factoring again."""
+
+    def test_optimal_basis_carries_its_kernel_inverse(self):
+        lp, root, _ = _tightened_cover()
+        assert root.basis.lp is lp and root.basis.kinv is not None
+        assert not root.basis.kinv.flags.writeable
+        solver = simplex._Solver(lp, None, None)
+        solver.start(_bare(root.basis))
+        assert solver.Kinv.tobytes() == root.basis.kinv.tobytes()
+
+    def test_no_pivot_resolve_factors_nothing(self, monkeypatch):
+        lp, root, _ = _tightened_cover()
+        calls = _count_lu_factor(monkeypatch)
+        again = solve_lp(lp, warm=root.basis)
+        assert again.iterations == 0 and calls["lu_factor"] == 0
+        assert again.x.tobytes() == root.x.tobytes()
+        solve_lp(lp, warm=_bare(root.basis))
+        assert calls["lu_factor"] == 1
+
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig("set-cover", seed=2, rows=100, cols=200, density=0.05),
+        GeneratorConfig("comb-auction", seed=3, items=20, bids=50),
+        GeneratorConfig("facility-location", seed=3, customers=6, facilities=5),
+        GeneratorConfig("indep-set", seed=3, nodes=80, affinity=4),
+    ], ids=lambda cfg: cfg.family)
+    def test_dive_resolves_match_a_fresh_factorization(self, cfg, monkeypatch):
+        """Along a dive that caps the first fractional variable at its floor,
+        each warm resolve from the carried inverse equals, bit for bit, the
+        resolve from the same basis factored afresh, and factors once less."""
+        inst = generate(cfg)
+        lp = std(inst)
+        calls = _count_lu_factor(monkeypatch)
+        sol = solve_lp(lp)
+        lo, hi = lp.lb.copy(), lp.ub.copy()
+        steps = 0
+        while sol.status == simplex.OPTIMAL and steps < 8:
+            x = sol.x[inst.divable_index]
+            frac = np.abs(x - np.floor(x + 0.5)) > 1e-6
+            if not frac.any():
+                break
+            j = int(inst.divable_index[np.argmax(frac)])
+            hi[j] = np.floor(sol.x[j])
+            assert sol.basis.kinv is not None and sol.basis.lp is lp
+            before = calls["lu_factor"]
+            reused = solve_lp(lp, warm=sol.basis, lower=lo, upper=hi)
+            carried = calls["lu_factor"] - before
+            refactored = solve_lp(lp, warm=_bare(sol.basis), lower=lo, upper=hi)
+            assert calls["lu_factor"] - before - carried == carried + 1
+            if reused.status == simplex.OPTIMAL:
+                _same_solution(reused, refactored)
+            else:
+                assert reused.status == refactored.status
+                assert reused.iterations == refactored.iterations
+            sol, steps = reused, steps + 1
+        assert steps >= 2
+
+    def test_basis_of_another_lp_is_factored(self, monkeypatch):
+        """Another LP of the same shape, even one equal to the first, gets
+        its own factorization."""
+        lp, root, hi = _tightened_cover()
+        other = std(generate(GeneratorConfig("set-cover", seed=8, rows=30, cols=60,
+                                             density=0.1)))
+        for target in (dataclasses.replace(lp), other):
+            assert target.ncols == lp.ncols and target.nrows == lp.nrows
+            calls = _count_lu_factor(monkeypatch)
+            got = solve_lp(target, warm=root.basis, upper=hi)
+            assert calls["lu_factor"] >= 1
+            _same_solution(got, solve_lp(target, warm=_bare(root.basis), upper=hi))
