@@ -9,7 +9,7 @@ only stop rules.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .instances import (
     INT_TOL, MilpInstance, SENSE_GE, SENSE_LE, StandardLp, fractionality, to_standard_form,
 )
 from . import simplex
-from .simplex import LpSolution, SimplexError, solve_lp
+from .simplex import Basis, LpSolution, SimplexError, solve_lp
 
 OPTIMAL_PROVEN = "optimal_proven"
 LIMIT = "limit"
@@ -178,13 +178,15 @@ class BnbResult:
 
 
 class _Node:
-    __slots__ = ("parent", "var", "upper", "value", "bound", "basis")
+    """A node to process: its branching path from the root, one
+    ``(var, upper, value)`` per branching (``upper`` caps ``var`` at
+    ``value``, otherwise ``value`` is its new lower bound), its parent's LP
+    bound and its parent's optimal basis, the node LP's warm start."""
 
-    def __init__(self, parent, var, upper, value, bound, basis):
-        self.parent = parent
-        self.var = var
-        self.upper = upper
-        self.value = value
+    __slots__ = ("path", "bound", "basis")
+
+    def __init__(self, path, bound, basis):
+        self.path = path
         self.bound = bound
         self.basis = basis
 
@@ -192,15 +194,28 @@ class _Node:
         """Full-column bounds: the base ones with this node's branchings applied."""
         lo = base_lo.copy()
         hi = base_hi.copy()
-        node = self
         # min/max accumulation keeps the tightest change regardless of order
-        while node is not None and node.var >= 0:
-            if node.upper:
-                hi[node.var] = min(hi[node.var], node.value)
+        for var, upper, value in self.path:
+            if upper:
+                hi[var] = min(hi[var], value)
             else:
-                lo[node.var] = max(lo[node.var], node.value)
-            node = node.parent
+                lo[var] = max(lo[var], value)
         return lo, hi
+
+
+def _shared(sol: LpSolution) -> LpSolution:
+    """``sol`` as an entry of a table of node LP solutions: its arrays
+    read-only, and its basis without the kernel inverse, which a run that
+    warm-starts from the entry factors again."""
+    basis = Basis(basic=sol.basis.basic, at_upper=sol.basis.at_upper)
+    arrays = [basis.basic, basis.at_upper]
+    if sol.x is not None:  # None when infeasible
+        arrays.append(sol.x)
+    if sol.duals is not None:  # None unless optimal
+        arrays += [sol.duals.y_b, sol.duals.y_lb, sol.duals.y_ub]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return replace(sol, basis=basis)
 
 
 def _most_fractional(x, idx):
@@ -215,7 +230,8 @@ def _most_fractional(x, idx):
 
 def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
                      lp: StandardLp | None = None,
-                     root_sol: LpSolution | None = None) -> BnbResult:
+                     root_sol: LpSolution | None = None,
+                     solved: dict | None = None) -> BnbResult:
     """Best-bound search with depth-first plunging, bound/integrality/
     infeasibility pruning only, and an optional diver callback at every node
     with a fractional LP point.  A node whose LP fails keeps its parent's
@@ -228,7 +244,22 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
     node uses it in place of solving, and everything else runs as if it
     had been solved here.  Its pivots stay on the tick clock and it is the
     root trace point's bound; nothing writes into it, so one solution can
-    serve many runs."""
+    serve many runs.
+
+    ``solved`` is a table of node LP solutions that runs on the same ``lp``
+    object, with the same ``root_sol`` (or none), may share.  It maps a
+    node's branching path, the tuple of ``(var, upper, value)`` from the
+    root, to that node's solution.  The path fixes the node LP: it sets the
+    bounds, and by induction the parent's solution, whose basis is the warm
+    start.  A node whose path is in the table takes that solution in place
+    of solving, and its pivots still go on the tick clock, so the run is
+    the one it would be without the table.  A node solved here is stored,
+    read-only and with a basis that carries no kernel inverse; a solve
+    that raises is not, so each run retries it.  The root is never stored:
+    ``root_sol`` or a solve here supplies it.  An entry holds the point,
+    the three dual vectors and the basis, about (4N + 2m)·8 bytes for an
+    LP of N columns and m rows, for as long as the caller keeps the
+    table."""
     cfg = cfg or SolveConfig()
     if lp is None:
         lp = to_standard_form(inst)
@@ -281,7 +312,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
             for sx in res.solutions:
                 register(sx, sol.objective)
 
-    plunge.append(_Node(None, -1, False, 0.0, -np.inf, None))
+    plunge.append(_Node((), -np.inf, None))
     status = LIMIT
 
     while heap or plunge:
@@ -301,16 +332,21 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
             continue
         nodes += 1
         lo, hi = node.bounds(lp.lb, lp.ub)
-        if node.parent is None and root_sol is not None:
+        is_root = not node.path
+        if is_root and root_sol is not None:
             sol = root_sol
+        elif solved is not None and node.path in solved:
+            sol = solved[node.path]
         else:
             try:
                 sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
             except SimplexError:
                 sol = None
+            if sol is not None and solved is not None and not is_root:
+                solved[node.path] = _shared(sol)
         if sol is not None:
             ticks += sol.iterations
-            if node.parent is None:
+            if is_root:
                 solved_root = True
             if sol.status == simplex.INFEASIBLE:
                 continue
@@ -321,7 +357,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
             lost_bound = min(lost_bound, node.bound)
             continue
         z = sol.objective
-        if node.parent is None:
+        if is_root:
             trace.record(ticks, z_inc, z)
         if z >= z_inc - BOUND_PRUNE_TOL:
             continue
@@ -339,8 +375,8 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
             continue
         # children: down (upper bound floor) first so plunging goes down
         v = x[branch_var]
-        plunge.append(_Node(node, branch_var, False, float(np.ceil(v)), z, sol.basis))
-        plunge.append(_Node(node, branch_var, True, float(np.floor(v)), z, sol.basis))
+        plunge.append(_Node(node.path + ((branch_var, False, float(np.ceil(v))),), z, sol.basis))
+        plunge.append(_Node(node.path + ((branch_var, True, float(np.floor(v))),), z, sol.basis))
         trace.record(ticks, z_inc, open_bound())
     else:
         if not solved_root:

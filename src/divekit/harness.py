@@ -584,17 +584,21 @@ def _ensemble_hook(members, model, d_max, seed):
 def _eval_bnb_entry(task):
     """Every run of ``runs`` on one corpus entry, from one read, one standard
     form and one root LP solve (None after a root solve that raised: each
-    run then retries it).  A run's rows go under every seed of its group
-    (more than one only for configs no seed can change); the rows come
-    sorted by config, then seed, the order the win count averages them in."""
+    run then retries it).  The runs share one table of node LP solutions
+    (``branch_and_bound``'s ``solved``), so a node LP that several runs
+    reach is solved once; the table lives until the task returns.  A run's
+    rows go under every seed of its group (more than one only for configs
+    no seed can change); the rows come sorted by config, then seed, the
+    order the win count averages them in."""
     entry, runs, cfg, model, trace_dir = task
     inst, lp, root = solve_root(entry["instance_path"])
+    solved = {}
     rows = []
     for spec, seeds in runs:
         diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None
         res = branch_and_bound(inst, SolveConfig(
             node_limit=cfg.node_limit, tick_limit=cfg.tick_limit, diver=diver,
-        ), lp=lp, root_sol=root)
+        ), lp=lp, root_sol=root, solved=solved)
         safe = spec.name.replace(":", "_").replace("/", "_")
         integral = primal_dual_integral(res.trace.points, cfg.tick_limit)
         gap = primal_dual_gap(*res.trace.final())

@@ -150,6 +150,7 @@ class _Solver:
         self._stall = 0
         self._last_obj = np.inf
         self.ray = None
+        self.priced = None  # (y, d) of the last pricing that declared optimality
 
     # -- factorization -----------------------------------------------------
 
@@ -395,15 +396,18 @@ class _Solver:
             else:
                 cost = self.c
                 self._note_progress(float(self.c @ self.xval))
-            _, d = self.price(cost)
+            y, d = self.price(cost)
             q = self._entering(d, OPT_TOL)
             if q < 0 and not phase1 and self.n_eta:
                 # confirm optimality against fresh factors
                 self.refactorize()
-                _, d = self.price(cost)
+                y, d = self.price(cost)
                 q = self._entering(d, OPT_TOL)
             if q < 0:
-                return INFEASIBLE if phase1 else OPTIMAL
+                if phase1:
+                    return INFEASIBLE
+                self.priced = y, d
+                return OPTIMAL
             s = 1.0 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and d[q] < 0)) else -1.0
             w = self.ftran(self.A[:, q])
             lo_eff, up_eff = self.lb[self.basic], self.ub[self.basic]
@@ -443,8 +447,9 @@ class _Solver:
             basis.kinv, basis.lp = self.Kinv, self.lp
         return basis
 
-    def extract_duals(self) -> DualValues:
-        y, d = self.price(self.c)
+    def extract_duals(self, y, d) -> DualValues:
+        """The dual triple from the row duals ``y`` and reduced costs ``d``
+        that ``price(self.c)`` gives at an optimal basis."""
         lo, hi = self.lb, self.ub
         at_lower = self.stat == _AT_LOWER
         at_upper = self.stat == _AT_UPPER
@@ -456,8 +461,9 @@ class _Solver:
         return DualValues(y_b=y, y_lb=y_lb, y_ub=y_ub)
 
     def solution(self, status) -> LpSolution:
-        obj = float(self.c @ self.xval)
-        duals = self.extract_duals() if status == OPTIMAL else None
+        # an infeasible LP has no objective value, whatever its last iterate
+        obj = np.inf if status == INFEASIBLE else float(self.c @ self.xval)
+        duals = self.extract_duals(*self.priced) if status == OPTIMAL else None
         _, _, infeas = self.violations()
         return LpSolution(
             status=status,

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from divekit.bnb import (
     INFEASIBLE,
@@ -504,6 +505,128 @@ class TestGivenRoot:
                     assert all(za == zb and np.array_equal(a, b) for (a, za), (b, zb)
                                in zip(given.pool.solutions(), own.pool.solutions()))
                     assert len(given.pool) == len(own.pool)
+
+
+def fingerprint(res):
+    """Every field of a ``BnbResult``, floats as their bytes."""
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    return (res.status, None if res.x is None else res.x.tobytes(), bits(res.objective),
+            bits(res.bound), res.nodes, bits(res.ticks), res.node_errors, res.dives,
+            np.array(res.trace.points, dtype=np.float64).tobytes(),
+            [(bits(z), x.tobytes()) for x, z in res.pool.solutions()], res.pool.rejected)
+
+
+class TestSharedNodeLps:
+    """Runs on one LP that share a table of node LP solutions give the
+    results they give alone, bit for bit, and solve each node LP once."""
+
+    INSTANCES = (GeneratorConfig("set-cover", seed=2, rows=40, cols=50, density=0.12, max_cost=5),
+                 GeneratorConfig("comb-auction", seed=1, items=20, bids=40),
+                 GeneratorConfig("facility-location", seed=0, customers=8, facilities=5),
+                 GeneratorConfig("indep-set", seed=0, nodes=40, affinity=3))
+    # the last config's early incumbents prune what the others explore, so
+    # under the node limit it reaches node LPs none of them solved
+    CONFIGS = ((), (("fractional", 5, 0),), (("coefficient", 3, 0),), (("random", 4, 1),),
+               (("vectorlength", 1, 0),))
+
+    @staticmethod
+    def counting_solves(monkeypatch):
+        from divekit import bnb
+
+        calls = []
+        real = bnb.solve_lp
+
+        def counting(*a, **kw):
+            calls.append(kw)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(bnb, "solve_lp", counting)
+        return calls
+
+    def test_shared_table_changes_no_result(self, monkeypatch):
+        from divekit.harness import _ensemble_hook
+        from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
+
+        solves = self.counting_solves(monkeypatch)
+        partial = []
+        for gen in self.INSTANCES:
+            inst = generate(gen)
+            lp = to_standard_form(inst)
+            root = solve_lp(lp)
+            solved = {}
+            alone_solves = shared_solves = 0
+            for members in self.CONFIGS:
+                def run(table):
+                    solves.clear()
+                    diver = _ensemble_hook(members, None, 10, 3) if members else None
+                    res = branch_and_bound(inst, SolveConfig(node_limit=30, diver=diver),
+                                           lp=lp, root_sol=root, solved=table)
+                    return res, len(solves)
+
+                alone, n_alone = run(None)
+                shared, n_shared = run(solved)
+                assert fingerprint(shared) == fingerprint(alone), (gen.family, members)
+                # every node but the root is solved alone; shared, some are looked up
+                assert n_alone == alone.nodes - 1
+                alone_solves += n_alone
+                shared_solves += n_shared
+                if members == self.CONFIGS[-1]:
+                    partial.append(0 < n_shared < n_alone)
+            assert shared_solves == len(solved) < alone_solves, gen.family
+        assert any(partial)
+
+    def test_failed_node_lp_is_retried_by_each_run(self, monkeypatch):
+        """A node LP that raises is not stored: every run that reaches it
+        solves it again, and counts its own node error."""
+        from divekit import bnb, simplex
+        from divekit.instances import to_standard_form
+
+        inst = generate(TestFailedNodeLp.INST)
+        lp = to_standard_form(inst)
+        root = simplex.solve_lp(lp)
+        first = self.counting_solves(monkeypatch)
+        clean = branch_and_bound(inst, lp=lp, root_sol=root)
+        # the first node LP solved below a given root is the root's down child
+        down = (first[0]["lower"].tobytes(), first[0]["upper"].tobytes())
+        failed = []
+
+        def failing_down_child(*a, **kw):
+            if (kw["lower"].tobytes(), kw["upper"].tobytes()) == down:
+                failed.append(None)
+                raise simplex.NumericalBreakdown("injected")
+            return simplex.solve_lp(*a, **kw)
+
+        monkeypatch.setattr(bnb, "solve_lp", failing_down_child)
+        alone = branch_and_bound(inst, lp=lp, root_sol=root)
+        solved = {}
+        runs = [branch_and_bound(inst, lp=lp, root_sol=root, solved=solved) for _ in range(2)]
+        assert len(failed) == 3
+        assert alone.node_errors == 1 and alone.status == LIMIT != clean.status
+        assert fingerprint(runs[0]) == fingerprint(runs[1]) == fingerprint(alone)
+        # of the root's two children only the up child is stored
+        assert sum(len(path) == 1 for path in solved) == 1
+
+    def test_entries_are_read_only_and_hold_no_kernel_inverse(self):
+        from divekit.instances import to_standard_form
+        from divekit.simplex import solve_lp
+
+        inst = generate(TestFailedNodeLp.INST)
+        lp = to_standard_form(inst)
+        for root in (None, solve_lp(lp)):
+            solved = {}
+            res = branch_and_bound(inst, lp=lp, root_sol=root, solved=solved)
+            assert len(solved) == res.nodes - 1 and () not in solved
+            optimal = [sol for sol in solved.values() if sol.duals is not None]
+            assert optimal
+            for sol in optimal:
+                assert sol.basis.kinv is None
+                for arr in (sol.x, sol.duals.y_b, sol.duals.y_lb, sol.duals.y_ub,
+                            sol.basis.basic, sol.basis.at_upper):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[0]
 
 
 class TestEnumerate:

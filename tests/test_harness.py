@@ -660,6 +660,60 @@ class TestNoRepeatedWork:
             assert len(roots) == len(set(roots)) == count, name
         assert cold == []
 
+    def test_eval_bnb_and_tune_solve_each_node_lp_once(self, tiny_world, tmp_path,
+                                                       monkeypatch):
+        """The runs on one instance share one table of node LP solutions, so
+        ``bnb.solve_lp`` runs once per distinct node path: the union of the
+        paths the configs reach when each runs on its own.  ``collect``
+        shares no table."""
+        import divekit.bnb as bnb
+        import divekit.harness as harness
+
+        root, manifest = tiny_world
+        corpus = root / "corpus"
+        solves = self.count_calls(monkeypatch, bnb, "solve_lp")
+        real = harness.branch_and_bound
+        tables, nodes = {}, []
+
+        def capturing(inst, *a, solved=None, **kw):
+            tables.setdefault(inst.name, []).append(solved)
+            res = real(inst, *a, solved=solved, **kw)
+            nodes.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(harness, "branch_and_bound", capturing)
+        specs = (BnbRunSpec(name="none"),
+                 BnbRunSpec(name="fractional:10", members=(("fractional", 10, 0),), d_max=10),
+                 BnbRunSpec(name="random:5", members=(("random", 5, 0),), d_max=10))
+        cfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        eval_bnb(corpus, cfg, tmp_path / "bnb")
+        assert len(tables) == len(manifest["entries"])
+        # none and fractional:10 run once, random:5 once per seed
+        assert all(len(ts) == 4 and all(t is ts[0] for t in ts) for ts in tables.values())
+        shared = {name: set(ts[0]) for name, ts in tables.items()}
+        # every node below a given root is looked up or solved
+        assert len(solves) == sum(map(len, shared.values())) < sum(nodes) - len(nodes)
+
+        alone = {name: set() for name in shared}
+        for spec in specs:
+            tables.clear()
+            eval_bnb(corpus, replace(cfg, specs=(spec,)), tmp_path / spec.name.replace(":", "_"))
+            for name, ts in tables.items():
+                alone[name].update(*ts)
+        assert alone == shared
+
+        solves.clear()
+        tables.clear()
+        tcfg = TuneConfig(divers=("fractional", "random"), samples=2, seed=0, d_max=10)
+        tune_ensemble(corpus, tcfg, replace(cfg, specs=()), tmp_path / "tune.json")
+        assert len(solves) == sum(len(ts[0]) for ts in tables.values())
+        assert all(all(t is ts[0] for t in ts) for ts in tables.values())
+
+        tables.clear()
+        collect_corpus(root / "inst", tmp_path / "corpus",
+                       CollectConfig(node_limit=150, pool_capacity=5, jobs=1))
+        assert tables and all(t is None for ts in tables.values() for t in ts)
+
     @staticmethod
     def first_entries(tiny_world, dest, k):
         """A corpus of the first ``k`` entries of the shared one."""

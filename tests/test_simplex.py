@@ -62,6 +62,26 @@ class TestSpecCases:
         assert sol.status == simplex.INFEASIBLE
         assert sol.infeasibility > 1.0  # cannot be driven to zero
 
+    @pytest.mark.parametrize("path", ["phase 1", "dual phase", "bound crossing"])
+    def test_infeasible_objective_is_inf(self, path):
+        """An infeasible LP has no objective value: every way a solve ends
+        infeasible reports +inf, not the cost of its last iterate."""
+        # x1 + x2 = 1 on [0, 1]^2 at cost 1, 2: optimal at (1, 0)
+        inst = make_instance("t", c=[1.0, 2.0], rows=[(0, 0, 1.0), (0, 1, 1.0)],
+                             senses=[SENSE_EQ], b=[1.0], lb=[0, 0], ub=[1, 1], integer=[])
+        lp = std(inst)
+        lo, hi = lp.lb.copy(), lp.ub.copy()
+        warm = None
+        if path == "bound crossing":
+            lo[0], hi[0] = 0.8, 0.2
+        else:
+            lo[:2] = 1.0  # x1 + x2 = 2
+            if path == "dual phase":
+                warm = solve_lp(lp).basis
+        sol = solve_lp(lp, warm=warm, lower=lo, upper=hi)
+        assert sol.status == simplex.INFEASIBLE
+        assert sol.objective == np.inf and sol.x is None and sol.duals is None
+
 
 class TestOracleEquivalence:
     def test_random_lps_match_enumeration(self, rng):
@@ -258,9 +278,9 @@ class TestDualExtraction:
         assert sol.status == simplex.OPTIMAL
         solver = simplex._Solver(lp, lo, hi)
         solver.start(sol.basis)
-        _, d = solver.price(solver.c)
+        y, d = solver.price(solver.c)
         y_lb, y_ub = self.loop_reference(solver, d)
-        duals = solver.extract_duals()
+        duals = solver.extract_duals(y, d)
         assert duals.y_lb.tobytes() == y_lb.tobytes()
         assert duals.y_ub.tobytes() == y_ub.tobytes()
         assert duals.y_lb.tobytes() == sol.duals.y_lb.tobytes()
