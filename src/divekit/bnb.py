@@ -147,7 +147,7 @@ class SolveTrace:
 @dataclass
 class SolveConfig:
     node_limit: int = 100_000
-    tick_limit: float | None = None
+    tick_limit: float | None = None  # None: no limit
     pool_capacity: int = 10
     # callable(inst, lp, sol, lo, hi) -> one DiveResult per dive it ran; called
     # at every node with a fractional LP point, root first, with the node's LP
@@ -157,8 +157,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError("node_limit must be positive")
-        if self.tick_limit is not None and self.tick_limit <= 0:
-            raise ValueError("tick_limit must be positive")
+        if self.tick_limit is not None and not 0 < self.tick_limit < np.inf:
+            raise ValueError(f"tick_limit must be positive and finite, not {self.tick_limit!r}")
         if self.pool_capacity < 1:
             raise ValueError("pool_capacity must be >= 1")
 
@@ -228,23 +228,20 @@ def _most_fractional(x, idx):
     return int(idx[np.argmax(score)])
 
 
-def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
-                     lp: StandardLp | None = None,
-                     root_sol: LpSolution | None = None,
+def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None, *,
+                     lp: StandardLp, root_sol: LpSolution | None,
                      solved: dict | None = None) -> BnbResult:
     """Best-bound search with depth-first plunging, bound/integrality/
     infeasibility pruning only, and an optional diver callback at every node
     with a fractional LP point.  A node whose LP fails keeps its parent's
-    bound in the global bound, so such a run ends ``limit``; when the root
-    LP fails, the run ends ``lp_error``.
+    bound in the global bound, so such a run ends ``limit``.
 
-    ``lp`` is ``inst`` in standard form (built when not given).  A given
-    ``root_sol`` must be ``solve_lp(lp)``, the cold solve at ``lp``'s own
-    bounds, of this LP or of one built from the same instance: the root
-    node uses it in place of solving, and everything else runs as if it
-    had been solved here.  Its pivots stay on the tick clock and it is the
-    root trace point's bound; nothing writes into it, so one solution can
-    serve many runs.
+    ``lp`` is ``inst`` in standard form and ``root_sol`` the caller's cold
+    ``solve_lp(lp)`` (of this LP or one built from the same instance),
+    which the root node takes in place of a solve: its pivots start the
+    tick clock, and nothing writes into it, so it can serve many runs.
+    None means that solve raised: the run ends ``lp_error`` at the root,
+    with one node error and no ticks.
 
     ``solved`` is a table of node LP solutions that runs on the same ``lp``
     object, with the same ``root_sol`` (or none), may share.  It maps a
@@ -256,13 +253,11 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
     the one it would be without the table.  A node solved here is stored,
     read-only and with a basis that carries no kernel inverse; a solve
     that raises is not, so each run retries it.  The root is never stored:
-    ``root_sol`` or a solve here supplies it.  An entry holds the point,
+    ``root_sol`` supplies it.  An entry holds the point,
     the three dual vectors and the basis, about (4N + 2m)·8 bytes for an
     LP of N columns and m rows, for as long as the caller keeps the
     table."""
     cfg = cfg or SolveConfig()
-    if lp is None:
-        lp = to_standard_form(inst)
     pool = SolutionPool(inst, cfg.pool_capacity)
     trace = SolveTrace()
 
@@ -270,7 +265,6 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
     nodes = 0
     node_errors = 0
     dives = 0
-    solved_root = False
     incumbent = None
     z_inc = np.inf
     seq = 0
@@ -333,7 +327,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
         nodes += 1
         lo, hi = node.bounds(lp.lb, lp.ub)
         is_root = not node.path
-        if is_root and root_sol is not None:
+        if is_root:
             sol = root_sol
         elif solved is not None and node.path in solved:
             sol = solved[node.path]
@@ -342,12 +336,10 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
                 sol = solve_lp(lp, warm=node.basis, lower=lo, upper=hi)
             except SimplexError:
                 sol = None
-            if sol is not None and solved is not None and not is_root:
+            if sol is not None and solved is not None:
                 solved[node.path] = _shared(sol)
         if sol is not None:
             ticks += sol.iterations
-            if is_root:
-                solved_root = True
             if sol.status == simplex.INFEASIBLE:
                 continue
         if sol is None or sol.status != simplex.OPTIMAL:
@@ -379,7 +371,7 @@ def branch_and_bound(inst: MilpInstance, cfg: SolveConfig | None = None,
         plunge.append(_Node(node.path + ((branch_var, True, float(np.floor(v))),), z, sol.basis))
         trace.record(ticks, z_inc, open_bound())
     else:
-        if not solved_root:
+        if root_sol is None:
             status = LP_ERROR
         elif lost_bound < z_inc - BOUND_PRUNE_TOL:
             status = LIMIT
@@ -412,25 +404,31 @@ class EnumerationResult:
 
 
 def enumerate_optima(inst: MilpInstance, cfg: SolveConfig | None = None) -> EnumerationResult:
-    """All distinct optimal assignments of the divable variables: solves to
-    proven optimality, then walks the optimal face
-    (``enumerate_optimal_face``)."""
+    """All distinct optimal assignments of the divable variables of a lone
+    instance: solves its root LP and then to proven optimality, and walks
+    the optimal face (``enumerate_optimal_face``)."""
     cfg = cfg or SolveConfig()
+    lp = to_standard_form(inst)
+    try:
+        root = solve_lp(lp)
+    except SimplexError:
+        root = None
     base = branch_and_bound(inst, SolveConfig(
         node_limit=cfg.node_limit, tick_limit=cfg.tick_limit,
         pool_capacity=cfg.pool_capacity,
-    ))
+    ), lp=lp, root_sol=root)
     if base.status != OPTIMAL_PROVEN:
         return EnumerationResult(assignments=[], points=[], complete=False,
                                  nodes=base.nodes, status=base.status)
-    return enumerate_optimal_face(inst, base.objective, cfg)
+    return enumerate_optimal_face(inst, base.objective, cfg, lp=lp)
 
 
 def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
-                           cfg: SolveConfig) -> EnumerationResult:
+                           cfg: SolveConfig, *, lp: StandardLp) -> EnumerationResult:
     """All distinct assignments of the divable variables on the face of
     proven optimum ``z_opt``, each with the point the LP on the original
-    rows completes it to under the leaf's bounds.
+    rows, ``lp`` (``inst`` in standard form, as the caller built it),
+    completes it to under the leaf's bounds.
 
     Restricts the objective to the optimal face (two inequality rows at
     ``FACE_TOL``) and depth-first fixes every divable variable, pruning only
@@ -443,10 +441,9 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
         [dense_c, dense_c], [SENSE_LE, SENSE_GE],
         [z_opt + FACE_TOL, z_opt - FACE_TOL], name_suffix="face",
     )
-    lp = to_standard_form(face)
+    face_lp = to_standard_form(face)
     # the face rows' logical columns come last, so the original LP's columns
     # are the face LP's first ones
-    orig = to_standard_form(inst)
     div = [int(j) for j in inst.divable_index]
 
     seen = {}
@@ -454,7 +451,7 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
     complete = True
     # depth-first over (position in div, full-column lower and upper bounds,
     # warm basis); children are pushed so the lowest value is visited first
-    stack = [(0, lp.lb.copy(), lp.ub.copy(), None)]
+    stack = [(0, face_lp.lb.copy(), face_lp.ub.copy(), None)]
     while stack:
         pos, lo, hi, warm = stack.pop()
         if nodes >= cfg.node_limit:
@@ -462,7 +459,7 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
             break
         nodes += 1
         try:
-            sol = solve_lp(lp, warm=warm, lower=lo, upper=hi)
+            sol = solve_lp(face_lp, warm=warm, lower=lo, upper=hi)
         except SimplexError:
             complete = False
             break
@@ -483,7 +480,7 @@ def enumerate_optimal_face(inst: MilpInstance, z_opt: float,
                 # the face rows hold c'x up to FACE_TOL off z_opt; without
                 # them the LP completes the assignment at its optimum
                 try:
-                    comp = solve_lp(orig, lower=lo[: orig.ncols], upper=hi[: orig.ncols])
+                    comp = solve_lp(lp, lower=lo[: lp.ncols], upper=hi[: lp.ncols])
                 except SimplexError:
                     comp = None
                 if (comp is not None and comp.status == simplex.OPTIMAL

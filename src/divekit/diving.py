@@ -6,10 +6,11 @@ the new LP point into a feasible solution.  It stops when the LP turns
 infeasible, at the depth limit, when a resolve hits the LP iteration limit,
 when the LP point is integral on the integer variables or no candidate is
 left, and on a numerical LP failure, which ends only this dive.  The dive's
-first LP (the root or node optimum it starts from) and every resolve go
-through one loop, and solutions enter only through ``round_solution``,
-which checks each against the original instance, so bound tightenings
-never leak unsound solutions; ``solution_key`` drops repeats.
+first LP is the root or node optimum its caller solved, never one it solves
+itself; that point and every resolve go through one loop, and solutions
+enter only through ``round_solution``, which checks each against the
+original instance, so bound tightenings never leak unsound solutions;
+``solution_key`` drops repeats.
 
 Scorers only decide *which* variable and *which* bound; the engine owns the
 loop and the resolve, and refuses a decision on a non-candidate or one that
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bnb import round_solution
+# to_standard_form is unread here, but the benchmark's span tracer checks this binding
 from .instances import INT_TOL, MilpInstance, StandardLp, fractionality, to_standard_form
 from . import simplex
 from .simplex import LpSolution, SimplexError, solve_lp
@@ -85,30 +87,26 @@ def dive(
     scorer,
     d_max: int = DEFAULT_DEPTH,
     lp_iter_limit: int | None = None,
-    lp: StandardLp | None = None,
-    root_sol: LpSolution | None = None,
+    *,
+    lp: StandardLp,
+    root_sol: LpSolution | None,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
 ) -> DiveResult:
-    """Run one dive from the (root or node) LP optimum under ``scorer``, within
-    copies of the full-column bounds ``lower``/``upper`` (default: ``lp``'s)."""
+    """Run one dive under ``scorer`` from ``root_sol``, the caller's solve of
+    ``lp`` (``inst`` in standard form) within the full-column bounds
+    ``lower``/``upper`` (default: ``lp``'s; the dive tightens copies).  None
+    means that solve raised and ends the dive ``lp_error``."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
+    if root_sol is None:
+        return DiveResult(termination=TERM_LP_ERROR)
+    if root_sol.status != simplex.OPTIMAL:
+        return DiveResult(termination=TERM_INFEASIBLE)
     n = inst.n
-    if lp is None:
-        lp = to_standard_form(inst)
     lo = (lp.lb if lower is None else lower).copy()
     hi = (lp.ub if upper is None else upper).copy()
     iters = 0
-    if root_sol is None:
-        try:
-            root_sol = solve_lp(lp, lower=lo, upper=hi)
-        except SimplexError:
-            return DiveResult(termination=TERM_LP_ERROR)
-        iters += root_sol.iterations
-    if root_sol.status != simplex.OPTIMAL:
-        return DiveResult(termination=TERM_INFEASIBLE, lp_iterations=iters)
-
     ctx = DiveContext(inst=inst, lo=lo, hi=hi, sol=root_sol, root=root_sol,
                       cands=inst.candidates(lo, hi))
     if hasattr(scorer, "begin_dive"):

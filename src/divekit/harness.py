@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, simplex
 from .bnb import OPTIMAL_PROVEN, SolveConfig, branch_and_bound, enumerate_optimal_face
-from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SEEDED_SCORERS, TERM_LP_ERROR, dive
-from .diving import DiveResult, check_diver_names, check_model, make_scorer
+from .diving import DEFAULT_DEPTH, HEURISTIC_DIVERS, SEEDED_SCORERS, dive
+from .diving import check_diver_names, check_model, make_scorer
 from .graphnet import (
     GraphNet,
     TrainExample,
@@ -57,10 +57,13 @@ BASE_PERIOD = 20
 # ---------------------------------------------------------------------------
 
 def primal_dual_gap(primal: float, dual: float) -> float:
-    """Relative gap between an upper and a lower bound; the sentinel value 1
-    covers missing/infinite bounds and bounds of differing sign."""
+    """Relative gap between an upper and a lower bound (Berthold 2013): 0 when
+    both are 0, else the sentinel 1 for infinite bounds, one of them 0 or
+    differing signs."""
     if not np.isfinite(primal) or not np.isfinite(dual):
         return 1.0
+    if primal == dual == 0.0:
+        return 0.0
     prod = primal * dual
     if not (0.0 < prod < np.inf):
         return 1.0
@@ -71,8 +74,8 @@ def primal_dual_integral(points, horizon: float) -> float:
     """Integral of the piecewise-constant gap implied by trace ``points``
     (sorted (t, primal, dual) triples) from 0 to ``horizon``; before the
     first event the gap is 1."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, not {horizon!r}")
     total = 0.0
     prev_t = 0.0
     gap = 1.0
@@ -244,7 +247,7 @@ def _collect_one(task):
     if mode == "enumerate" and res.status == OPTIMAL_PROVEN:
         enum = enumerate_optimal_face(inst, res.objective, SolveConfig(
             node_limit=cfg.enum_node_limit, pool_capacity=cfg.pool_capacity,
-        ))
+        ), lp=lp)
         entries = [(x, float(inst.c @ x)) for x in enum.points if inst.is_feasible(x)]
     if not entries:
         sols = res.pool.solutions()
@@ -453,12 +456,9 @@ def _eval_dive_one(task):
     inst, lp, root = solve_root(entry["instance_path"])
     rows = []
     for name in cfg.divers:
-        if root is None:
-            res = DiveResult(termination=TERM_LP_ERROR)
-        else:
-            scorer = make_scorer(name, seed=cfg.seed, model=model)
-            res = dive(inst, scorer, d_max=cfg.d_max, lp_iter_limit=cfg.lp_iter_limit,
-                       lp=lp, root_sol=root)
+        scorer = make_scorer(name, seed=cfg.seed, model=model)
+        res = dive(inst, scorer, d_max=cfg.d_max, lp_iter_limit=cfg.lp_iter_limit,
+                   lp=lp, root_sol=root)
         failed = len(res.solutions) == 0
         gap = FAILED_GAP if failed else primal_gap(res.best_z, entry["z_ref"])
         rows.append((entry["name"], name, cfg.seed, gap, failed,
@@ -583,16 +583,17 @@ def _ensemble_hook(members, model, d_max, seed):
 
 def _eval_bnb_entry(task):
     """Every run of ``runs`` on one corpus entry, from one read, one standard
-    form and one root LP solve (None after a root solve that raised: each
-    run then retries it).  The runs share one table of node LP solutions
-    (``branch_and_bound``'s ``solved``), so a node LP that several runs
-    reach is solved once; the table lives until the task returns.  A run's
-    rows go under every seed of its group (more than one only for configs
-    no seed can change); the rows come sorted by config, then seed, the
-    order the win count averages them in."""
+    form and one root LP solve (None after a root solve that raised: every
+    run then ends ``lp_error``, with no retry).  Two or more runs share one
+    table of node LP solutions (``branch_and_bound``'s ``solved``), so a
+    node LP that several runs reach is solved once; the table lives until
+    the task returns.  A lone run gets none: no later run could read it.
+    A run's rows go under every seed of its group (more than one only for
+    configs no seed can change); the rows come sorted by config, then seed,
+    the order the win count averages them in."""
     entry, runs, cfg, model, trace_dir = task
     inst, lp, root = solve_root(entry["instance_path"])
-    solved = {}
+    solved = {} if len(runs) > 1 else None
     rows = []
     for spec, seeds in runs:
         diver = _ensemble_hook(spec.members, model, spec.d_max, seeds[0]) if spec.members else None

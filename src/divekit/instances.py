@@ -163,25 +163,6 @@ class MilpInstance:
                 return False
         return True
 
-    def validate(self) -> None:
-        n, m = self.n, self.m
-        if self.A.shape != (m, n):
-            raise InstanceError(f"matrix shape {self.A.shape} != ({m}, {n})")
-        if np.any(self.lb > self.ub):
-            raise InstanceError("lower bound exceeds upper bound")
-        if not np.all(np.isfinite(self.A.data)):
-            raise InstanceError("non-finite constraint coefficient")
-        if not np.all(np.isfinite(self.c)) or not np.all(np.isfinite(self.b)):
-            raise InstanceError("non-finite objective or rhs")
-        if self.integer.shape != (n,) or self.divable.shape != (n,):
-            raise InstanceError("integer/divable mask length mismatch")
-        if np.any(self.divable & ~self.integer):
-            raise InstanceError("divable variable is not integer")
-        coo = self.A.tocoo()
-        _refuse_duplicates(coo.row, coo.col, n)
-        if not set(np.unique(self.senses)) <= set(SENSE_NAMES):
-            raise InstanceError("unknown row sense")
-
     def with_extra_rows(self, rows, senses, rhs, name_suffix="aux") -> "MilpInstance":
         """New instance with dense ``rows`` appended (used for optimality-face
         restrictions); bounds and variables are unchanged."""
@@ -199,12 +180,6 @@ class MilpInstance:
         )
 
 
-def _refuse_duplicates(rows, cols, n) -> None:
-    keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
-    if np.unique(keys).size != keys.size:
-        raise InstanceError("duplicate (row, col) entry")
-
-
 def _index(field, values, size) -> np.ndarray:
     """``values`` as int64 indices; each must be an integer in [0, size)."""
     index = np.asarray(values)
@@ -215,11 +190,22 @@ def _index(field, values, size) -> np.ndarray:
     return index.astype(np.int64)
 
 
+def _sense_code(sense) -> int:
+    """The code of a row sense: ``"LE"``, ``"GE"``, ``"EQ"`` or a non-bool integer 0, 1 or 2."""
+    code = SENSE_CODES.get(sense) if isinstance(sense, str) else sense
+    if isinstance(code, bool) or not isinstance(code, (int, np.integer)) or code not in SENSE_NAMES:
+        raise InstanceError(f"unknown row sense {sense!r}; a sense is 'LE', 'GE', 'EQ' or 0, 1, 2")
+    return int(code)
+
+
 def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
                   var_names=None, row_names=None) -> MilpInstance:
-    """Build and validate an instance from ``(row, col, value)`` triplets:
-    ``len(b)`` rows and ``len(c)`` columns; two triplets at one (row, col)
-    are refused, not summed."""
+    """Build an instance from ``(row, col, value)`` triplets: ``len(b)`` rows
+    and ``len(c)`` columns.  The only check of an instance, which every
+    reader and generator goes through: it refuses two triplets at one (row,
+    col) (not summed), an index outside the matrix, a vector of the wrong
+    length, non-finite data, a NaN or crossed bound, a divable column that
+    is not integer and an unknown row sense (``_sense_code``)."""
     c = np.asarray(c, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n, m = c.shape[0], b.shape[0]
@@ -227,27 +213,34 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
         raise InstanceError("rows must be (row, col, value) triplets")
     ii = _index("triplet row", [t[0] for t in rows], m)
     jj = _index("triplet column", [t[1] for t in rows], n)
-    _refuse_duplicates(ii, jj, n)  # the CSR constructor would sum them
-    A = sp.csr_matrix((np.array([t[2] for t in rows], dtype=np.float64), (ii, jj)),
-                      shape=(m, n))
-    senses = np.asarray(
-        [SENSE_CODES[s] if isinstance(s, str) else int(s) for s in senses], dtype=np.int8
-    )
+    if np.unique(ii * n + jj).size != ii.size:  # the CSR constructor would sum them
+        raise InstanceError("duplicate (row, col) entry")
+    vals = np.array([t[2] for t in rows], dtype=np.float64)
+    A = sp.csr_matrix((vals, (ii, jj)), shape=(m, n))
+    senses = np.array([_sense_code(s) for s in senses], dtype=np.int8)
     lb = np.array(lb, dtype=np.float64)
     ub = np.array(ub, dtype=np.float64)
     for field, v, size in (("lb", lb, n), ("ub", ub, n), ("senses", senses, m)):
         if v.shape != (size,):
             raise InstanceError(f"{field} has shape {v.shape}, expected ({size},)")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b))):
+        raise InstanceError("non-finite objective or rhs")
+    if not np.all(np.isfinite(vals)):
+        raise InstanceError("non-finite constraint coefficient")
 
     def column_mask(field, index):
         return np.bincount(_index(field, index, n), minlength=n) > 0
 
     integer_mask = column_mask("integer", integer)
     divable_mask = integer_mask.copy() if divable is None else column_mask("divable", divable)
+    if np.any(divable_mask & ~integer_mask):
+        raise InstanceError("divable variable is not integer")
     # one convention for infinite bounds: |v| >= INF_BOUND becomes +-inf
     lb[lb <= -INF_BOUND] = -np.inf
     ub[ub >= INF_BOUND] = np.inf
-    inst = MilpInstance(
+    if not np.all(lb <= ub):
+        raise InstanceError("a bound is NaN or a lower bound exceeds its upper bound")
+    return MilpInstance(
         name=name,
         c=c,
         A=A,
@@ -260,8 +253,6 @@ def make_instance(name, c, rows, senses, b, lb, ub, integer, divable=None,
         var_names=list(var_names) if var_names is not None else None,
         row_names=list(row_names) if row_names is not None else None,
     )
-    inst.validate()
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +385,6 @@ def generate(config: GeneratorConfig) -> MilpInstance:
     else:
         inst = _gen_indep_set(config.nodes, config.affinity, rng)
     inst.name = f"{config.family}_s{config.seed}"
-    inst.validate()
     return inst
 
 

@@ -13,7 +13,17 @@ from divekit.instances import (
     GeneratorConfig,
     generate,
     make_instance,
+    to_standard_form,
 )
+from divekit.simplex import solve_lp
+
+
+def rooted(inst):
+    """The root keywords ``dive`` and ``branch_and_bound`` take for ``inst``:
+    its standard form ``lp`` and ``root_sol``, the cold solve of ``lp``, as
+    ``harness.solve_root`` hands them on."""
+    lp = to_standard_form(inst)
+    return {"lp": lp, "root_sol": solve_lp(lp)}
 
 
 def reference_feasible(inst, x, feas_tol=1e-7, int_tol=1e-6):

@@ -49,7 +49,7 @@ from divekit.instances import (
 )
 from divekit.oracles import brute_force_milp
 from divekit.simplex import solve_lp
-from conftest import reference_feasible
+from conftest import reference_feasible, rooted
 
 JOBS = max(1, min(8, os.cpu_count() or 1))
 
@@ -121,7 +121,7 @@ def run_criterion3(out_path):
         inst = generate(cfg)
         assert inst.divable.sum() <= 15
         z_ref, x_ref, _ = brute_force_milp(inst)
-        res = branch_and_bound(inst, SolveConfig(node_limit=500_000))
+        res = branch_and_bound(inst, SolveConfig(node_limit=500_000), **rooted(inst))
         ok = res.status == OPTIMAL_PROVEN and abs(res.objective - z_ref) <= 1e-6
         if not ok:
             failures.append((inst.name, res.status, res.objective, z_ref))
@@ -227,7 +227,7 @@ def _fd_case(seed):
     assert root.status == "optimal"
     graph = extract_graph(inst, root)
     batch = make_batch([graph])
-    res = branch_and_bound(inst, SolveConfig(pool_capacity=3))
+    res = branch_and_bound(inst, SolveConfig(pool_capacity=3), lp=lp, root_sol=root)
     target = target_distribution(res.pool.solutions(), inst,
                                  temperature=1.0 + rng.random(), n_bits=3)
     for retry in range(60):
@@ -344,8 +344,9 @@ def test_criterion_07_dive_soundness(pipeline):
     ]
     for s in range(24):
         inst = generate(mk[s % 4](s))
+        root = rooted(inst)
         for name in baselines:
-            res = dive(inst, make_scorer(name, seed=s), d_max=d_max)
+            res = dive(inst, make_scorer(name, seed=s), d_max=d_max, **root)
             n_dives += 1
             depth_violations += res.depth_reached > d_max
             unsound += sum(0 if reference_feasible(inst, x) else 1
@@ -355,7 +356,7 @@ def test_criterion_07_dive_soundness(pipeline):
     entries = load_corpus(pipeline["root"] / "test_corpus")[:8]
     for e in entries:
         inst = read_instance(e["instance_path"])
-        res = dive(inst, make_scorer("l2dive", model=model), d_max=d_max)
+        res = dive(inst, make_scorer("l2dive", model=model), d_max=d_max, **rooted(inst))
         n_dives += 1
         depth_violations += res.depth_reached > d_max
         unsound += sum(0 if reference_feasible(inst, x) else 1

@@ -19,7 +19,7 @@ from divekit.instances import (
     generate,
     make_instance,
 )
-from conftest import brute_binary_optimum, reference_feasible
+from conftest import brute_binary_optimum, reference_feasible, rooted
 
 
 def root_only(dive_once):
@@ -209,7 +209,7 @@ class TestPoolAndTrace:
 
     def test_trace_monotone(self):
         inst = generate(GeneratorConfig("set-cover", seed=3, rows=8, cols=16, density=0.25))
-        res = branch_and_bound(inst, SolveConfig(node_limit=200))
+        res = branch_and_bound(inst, SolveConfig(node_limit=200), **rooted(inst))
         pts = res.trace.points
         assert len(pts) >= 1
         for (t0, p0, d0), (t1, p1, d1) in zip(pts, pts[1:]):
@@ -221,7 +221,7 @@ class TestPoolAndTrace:
 class TestBranchAndBound:
     def test_edgeless_indep_set(self):
         inst = generate(GeneratorConfig("indep-set", seed=1, nodes=5, affinity=0))
-        res = branch_and_bound(inst, SolveConfig())
+        res = branch_and_bound(inst, SolveConfig(), **rooted(inst))
         assert res.status == OPTIMAL_PROVEN
         assert res.objective == -5.0
 
@@ -233,7 +233,7 @@ class TestBranchAndBound:
                   "indep-set": dict(nodes=12, affinity=2)}[fam]
             inst = generate(GeneratorConfig(fam, seed=seed, **kw))
             z_ref, _, _ = brute_binary_optimum(inst)
-            res = branch_and_bound(inst, SolveConfig(node_limit=100000))
+            res = branch_and_bound(inst, SolveConfig(node_limit=100000), **rooted(inst))
             assert res.status == OPTIMAL_PROVEN
             assert abs(res.objective - z_ref) < 1e-6
             assert abs(res.objective - res.bound) < 1e-6
@@ -242,7 +242,7 @@ class TestBranchAndBound:
 
     def test_node_limit_one(self):
         inst = generate(GeneratorConfig("set-cover", seed=31, rows=30, cols=60, density=0.08))
-        res = branch_and_bound(inst, SolveConfig(node_limit=1))
+        res = branch_and_bound(inst, SolveConfig(node_limit=1), **rooted(inst))
         assert res.status == LIMIT
         assert res.nodes == 1
         # root lower bound recorded in the trace
@@ -253,16 +253,17 @@ class TestBranchAndBound:
         inst = make_instance("inf", c=[1.0, 1.0], rows=[(0, 0, 1.0), (0, 1, 1.0)],
                              senses=[SENSE_EQ], b=[5.0], lb=[0, 0], ub=[1, 1],
                              integer=[0, 1])
-        res = branch_and_bound(inst, SolveConfig())
+        res = branch_and_bound(inst, SolveConfig(), **rooted(inst))
         assert res.status == INFEASIBLE and res.x is None
 
     def test_diver_solutions_enter_pool(self):
         from divekit.diving import dive, make_scorer
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
-        plain = branch_and_bound(inst, SolveConfig(node_limit=25))
+        root = rooted(inst)
+        plain = branch_and_bound(inst, SolveConfig(node_limit=25), **root)
         hook = root_only(lambda inst, lp, sol, lo, hi: dive(
             inst, make_scorer("fractional"), lp=lp, root_sol=sol, lower=lo, upper=hi))
-        dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook))
+        dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook), **root)
         assert dived.dives >= 1
         assert dived.objective <= plain.objective + 1e-9
 
@@ -276,7 +277,8 @@ class TestBranchAndBound:
             raise NumericalBreakdown("injected failure")
 
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
-        plain = branch_and_bound(inst, SolveConfig(node_limit=25))
+        root = rooted(inst)
+        plain = branch_and_bound(inst, SolveConfig(node_limit=25), **root)
         terminations = []
 
         def dive_once(inst, lp, sol, lo, hi):
@@ -287,7 +289,7 @@ class TestBranchAndBound:
 
         hook = root_only(dive_once)
         monkeypatch.setattr(diving, "solve_lp", broken)
-        dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook))
+        dived = branch_and_bound(inst, SolveConfig(node_limit=25, diver=hook), **root)
         assert dived.dives == 1 and terminations == ["lp_error"]
         assert dived.node_errors == 0
         assert (dived.nodes, dived.objective) == (plain.nodes, plain.objective)
@@ -320,9 +322,10 @@ class TestDiverCallback:
             calls.append((sol.x[: inst.n].copy(), lo.copy(), hi.copy()))
             return []
 
-        plain = branch_and_bound(inst, SolveConfig(node_limit=40))
+        root = solve_lp(lp)
+        plain = branch_and_bound(inst, SolveConfig(node_limit=40), lp=lp, root_sol=root)
         monkeypatch.setattr(bnb, "round_solution", counting_round)
-        res = branch_and_bound(inst, SolveConfig(node_limit=40, diver=hook))
+        res = branch_and_bound(inst, SolveConfig(node_limit=40, diver=hook), lp=lp, root_sol=root)
         assert res.dives == 0 and (res.nodes, res.ticks) == (plain.nodes, plain.ticks)
         assert len(calls) > 1 and len(calls) == len(rounded)
         for (x, lo, hi), xr in zip(calls, rounded):
@@ -331,7 +334,7 @@ class TestDiverCallback:
             np.testing.assert_array_equal(lo[lp.slack_start:], lp.lb[lp.slack_start:])
             np.testing.assert_array_equal(hi[lp.slack_start:], lp.ub[lp.slack_start:])
         x0, lo0, hi0 = calls[0]
-        np.testing.assert_array_equal(x0, solve_lp(lp).x[: inst.n])
+        np.testing.assert_array_equal(x0, root.x[: inst.n])
         np.testing.assert_array_equal(lo0, lp.lb)
         np.testing.assert_array_equal(hi0, lp.ub)
 
@@ -368,11 +371,11 @@ class TestDiverCallback:
             return wrapper
 
         root = branch_and_bound(inst, SolveConfig(node_limit=40, diver=counted(
-            _ensemble_hook((("fractional", None, 0),), None, 10, 0))))
+            _ensemble_hook((("fractional", None, 0),), None, 10, 0))), lp=lp, root_sol=sol)
         assert calls["n"] >= 1 and root.dives == 1
         calls["n"] = 0
         periodic = branch_and_bound(inst, SolveConfig(node_limit=40, diver=counted(
-            _ensemble_hook((("fractional", 3, 1),), None, 10, 0))))
+            _ensemble_hook((("fractional", 3, 1),), None, 10, 0))), lp=lp, root_sol=sol)
         assert periodic.dives == 1 + sum(1 for k in range(1, calls["n"]) if k % 3 == 1)
 
 
@@ -386,34 +389,35 @@ class TestFailedNodeLp:
         from divekit import bnb, simplex
 
         inst = generate(self.INST)
-        clean = branch_and_bound(inst)
+        root = rooted(inst)
+        clean = branch_and_bound(inst, **root)
         assert clean.status == OPTIMAL_PROVEN
         real = bnb.solve_lp
         calls = {"n": 0}
 
         def failing_first_child(*a, **kw):
             calls["n"] += 1
-            if calls["n"] == 2:  # the root's down child
+            if calls["n"] == 1:  # the root's down child
                 raise simplex.NumericalBreakdown("injected")
             return real(*a, **kw)
 
         monkeypatch.setattr(bnb, "solve_lp", failing_first_child)
-        res = branch_and_bound(inst)
+        res = branch_and_bound(inst, **root)
         assert res.node_errors == 1
         assert res.status == LIMIT
         assert res.bound <= clean.objective + 1e-9
         assert res.trace.final()[1] == res.bound
 
     def test_failed_root_ends_lp_error(self, monkeypatch):
-        """A raising root LP is a result, not an exception: one node, one
-        node error, no solution and no finite bound."""
-        from divekit import bnb, simplex
+        """A root LP whose solve raised (``root_sol=None``) is a result, not
+        an exception, and is not retried: one node, one node error, no LP
+        solved, no solution and no finite bound."""
+        from divekit import bnb
+        from divekit.instances import to_standard_form
 
-        def failing(*a, **kw):
-            raise simplex.NumericalBreakdown("injected")
-
-        monkeypatch.setattr(bnb, "solve_lp", failing)
-        res = branch_and_bound(generate(self.INST))
+        inst = generate(self.INST)
+        monkeypatch.setattr(bnb, "solve_lp", lambda *a, **kw: pytest.fail("LP solved"))
+        res = branch_and_bound(inst, lp=to_standard_form(inst), root_sol=None)
         assert res.status == bnb.LP_ERROR
         assert res.x is None
         assert (res.nodes, res.node_errors, res.ticks) == (1, 1, 0.0)
@@ -424,7 +428,8 @@ class TestFailedNodeLp:
         from divekit import simplex
 
         inst = generate(self.INST)
-        clean = branch_and_bound(inst)
+        root = rooted(inst)
+        clean = branch_and_bound(inst, **root)
         real_start, real_primal = simplex._Solver.start, simplex._Solver.primal
         raised = []
 
@@ -441,7 +446,7 @@ class TestFailedNodeLp:
 
         monkeypatch.setattr(simplex._Solver, "start", marking_start)
         monkeypatch.setattr(simplex._Solver, "primal", failing_primal)
-        res = branch_and_bound(inst)
+        res = branch_and_bound(inst, **root)
         assert raised
         assert res.node_errors == 0
         assert res.status == OPTIMAL_PROVEN
@@ -449,9 +454,10 @@ class TestFailedNodeLp:
 
 
 class TestGivenRoot:
-    """A root LP solution handed to branch and bound changes nothing: the
-    run equals the one that solves its own root, never solves that root
-    again, and nothing writes into the shared solution."""
+    """Branch and bound starts from the root LP solution its caller hands
+    it: it never solves that root again, the run is the same on a second
+    standard form built from the instance, and nothing writes into the
+    shared solution."""
 
     INSTANCES = (GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08),
                  GeneratorConfig("comb-auction", seed=0, items=20, bids=40))
@@ -471,7 +477,7 @@ class TestGivenRoot:
         from divekit.instances import to_standard_form
         from divekit.simplex import solve_lp
 
-        # every node LP but the root's is warm-started from its parent
+        # every node LP is warm-started from its parent
         solves = []
 
         def spy(*a, **kw):
@@ -491,20 +497,14 @@ class TestGivenRoot:
                     res = branch_and_bound(inst, SolveConfig(node_limit=60, diver=diver), **kw)
                     return res, list(solves)
 
-                own, own_solves = run()
-                assert own.trace.points[0][2] == root.objective
-                assert own_solves.count(True) == 1 and own_solves[0]
+                own, own_solves = run(lp=lp, root_sol=root)
+                assert own.trace.points[0] == (root.iterations, np.inf, root.objective)
+                assert own_solves.count(True) == 0
                 assert own.nodes > 1 and (own.dives > 0) == bool(members)
-                # with the LP the root was solved on, and with one B&B builds
-                for given, given_solves in (run(lp=lp, root_sol=root), run(root_sol=root)):
-                    assert given_solves == own_solves[1:]
-                    assert ((given.status, given.objective, given.bound, given.nodes,
-                             given.ticks, given.dives, given.node_errors, given.trace.points)
-                            == (own.status, own.objective, own.bound, own.nodes, own.ticks,
-                                own.dives, own.node_errors, own.trace.points))
-                    assert all(za == zb and np.array_equal(a, b) for (a, za), (b, zb)
-                               in zip(given.pool.solutions(), own.pool.solutions()))
-                    assert len(given.pool) == len(own.pool)
+                # with another LP built from the same instance
+                given, given_solves = run(lp=to_standard_form(inst), root_sol=root)
+                assert given_solves == own_solves
+                assert fingerprint(given) == fingerprint(own)
 
 
 def fingerprint(res):
@@ -615,18 +615,17 @@ class TestSharedNodeLps:
 
         inst = generate(TestFailedNodeLp.INST)
         lp = to_standard_form(inst)
-        for root in (None, solve_lp(lp)):
-            solved = {}
-            res = branch_and_bound(inst, lp=lp, root_sol=root, solved=solved)
-            assert len(solved) == res.nodes - 1 and () not in solved
-            optimal = [sol for sol in solved.values() if sol.duals is not None]
-            assert optimal
-            for sol in optimal:
-                assert sol.basis.kinv is None
-                for arr in (sol.x, sol.duals.y_b, sol.duals.y_lb, sol.duals.y_ub,
-                            sol.basis.basic, sol.basis.at_upper):
-                    with pytest.raises(ValueError, match="read-only"):
-                        arr[0] = arr[0]
+        solved = {}
+        res = branch_and_bound(inst, lp=lp, root_sol=solve_lp(lp), solved=solved)
+        assert len(solved) == res.nodes - 1 and () not in solved
+        optimal = [sol for sol in solved.values() if sol.duals is not None]
+        assert optimal
+        for sol in optimal:
+            assert sol.basis.kinv is None
+            for arr in (sol.x, sol.duals.y_b, sol.duals.y_lb, sol.duals.y_ub,
+                        sol.basis.basic, sol.basis.at_upper):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
 
 
 class TestEnumerate:

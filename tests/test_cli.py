@@ -138,6 +138,19 @@ def test_collect_refuses_a_json_instance_without_a_field(tmp_path):
               "--out", str(tmp_path / "corpus"), "--jobs", "1"])
 
 
+def test_collect_refuses_a_json_instance_with_an_unknown_sense(tmp_path):
+    """A row sense outside LE/GE/EQ ends ``collect`` with one line."""
+    (tmp_path / "inst").mkdir()
+    path = tmp_path / "inst" / "cover.json"
+    write_instance(generate(GeneratorConfig("set-cover", rows=10, cols=20, density=0.2)), path)
+    doc = json.loads(path.read_text())
+    doc["sense"][3] = "XX"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=r"^collect: unknown row sense 'XX'[^\n]*$"):
+        main(["collect", "--instances", str(tmp_path / "inst"),
+              "--out", str(tmp_path / "corpus"), "--jobs", "1"])
+
+
 def test_eval_bnb_refuses_seed(capsys):
     """eval-bnb reads only --seeds; --seed is refused, not taken as an
     abbreviation of --seeds."""
@@ -182,9 +195,14 @@ def test_bad_divers_exit_before_any_work(argv, message, monkeypatch):
     (["collect", "--node-limit", "0"], "collect: node_limit must be positive"),
     (["eval-bnb", "--seeds", "0,0"], r"eval-bnb: seeds \[0, 0\] must be nonempty, with no "),
     (["tune", "--seeds", "1,2,1"], r"tune: seeds \[1, 2, 1\] must be nonempty, with no "),
+    (["eval-bnb", "--tick-limit", "nan"], "eval-bnb: tick_limit must be positive and finite"),
+    (["eval-bnb", "--tick-limit", "inf"], "eval-bnb: tick_limit must be positive and finite"),
+    (["tune", "--tick-limit", "inf"], "tune: tick_limit must be positive and finite"),
+    (["collect", "--tick-limit", "nan"], "collect: tick_limit must be positive and finite"),
 ], ids=["eval-dive-duplicate", "eval-bnb-duplicate", "train-epochs", "train-hidden",
         "train-val-fraction", "tune-seeds", "eval-dive-depth", "eval-bnb-depth",
-        "collect-nodes", "eval-bnb-repeated-seed", "tune-repeated-seed"])
+        "collect-nodes", "eval-bnb-repeated-seed", "tune-repeated-seed",
+        "eval-bnb-nan-ticks", "eval-bnb-inf-ticks", "tune-inf-ticks", "collect-nan-ticks"])
 def test_bad_arguments_exit_with_one_line(argv, message, monkeypatch, tmp_path):
     """A bad argument ends the command with one ``<command>: <reason>`` line
     before it reads its input or writes anything."""

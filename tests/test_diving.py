@@ -21,7 +21,7 @@ from divekit.graphnet import GraphNet
 from divekit.instances import GeneratorConfig, generate, read_instance
 from divekit.l2dive import L2DiveScorer
 from divekit.simplex import NumericalBreakdown
-from conftest import mps_without_bounds, reference_feasible
+from conftest import mps_without_bounds, reference_feasible, rooted
 
 ALL_BASELINES = HEURISTIC_DIVERS
 
@@ -344,13 +344,11 @@ class TestRoundingLoops:
                         GeneratorConfig("indep-set", seed=seed, nodes=40)):
                 inst = generate(gen)
                 lp = to_standard_form(inst)
-                root = solve_lp(lp)
                 for k in range(4):
                     # each dive starts with one more variable capped at zero
                     hi = lp.ub.copy()
                     hi[:k] = 0.0
-                    dive(inst, step, d_max=20, lp=lp, root_sol=root if k == 0 else None,
-                         upper=hi)
+                    dive(inst, step, d_max=20, lp=lp, root_sol=solve_lp(lp, upper=hi), upper=hi)
         assert step.decisions > 40
 
 
@@ -367,14 +365,13 @@ class TestPseudocostArrays:
                     GeneratorConfig("comb-auction", seed=0, items=20, bids=40)):
             inst = generate(gen)
             lp = to_standard_form(inst)
-            root = solve_lp(lp)
             got, ref = PseudocostScorer(), _DictPseudocost()
             step = _Lockstep(got, ref)
             for k in range(4):
                 # each dive starts with one more variable capped at zero
                 hi = lp.ub.copy()
                 hi[:k] = 0.0
-                dive(inst, step, d_max=20, lp=lp, root_sol=root if k == 0 else None, upper=hi)
+                dive(inst, step, d_max=20, lp=lp, root_sol=solve_lp(lp, upper=hi), upper=hi)
             decisions += step.decisions
             assert any(rec[1] > 1 for rec in ref.stats.values())
             assert int(got.counts.sum()) == sum(rec[1] for rec in ref.stats.values())
@@ -396,9 +393,10 @@ class TestUnboundedIntegers:
                 generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))))
             inst = read_instance(path)
             assert inst.divable.all() and np.isinf(inst.ub).all()
+            root = rooted(inst)
             for seed in range(3):
-                got = dive(inst, make_scorer("random", seed=seed), d_max=30)
-                ref = dive(inst, _LoopFix("random", seed=seed), d_max=30)
+                got = dive(inst, make_scorer("random", seed=seed), d_max=30, **root)
+                ref = dive(inst, _LoopFix("random", seed=seed), d_max=30, **root)
                 assert _same_dive(got, ref)
                 deepest = max(deepest, got.depth_reached)
         assert deepest > 1
@@ -419,7 +417,7 @@ class TestDiveEngine:
         lo, hi = lp.lb.copy(), lp.ub.copy()
         hi[s] = 0.0
         real = diving.solve_lp
-        solved = []
+        solved = [real(lp, lower=lo, upper=hi)]  # the dive's first LP
 
         def spy(*a, **kw):
             sol = real(*a, **kw)
@@ -427,7 +425,8 @@ class TestDiveEngine:
             return sol
 
         monkeypatch.setattr(diving, "solve_lp", spy)
-        res = dive(inst, make_scorer("lower"), d_max=10, lp=lp, lower=lo, upper=hi)
+        res = dive(inst, make_scorer("lower"), d_max=10, lp=lp, root_sol=solved[0],
+                   lower=lo, upper=hi)
         assert res.depth_reached >= 1
         assert len(solved) >= 2
         for sol in solved:
@@ -438,7 +437,7 @@ class TestDiveEngine:
 
     def test_root_integral_terminates_depth_zero(self):
         inst = generate(GeneratorConfig("indep-set", seed=1, nodes=5, affinity=0))
-        res = dive(inst, make_scorer("fractional"))
+        res = dive(inst, make_scorer("fractional"), **rooted(inst))
         assert res.termination == "integral"
         assert res.depth_reached == 0
         assert len(res.solutions) == 1
@@ -449,13 +448,13 @@ class TestDiveEngine:
         like every other LP point, so with no rounding there is no solution."""
         monkeypatch.setattr(diving, "round_solution", lambda x, inst: None)
         inst = generate(GeneratorConfig("indep-set", seed=1, nodes=5, affinity=0))
-        res = dive(inst, make_scorer("fractional"))
+        res = dive(inst, make_scorer("fractional"), **rooted(inst))
         assert res.termination == "integral" and res.depth_reached == 0
         assert res.solutions == [] and res.best_z == np.inf
 
     def test_dmax_zero_only_rounds(self):
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
-        res = dive(inst, make_scorer("fractional"), d_max=0)
+        res = dive(inst, make_scorer("fractional"), d_max=0, **rooted(inst))
         assert res.depth_reached == 0
 
     def test_depth_bounded_and_sound(self):
@@ -463,7 +462,7 @@ class TestDiveEngine:
             for seed in (0, 1):
                 inst = generate(GeneratorConfig("set-cover", seed=seed,
                                                 rows=20, cols=40, density=0.12))
-                res = dive(inst, make_scorer(name, seed=seed), d_max=30)
+                res = dive(inst, make_scorer(name, seed=seed), d_max=30, **rooted(inst))
                 assert res.depth_reached <= 30
                 assert res.termination in (
                     "infeasible", "depth_limit", "iter_limit", "integral")
@@ -482,7 +481,7 @@ class TestDiveEngine:
                 return self.inner(ctx)
 
         inst = generate(GeneratorConfig("set-cover", seed=2, rows=15, cols=30, density=0.15))
-        dive(inst, Spy(), d_max=20)
+        dive(inst, Spy(), d_max=20, **rooted(inst))
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
     def test_one_bound_change_per_iteration_weakly_shrinks(self):
@@ -497,7 +496,7 @@ class TestDiveEngine:
                 return self.inner(ctx)
 
         inst = generate(GeneratorConfig("set-cover", seed=4, rows=15, cols=30, density=0.15))
-        dive(inst, Spy(), d_max=15)
+        dive(inst, Spy(), d_max=15, **rooted(inst))
         for (lo0, hi0), (lo1, hi1) in zip(boxes, boxes[1:]):
             assert np.all(lo1 >= lo0) and np.all(hi1 <= hi0)
             changed = np.sum((lo1 != lo0) | (hi1 != hi0))
@@ -505,7 +504,7 @@ class TestDiveEngine:
 
     def test_iteration_limit_termination(self):
         inst = generate(GeneratorConfig("set-cover", seed=7, rows=30, cols=60, density=0.08))
-        res = dive(inst, make_scorer("lower"), d_max=100, lp_iter_limit=1)
+        res = dive(inst, make_scorer("lower"), d_max=100, lp_iter_limit=1, **rooted(inst))
         assert res.termination in ("iter_limit", "infeasible", "integral")
 
     def test_scorer_contract_violation_raises(self):
@@ -515,7 +514,7 @@ class TestDiveEngine:
 
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
         with pytest.raises(DiveError):
-            dive(inst, Bad(), d_max=5)
+            dive(inst, Bad(), d_max=5, **rooted(inst))
 
     def test_decision_that_bounds_nothing_raises(self):
         """A decision with neither bound would re-solve the same LP until
@@ -526,7 +525,7 @@ class TestDiveEngine:
 
         inst = generate(GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08))
         with pytest.raises(DiveError, match="bounds nothing"):
-            dive(inst, Empty(), d_max=30)
+            dive(inst, Empty(), d_max=30, **rooted(inst))
 
     def test_registry_names(self):
         for name in ALL_BASELINES:
@@ -557,10 +556,11 @@ class TestRegistry:
         model = GraphNet(hidden=8, seed=0)
         insts = [generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))
                  for s in (0, 1)]
+        insts = [(inst, rooted(inst)) for inst in insts]
         for name in sorted(set(SCORERS) - SEEDED_SCORERS):
-            for inst in insts:
-                a = dive(inst, make_scorer(name, seed=0, model=model), d_max=30)
-                b = dive(inst, make_scorer(name, seed=1, model=model), d_max=30)
+            for inst, root in insts:
+                a = dive(inst, make_scorer(name, seed=0, model=model), d_max=30, **root)
+                b = dive(inst, make_scorer(name, seed=1, model=model), d_max=30, **root)
                 assert _same_dive(a, b), name
         assert SEEDED_SCORERS <= set(SCORERS)
 
@@ -568,8 +568,9 @@ class TestRegistry:
         differs = False
         for s in range(4):
             inst = generate(GeneratorConfig("set-cover", seed=s, rows=20, cols=40, density=0.12))
-            a = dive(inst, make_scorer("random", seed=0), d_max=30)
-            b = dive(inst, make_scorer("random", seed=1), d_max=30)
+            root = rooted(inst)
+            a = dive(inst, make_scorer("random", seed=0), d_max=30, **root)
+            b = dive(inst, make_scorer("random", seed=1), d_max=30, **root)
             differs |= not _same_dive(a, b)
         assert "random" in SEEDED_SCORERS and differs
 
@@ -594,20 +595,27 @@ class TestLpFailure:
     INST = GeneratorConfig("set-cover", seed=1, rows=30, cols=60, density=0.08)
 
     def test_root_failure_ends_dive(self, monkeypatch):
-        _failing_solve_lp(monkeypatch, {1})
-        res = dive(generate(self.INST), make_scorer("fractional"), d_max=10)
-        assert res.termination == "lp_error"
+        """A root whose solve raised (``root_sol=None``) ends the dive at
+        once, with no LP solved."""
+        from divekit.instances import to_standard_form
+
+        inst = generate(self.INST)
+        calls = _failing_solve_lp(monkeypatch, set())
+        res = dive(inst, make_scorer("fractional"), d_max=10,
+                   lp=to_standard_form(inst), root_sol=None)
+        assert res.termination == "lp_error" and calls["n"] == 0
         assert res.solutions == [] and res.lp_iterations == 0 and res.depth_reached == 0
 
     def test_resolve_failure_keeps_progress(self, monkeypatch):
         inst = generate(self.INST)
-        clean = dive(inst, make_scorer("lower"), d_max=1)
+        root = rooted(inst)
+        clean = dive(inst, make_scorer("lower"), d_max=1, **root)
         assert clean.termination == "depth_limit"  # so a second resolve follows
-        _failing_solve_lp(monkeypatch, {3})
-        res = dive(inst, make_scorer("lower"), d_max=10)
+        _failing_solve_lp(monkeypatch, {2})
+        res = dive(inst, make_scorer("lower"), d_max=10, **root)
         assert res.termination == "lp_error"
         assert res.depth_reached == 2
-        # iterations of the root solve and the first resolve are kept
+        # iterations of the first resolve are kept
         assert res.lp_iterations == clean.lp_iterations
         for x in clean.solutions:
             assert any(np.array_equal(x, y) for y in res.solutions)

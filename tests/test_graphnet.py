@@ -27,6 +27,7 @@ from divekit.graphnet import (
 )
 from divekit.instances import GeneratorConfig, generate, make_instance, to_standard_form, SENSE_LE
 from divekit.simplex import solve_lp
+from conftest import rooted
 
 
 def graph_for(inst):
@@ -40,7 +41,7 @@ def graph_for(inst):
 def small_example():
     inst = generate(GeneratorConfig("set-cover", seed=0, rows=5, cols=8, density=0.35))
     g, root = graph_for(inst)
-    res = branch_and_bound(inst, SolveConfig(pool_capacity=5))
+    res = branch_and_bound(inst, SolveConfig(pool_capacity=5), **rooted(inst))
     target = target_distribution(res.pool.solutions(), inst, temperature=2.0)
     return inst, g, target
 
@@ -500,7 +501,7 @@ class TestTraining:
             inst = generate(GeneratorConfig("set-cover", seed=seed, rows=5, cols=8,
                                             density=0.35))
             g, _ = graph_for(inst)
-            res = branch_and_bound(inst, SolveConfig(pool_capacity=1))
+            res = branch_and_bound(inst, SolveConfig(pool_capacity=1), **rooted(inst))
             t = target_distribution(res.pool.solutions(), inst, temperature=1.0)
             examples.append(TrainExample(g, t))
         model = GraphNet(hidden=16, seed=0)
@@ -518,7 +519,7 @@ class TestTraining:
                 inst = generate(GeneratorConfig("set-cover", seed=seed, rows=4, cols=7,
                                                 density=0.4))
                 g, _ = graph_for(inst)
-                res = branch_and_bound(inst, SolveConfig(pool_capacity=2))
+                res = branch_and_bound(inst, SolveConfig(pool_capacity=2), **rooted(inst))
                 t = target_distribution(res.pool.solutions(), inst, temperature=1.5)
                 examples.append(TrainExample(g, t))
             model = GraphNet(hidden=8, seed=0)

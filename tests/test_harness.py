@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mps_without_bounds, write_mps_instances
+from conftest import mps_without_bounds, rooted, write_mps_instances
 from divekit.diving import HEURISTIC_DIVERS
 from divekit.graphnet import TrainingConfig
 from divekit.instances import SENSE_GE, GeneratorConfig, generate, make_instance, write_instance
@@ -48,8 +48,14 @@ class TestMetricFixtures:
         assert primal_dual_gap(1.0, -1.0) == 1.0
 
     def test_gap_sentinel_on_zero_product(self):
-        assert primal_dual_gap(0.0, 0.0) == 1.0
         assert primal_dual_gap(3.0, 0.0) == 1.0
+        assert primal_dual_gap(0.0, -2.0) == 1.0
+
+    def test_gap_both_bounds_zero_is_zero(self):
+        """Berthold (2013): a proven optimum of 0 closes the gap."""
+        assert primal_dual_gap(0.0, 0.0) == 0.0
+        assert primal_dual_gap(-0.0, 0.0) == 0.0
+        assert primal_dual_gap(np.inf, np.inf) == 1.0
 
     def test_gap_sentinel_on_missing_bounds(self):
         assert primal_dual_gap(np.inf, 1.0) == 1.0
@@ -66,6 +72,11 @@ class TestMetricFixtures:
 
     def test_integral_empty_trace(self):
         assert abs(primal_dual_integral([], 10.0) - 10.0) <= 1e-12
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, -1.0])
+    def test_integral_refuses_a_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            primal_dual_integral([(0.0, 7.0, 7.0)], horizon)
 
     def test_primal_gap_fixtures(self):
         assert primal_gap(5.0, 5.0) == 0.0
@@ -292,7 +303,7 @@ class TestCollect:
         assert len(manifest["entries"]) == 6
         for e in manifest["entries"]:
             inst = read_instance(tmp_path / "inst" / "instances" / f"{e['name']}.json")
-            z_opt = branch_and_bound(inst).objective
+            z_opt = branch_and_bound(inst, **rooted(inst)).objective
             pool = json.loads((tmp_path / "corpus" / e["pool"]).read_text())
             assert pool["entries"]
             for entry in pool["entries"]:
@@ -321,8 +332,15 @@ class TestCollect:
     (lambda: BnbEvalConfig(specs=(), seeds=(0, 1, 0)),
      r"seeds \[0, 1, 0\] must be nonempty, with no seed repeated"),
     (lambda: BnbEvalConfig(specs=(), seeds=()), r"seeds \[\] must be nonempty"),
+    (lambda: BnbEvalConfig(specs=(), tick_limit=float("nan")),
+     "tick_limit must be positive and finite, not nan"),
+    (lambda: BnbEvalConfig(specs=(), tick_limit=float("inf")),
+     "tick_limit must be positive and finite, not inf"),
+    (lambda: CollectConfig(tick_limit=float("nan")),
+     "tick_limit must be positive and finite, not nan"),
 ], ids=["collect-augment", "collect-enum-nodes", "tune-objective", "dive-iter-limit",
-        "bnb-repeated-seed", "bnb-no-seed"])
+        "bnb-repeated-seed", "bnb-no-seed", "bnb-nan-ticks", "bnb-inf-ticks",
+        "collect-nan-ticks"])
 def test_configs_refuse_bad_values(make, message):
     """A config refuses a value it cannot run when it is built, before any
     work, instead of running something else or failing midway."""
@@ -660,6 +678,22 @@ class TestNoRepeatedWork:
             assert len(roots) == len(set(roots)) == count, name
         assert cold == []
 
+    def test_lone_run_keeps_no_node_lp_table(self, tiny_world, tmp_path, monkeypatch):
+        """A task of one run stores no node LP, as no later run could read
+        it, and writes the rows the same run writes next to another config."""
+        import divekit.bnb as bnb
+
+        root, _ = tiny_world
+        stored = self.count_calls(monkeypatch, bnb, "_shared")
+        none = BnbRunSpec(name="none")
+        cfg = BnbEvalConfig(specs=(none,), tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        alone = eval_bnb(root / "corpus", cfg, tmp_path / "alone")
+        assert stored == []
+        frac = BnbRunSpec(name="fractional:10", members=(("fractional", 10, 0),), d_max=10)
+        both = eval_bnb(root / "corpus", replace(cfg, specs=(none, frac)), tmp_path / "both")
+        assert stored
+        assert alone["rows"] == [r for r in both["rows"] if r[1] == "none"]
+
     def test_eval_bnb_and_tune_solve_each_node_lp_once(self, tiny_world, tmp_path,
                                                        monkeypatch):
         """The runs on one instance share one table of node LP solutions, so
@@ -673,11 +707,14 @@ class TestNoRepeatedWork:
         corpus = root / "corpus"
         solves = self.count_calls(monkeypatch, bnb, "solve_lp")
         real = harness.branch_and_bound
-        tables, nodes = {}, []
+        tables, given, nodes = {}, [], []
 
         def capturing(inst, *a, solved=None, **kw):
-            tables.setdefault(inst.name, []).append(solved)
-            res = real(inst, *a, solved=solved, **kw)
+            given.append(solved)
+            # a lone run gets no table; one here records the node paths it reaches
+            table = {} if solved is None else solved
+            tables.setdefault(inst.name, []).append(table)
+            res = real(inst, *a, solved=table, **kw)
             nodes.append(res.nodes)
             return res
 
@@ -709,10 +746,10 @@ class TestNoRepeatedWork:
         assert len(solves) == sum(len(ts[0]) for ts in tables.values())
         assert all(all(t is ts[0] for t in ts) for ts in tables.values())
 
-        tables.clear()
+        given.clear()
         collect_corpus(root / "inst", tmp_path / "corpus",
                        CollectConfig(node_limit=150, pool_capacity=5, jobs=1))
-        assert tables and all(t is None for ts in tables.values() for t in ts)
+        assert given and all(t is None for t in given)
 
     @staticmethod
     def first_entries(tiny_world, dest, k):
@@ -844,8 +881,9 @@ class TestEnsembleHook:
         entries = load_corpus(root / "corpus")
         for entry in entries:
             hook = _ensemble_hook((("pseudocost", 1, 0),), None, 10, 0)
-            res = branch_and_bound(read_instance(entry["instance_path"]),
-                                   SolveConfig(node_limit=100, diver=hook))
+            inst = read_instance(entry["instance_path"])
+            res = branch_and_bound(inst, SolveConfig(node_limit=100, diver=hook),
+                                   **rooted(inst))
             assert res.dives == built[-1].dive_no
         assert len(built) == len(entries)
         assert sum(s.cross_dive_reads for s in built) > 0
@@ -932,9 +970,8 @@ class TestRootLpFailure:
         assert len(examples) == len(manifest["entries"]) - 1
 
     def test_eval_bnb_writes_one_row_per_seed(self, tiny_world, tmp_path, monkeypatch):
-        """The shared root solve of the first instance raises, and so does the
-        run's retry of it: the only cold solves branch and bound makes are
-        such retries."""
+        """The shared root solve of the first instance raises, and no run
+        retries it: branch and bound makes no cold solve."""
         import divekit.bnb as bnb
         import divekit.harness as harness
         from divekit.simplex import NumericalBreakdown
@@ -963,7 +1000,57 @@ class TestRootLpFailure:
         assert len(list((tmp_path / "bnb" / "traces").glob("*.csv"))) == len(res["rows"])
         trace = (tmp_path / "bnb" / "traces" / f"{failed[0][0]}_none_s0.csv").read_text()
         assert trace.splitlines()[1:] == ["0.0,inf,-inf"]
-        assert len(retries) == 1
+        assert retries == []
+
+    def test_only_warm_solves_below_the_roots(self, tiny_world, tmp_path, monkeypatch):
+        """``harness.solve_root`` solves every root: through collect,
+        eval-dive, eval-bnb and tune, ``diving`` and ``bnb`` make only warm
+        solves, and none on the LP of the instance whose root solve raised."""
+        import divekit.bnb as bnb
+        import divekit.diving as diving
+        import divekit.harness as harness
+        from divekit.simplex import NumericalBreakdown
+
+        root, _ = tiny_world
+        corpus = root / "corpus"
+        failed, calls = [], []
+        real_root = harness.solve_lp
+
+        def root_solve(lp):
+            if not failed:
+                failed.append(lp)
+                raise NumericalBreakdown("injected failure")
+            return real_root(lp)
+
+        monkeypatch.setattr(harness, "solve_lp", root_solve)
+        for module in (diving, bnb):
+            def spy(lp, warm=None, _real=module.solve_lp, **kw):
+                calls.append((lp, warm is not None))
+                return _real(lp, warm=warm, **kw)
+
+            monkeypatch.setattr(module, "solve_lp", spy)
+        specs = (BnbRunSpec(name="none"),
+                 BnbRunSpec(name="fractional:5", members=(("fractional", 5, 0),), d_max=10))
+        ecfg = BnbEvalConfig(specs=specs, tick_limit=500.0, node_limit=20, seeds=(0, 1), jobs=1)
+        commands = {
+            "collect": lambda: collect_corpus(
+                root / "inst", tmp_path / "corpus",
+                CollectConfig(node_limit=150, pool_capacity=5, jobs=1)),
+            "eval-dive": lambda: eval_dives(
+                corpus, DiveEvalConfig(divers=("fractional", "lower"), d_max=10, jobs=1),
+                tmp_path / "dives"),
+            "eval-bnb": lambda: eval_bnb(corpus, ecfg, tmp_path / "bnb"),
+            "tune": lambda: tune_ensemble(
+                corpus, TuneConfig(divers=("fractional", "random"), samples=2, d_max=10),
+                replace(ecfg, specs=()), tmp_path / "tune.json"),
+        }
+        for name, run in commands.items():
+            failed.clear()
+            calls.clear()
+            run()
+            assert len(failed) == 1, name
+            assert calls and all(warm for _, warm in calls), name
+            assert not any(lp is failed[0] for lp, _ in calls), name
 
 
 class TestTraining:

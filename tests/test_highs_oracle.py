@@ -33,6 +33,7 @@ from divekit.simplex import (
     dual_objective,
     solve_lp,
 )
+from conftest import rooted
 
 LP_REL_TOL = 1e-7  # objective vs HiGHS, relative to 1 + |z|
 MILP_REL_TOL = 1e-9  # proven optimum vs milp run with a zero gap
@@ -215,6 +216,6 @@ def test_bnb_optimum_matches_milp(fam, seed, equalities):
     inst = generate(GeneratorConfig(fam, seed=seed, **SMALL[fam]))
     if equalities:
         inst = demand_rows_equal(inst)
-    res = branch_and_bound(inst, SolveConfig())
+    res = branch_and_bound(inst, SolveConfig(), **rooted(inst))
     assert res.status == OPTIMAL_PROVEN
     assert close(res.objective, highs_milp(inst), MILP_REL_TOL)

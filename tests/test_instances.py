@@ -151,6 +151,23 @@ class TestValidation:
             make_instance("bad", c=[1.0], rows=[], senses=[], b=[],
                           lb=[2.0], ub=[1.0], integer=[])
 
+    @pytest.mark.parametrize("sense", ["XX", "le", 2.7, True, np.True_, 300, -1, None])
+    def test_unknown_sense_rejected(self, sense):
+        """A sense is "LE", "GE", "EQ" or a non-bool integer 0, 1 or 2."""
+        with pytest.raises(InstanceError, match="unknown row sense"):
+            make_instance("bad", c=[1.0], rows=[(0, 0, 1.0)], senses=[sense], b=[1.0],
+                          lb=[0.0], ub=[1.0], integer=[])
+
+    @pytest.mark.parametrize("kw", [
+        {"c": [np.nan]}, {"b": [np.inf]}, {"rows": [(0, 0, np.inf)]},
+        {"lb": [np.nan]}, {"ub": [np.nan]},
+    ], ids=["c", "b", "coefficient", "nan-lb", "nan-ub"])
+    def test_non_finite_data_rejected(self, kw):
+        args = dict(c=[1.0], rows=[(0, 0, 1.0)], senses=[SENSE_LE], b=[1.0],
+                    lb=[0.0], ub=[1.0], integer=[])
+        with pytest.raises(InstanceError):
+            make_instance("bad", **{**args, **kw})
+
     def test_divable_must_be_integer(self):
         with pytest.raises(InstanceError):
             make_instance("bad", c=[1.0], rows=[], senses=[], b=[],

@@ -18,7 +18,7 @@ from divekit.l2dive import (
     verify_tightening_optimality,
 )
 from divekit.simplex import DualValues, solve_lp
-from conftest import brute_binary_optimum, reference_feasible
+from conftest import brute_binary_optimum, reference_feasible, rooted
 
 
 class TestTightenSet:
@@ -107,11 +107,11 @@ class TestCandidateAgreement:
             def begin_dive(self, ctx):
                 seen.append(ctx.cands.copy())
 
-        dive(inst, Recording(), d_max=3)
+        dive(inst, Recording(), d_max=3, **rooted(inst))
         np.testing.assert_array_equal(candidate_codec(inst)[0], [1, 2])
         np.testing.assert_array_equal(inst.candidates(), [1, 2])
         np.testing.assert_array_equal(seen[0], [1, 2])
-        res = dive(inst, L2DiveScorer(GraphNet(hidden=8, seed=0)), d_max=3)
+        res = dive(inst, L2DiveScorer(GraphNet(hidden=8, seed=0)), d_max=3, **rooted(inst))
         assert res.depth_reached >= 1
 
 
@@ -230,7 +230,7 @@ class TestScoreRule:
             orig(self, ctx)
 
         sc.begin_dive = spy.__get__(sc)
-        res = dive(inst, sc, d_max=10)
+        res = dive(inst, sc, d_max=10, **rooted(inst))
         assert res.depth_reached > 0
         assert len(calls) == 1  # one model call at dive start
 
@@ -281,6 +281,6 @@ class TestTighteningOptimality:
             _, x_opt, _ = brute_binary_optimum(inst)
             cands = inst.divable_index
             sc = _FixedPrediction(x_opt, np.ones(inst.n), cands)
-            res = dive(inst, sc, d_max=100)
+            res = dive(inst, sc, d_max=100, **rooted(inst))
             assert res.solutions
             assert res.best_z <= float(inst.c @ x_opt) + 1e-9
