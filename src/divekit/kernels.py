@@ -29,22 +29,17 @@ def row_activities(rows, cols, vals, x, m):
 # ---------------------------------------------------------------------------
 
 def ratio_test(rate, x_b, lo_b, up_b, var_idx, tol):
-    m = rate.shape[0]
-    ratios = np.full(m, np.inf)
-    upmask = rate > tol
-    dnmask = rate < -tol
-    with np.errstate(invalid="ignore"):
-        ratios[upmask] = (up_b[upmask] - x_b[upmask]) / rate[upmask]
-        ratios[dnmask] = (lo_b[dnmask] - x_b[dnmask]) / rate[dnmask]
-    ratios[np.isnan(ratios)] = np.inf  # inf - inf at an infinite bound
+    up = rate > tol
+    ratios = np.full(rate.shape[0], np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite bound gives nan
+        np.divide(np.where(up, up_b, lo_b) - x_b, rate, out=ratios, where=up | (rate < -tol))
     np.maximum(ratios, 0.0, out=ratios)
-    finite = np.isfinite(ratios)
-    if not finite.any():
+    best_t = np.fmin.reduce(ratios, initial=np.inf)  # a nan never blocks
+    if best_t == np.inf:
         return np.inf, -1, False
-    best_t = ratios[finite].min()
-    near = np.flatnonzero(finite & (ratios <= best_t + 1e-12))
+    near = np.flatnonzero(ratios <= best_t + 1e-12)
     pos = near[np.argmin(var_idx[near])]
-    return ratios[pos], int(pos), bool(rate[pos] > tol)
+    return ratios[pos], int(pos), bool(up[pos])
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,20 @@ Implementation notes:
   products each, whatever the number of etas.  The kernel is refactored
   every ``REFACTOR_EVERY`` pivots and once more before declaring
   optimality;
-- a returned basis carries the kernel inverse it was factored with, for the
-  LP it was factored on, whenever the eta file is empty (always so at
-  ``OPTIMAL``): a warm start on that same LP object then reuses the inverse
-  instead of factoring the kernel again;
+- a returned basis carries the kernel inverse and the kernel index arrays
+  it was factored with, for the LP it was factored on, whenever the eta
+  file is empty (always so at ``OPTIMAL``): a warm start on that same LP
+  object then reuses them instead of factoring the kernel again.  ``C``,
+  the covered rows of the structural basic columns, is gathered again
+  instead: open branch-and-bound nodes hold their bases, so carrying it
+  would raise peak memory;
+- the solver keeps what only a pivot or a bound flip changes instead of
+  deriving it again on every pivot: two masks, the nonbasic columns that
+  can rise (at their lower bound or free) and those that can fall (at their
+  upper bound or free), each only where the bounds differ, which are the
+  whole eligibility test of pricing and of the dual ratio test; and the
+  bounds of the basic variables by row position, which the dual phase, the
+  violation count and the primal ratio test read;
 - a warm basis that is dual feasible (the optimal basis of the same LP before
   a bound tightening) is re-solved by a bounded dual simplex: the basic
   variable farthest outside its bounds leaves, the dual ratio test picks the
@@ -93,14 +103,18 @@ class Basis:
     """The basic columns (ordered by row) and the nonbasic columns at their
     upper bound, from which a warm start places every column (every other
     one the way a cold start does).  A basis returned by a solve may also
-    carry ``kinv``, the inverse of its kernel, factored on the LP object
-    ``lp``: a warm start on that same object reuses it instead of factoring
-    again.  A hand-built basis, or one started on another LP, is factored
-    as usual."""
+    carry ``kinv``, the inverse of its kernel, and ``index``, the kernel's
+    read-only index arrays ``(pos_L, pos_S, rows_L, rows_U, sign_L)``, both
+    factored on the LP object ``lp``: a warm start on that same object
+    reuses them instead of factoring again.  The kernel's covered rows
+    ``C`` are not carried, as they would cost each held basis more memory
+    than the gather that rebuilds them costs time.  A hand-built basis, or
+    one started on another LP, is factored as usual."""
 
     basic: np.ndarray
     at_upper: np.ndarray
     kinv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    index: tuple | None = field(default=None, repr=False, compare=False)
     lp: StandardLp | None = field(default=None, repr=False, compare=False)
 
 
@@ -137,8 +151,15 @@ class _Solver:
         self.c = lp.c
         self.b = lp.b
         self.stat = np.empty(self.N, dtype=np.int8)
+        # the nonbasic columns that can rise and that can fall: see start
+        self.movable = self.ub - self.lb > 0
+        self.can_rise = np.zeros(self.N, dtype=bool)
+        self.can_fall = np.zeros(self.N, dtype=bool)
+        self.has_free = False
         self.basic = np.empty(self.m, dtype=np.int64)
         self.xval = np.zeros(self.N)
+        # the bounds of the basic variables, by row position
+        self.lb_B = self.ub_B = None
         # the kernel factors: see refactorize
         self.pos_S = self.pos_L = self.rows_U = self.rows_L = None
         self.sign_L = self.C = self.Kinv = None
@@ -154,30 +175,32 @@ class _Solver:
 
     # -- factorization -----------------------------------------------------
 
-    def refactorize(self, kinv=None):
+    def refactorize(self, carried: Basis | None = None):
         """Factor the basis through its kernel.
 
         A basic logical column covers its row, so ``B z = v`` splits into the
         kernel system ``K z_S = v_U`` (the uncovered rows of the structural
         basic columns) and ``sign * z_L = v_L - C z_S`` on the covered rows,
         where ``C`` holds the covered rows of the structural basic columns.
-        ``kinv``, the inverse of this basis's kernel on this LP, spares the
-        LU factorization.
+        ``carried``, a basis of this LP with the kernel inverse and index
+        arrays it was factored with, spares building them and the LU
+        factorization.
         """
         basic, n0 = self.basic, self.lp.slack_start
-        logical = basic >= n0
-        self.pos_L = np.flatnonzero(logical)
-        self.pos_S = np.flatnonzero(~logical)
-        self.rows_L = basic[self.pos_L] - n0
-        uncovered = np.ones(self.m, dtype=bool)
-        uncovered[self.rows_L] = False
-        self.rows_U = np.flatnonzero(uncovered)
-        if self.rows_U.size != self.pos_S.size:
-            raise SingularBasis("a logical column is basic twice")
-        self.sign_L = self.lp.logical_sign[self.rows_L]
-        B_S = self.A[:, basic[self.pos_S]]
-        self.C = B_S[self.rows_L]
-        if kinv is None:
+        self.lb_B, self.ub_B = self.lb[basic], self.ub[basic]
+        if carried is None:
+            logical = basic >= n0
+            self.pos_L = np.flatnonzero(logical)
+            self.pos_S = np.flatnonzero(~logical)
+            self.rows_L = basic[self.pos_L] - n0
+            uncovered = np.ones(self.m, dtype=bool)
+            uncovered[self.rows_L] = False
+            self.rows_U = np.flatnonzero(uncovered)
+            if self.rows_U.size != self.pos_S.size:
+                raise SingularBasis("a logical column is basic twice")
+            self.sign_L = self.lp.logical_sign[self.rows_L]
+            B_S = self.A[:, basic[self.pos_S]]
+            self.C = B_S[self.rows_L]
             # a singular kernel raises SingularBasis below instead of warning here
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)
@@ -185,8 +208,11 @@ class _Solver:
             diag = np.abs(np.diag(lu))
             if diag.min(initial=np.inf) < 1e-12 * max(1.0, diag.max(initial=0.0)):
                 raise SingularBasis("singular basis matrix")
-            kinv = sla.lu_solve((lu, piv), np.eye(self.pos_S.size), check_finite=False)
-        self.Kinv = kinv
+            self.Kinv = sla.lu_solve((lu, piv), np.eye(self.pos_S.size), check_finite=False)
+        else:
+            self.pos_L, self.pos_S, self.rows_L, self.rows_U, self.sign_L = carried.index
+            self.C = self.A[np.ix_(self.rows_L, basic[self.pos_S])]
+            self.Kinv = carried.kinv
         self.n_eta = 0
         # recompute basic values against the fresh factors
         x_other = self.xval.copy()
@@ -219,8 +245,8 @@ class _Solver:
         """Every nonbasic column at its lower bound, at its upper bound when
         the lower one is infinite or ``basis`` lists it there, or free at zero
         when both are infinite; the basic columns are those of ``basis``, or
-        the logical columns without one.  The kernel inverse that ``basis``
-        carries for this LP is reused."""
+        the logical columns without one.  The kernel inverse and index arrays
+        that ``basis`` carries for this LP are reused."""
         if basis is not None and basis.basic.shape[0] != self.m:
             raise SimplexError("warm basis has the wrong size")
         self.bland = False
@@ -237,7 +263,10 @@ class _Solver:
             self.xval[basis.at_upper] = self.ub[basis.at_upper]
             self.basic[:] = basis.basic
         self.stat[self.basic] = _BASIC
-        self.refactorize(basis.kinv if basis is not None and basis.lp is self.lp else None)
+        self.has_free = bool(free.any())
+        self.can_rise = ((self.stat == _AT_LOWER) | (self.stat == _FREE)) & self.movable
+        self.can_fall = ((self.stat == _AT_UPPER) | (self.stat == _FREE)) & self.movable
+        self.refactorize(basis if basis is not None and basis.lp is self.lp else None)
 
     # -- pricing -------------------------------------------------------------
 
@@ -250,11 +279,7 @@ class _Solver:
         """The nonbasic columns that can move against the sign of ``v``: up
         from the lower bound where ``v < -tol``, down from the upper bound
         where ``v > tol``, either way when free and ``|v| > tol``."""
-        movable = self.ub - self.lb > 0
-        elig = (self.stat == _AT_LOWER) & (v < -tol) & movable
-        elig |= (self.stat == _AT_UPPER) & (v > tol) & movable
-        elig |= (self.stat == _FREE) & (np.abs(v) > tol)
-        return elig
+        return (self.can_rise & (v < -tol)) | (self.can_fall & (v > tol))
 
     def _entering(self, d, etol):
         elig = self._movable_against(d, etol)
@@ -272,6 +297,8 @@ class _Solver:
         lower bound."""
         self.stat[j] = _AT_UPPER if at_upper else _AT_LOWER
         self.xval[j] = self.ub[j] if at_upper else self.lb[j]
+        self.can_rise[j] = self.movable[j] and not at_upper
+        self.can_fall[j] = self.movable[j] and at_upper
 
     def _replace(self, pos, q, w):
         """Column ``q`` (``w`` = its ftran) becomes the basic variable of row
@@ -279,6 +306,8 @@ class _Solver:
         Counts the iteration."""
         self.basic[pos] = q
         self.stat[q] = _BASIC
+        self.can_rise[q] = self.can_fall[q] = False
+        self.lb_B[pos], self.ub_B[pos] = self.lb[q], self.ub[q]
         push_eta(self.eta_rows, self.etas, self.eta_linv, self.n_eta, pos, w)
         self.n_eta += 1
         self.iterations += 1
@@ -305,8 +334,12 @@ class _Solver:
         if idx.size == 0:
             return -1
         # |d_j| with the sign dual feasibility gives it, clamped at 0
-        dj = np.where(self.stat[idx] == _AT_UPPER, -d[idx], d[idx])
-        dj = np.where(self.stat[idx] == _FREE, np.abs(dj), np.maximum(dj, 0.0))
+        dj = d[idx]
+        dj = np.where(self.stat[idx] == _AT_UPPER, -dj, dj)
+        if self.has_free:
+            dj = np.where(self.stat[idx] == _FREE, np.abs(dj), np.maximum(dj, 0.0))
+        else:
+            dj = np.maximum(dj, 0.0)
         return int(idx[np.argmin(dj / np.abs(alpha[idx]))])
 
     def dual_phase(self, iter_limit):
@@ -318,25 +351,26 @@ class _Solver:
         a pivot, when the basis is not dual feasible: either way the primal
         loop finishes the solve.
         """
+        if not self.m:  # no basic variable to leave
+            return OPTIMAL
         _, d = self.price(self.c)
         if self._entering(d, OPT_TOL) >= 0:
             return OPTIMAL
         self._last_obj, self._stall = np.inf, 0
         while True:
             xb = self.xval[self.basic]
-            lo, up = self.lb[self.basic], self.ub[self.basic]
+            lo, up = self.lb_B, self.ub_B
             viol = np.maximum(lo - xb, xb - up)
-            rows = np.flatnonzero(viol > FEAS_TOL)
-            if rows.size == 0:
+            r = int(np.argmax(viol))
+            if not viol[r] > FEAS_TOL:
                 return OPTIMAL
             if self.iterations >= iter_limit:
                 return ITERATION_LIMIT
             # the dual objective equals c'x here and never falls
             self._note_progress(-float(self.c @ self.xval))
             if self.bland:
+                rows = np.flatnonzero(viol > FEAS_TOL)
                 r = int(rows[np.argmin(self.basic[rows])])
-            else:
-                r = int(np.argmax(viol))
             rises = xb[r] < lo[r]
             e_r = np.zeros(self.m)
             e_r[r] = 1.0
@@ -365,12 +399,9 @@ class _Solver:
 
     def violations(self):
         xb = self.xval[self.basic]
-        below = xb < self.lb[self.basic] - FEAS_TOL
-        above = xb > self.ub[self.basic] + FEAS_TOL
-        total = float(
-            np.sum(self.lb[self.basic][below] - xb[below])
-            + np.sum(xb[above] - self.ub[self.basic][above])
-        )
+        below = xb < self.lb_B - FEAS_TOL
+        above = xb > self.ub_B + FEAS_TOL
+        total = float(np.sum(self.lb_B[below] - xb[below]) + np.sum(xb[above] - self.ub_B[above]))
         return below, above, total
 
     def primal(self, iter_limit):
@@ -410,10 +441,11 @@ class _Solver:
                 return OPTIMAL
             s = 1.0 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and d[q] < 0)) else -1.0
             w = self.ftran(self.A[:, q])
-            lo_eff, up_eff = self.lb[self.basic], self.ub[self.basic]
+            lo_eff, up_eff = self.lb_B, self.ub_B
             if phase1:  # a violated bound blocks from the other side
-                lo_eff[below], up_eff[below] = -np.inf, self.lb[self.basic[below]]
-                lo_eff[above], up_eff[above] = self.ub[self.basic[above]], np.inf
+                lo_eff, up_eff = lo_eff.copy(), up_eff.copy()
+                lo_eff[below], up_eff[below] = -np.inf, self.lb_B[below]
+                lo_eff[above], up_eff[above] = self.ub_B[above], np.inf
             xb = self.xval[self.basic]
             rate = -s * w
             t_block, pos, hit_up = ratio_test(rate, xb, lo_eff, up_eff, self.basic, PIVOT_TOL)
@@ -442,9 +474,11 @@ class _Solver:
 
     def make_basis(self) -> Basis:
         basis = Basis(basic=self.basic.copy(), at_upper=np.flatnonzero(self.stat == _AT_UPPER))
-        if not self.n_eta:  # the kernel inverse factors exactly this basis
-            self.Kinv.setflags(write=False)  # shared from here on
-            basis.kinv, basis.lp = self.Kinv, self.lp
+        if not self.n_eta:  # the kernel factors are exactly this basis's
+            index = (self.pos_L, self.pos_S, self.rows_L, self.rows_U, self.sign_L)
+            for a in (self.Kinv, *index):
+                a.setflags(write=False)  # shared from here on
+            basis.kinv, basis.index, basis.lp = self.Kinv, index, self.lp
         return basis
 
     def extract_duals(self, y, d) -> DualValues:

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 from pathlib import Path
 
@@ -24,50 +23,6 @@ def rooted(inst):
     ``harness.solve_root`` hands them on."""
     lp = to_standard_form(inst)
     return {"lp": lp, "root_sol": solve_lp(lp)}
-
-
-def reference_feasible(inst, x, feas_tol=1e-7, int_tol=1e-6):
-    """Test-local feasibility check: dense matrix, explicit loops, no shared
-    code with the solver's checker."""
-    x = np.asarray(x, dtype=np.float64)
-    A = inst.A.toarray()
-    for j in range(inst.n):
-        if x[j] < inst.lb[j] - feas_tol or x[j] > inst.ub[j] + feas_tol:
-            return False
-        if inst.integer[j] and abs(x[j] - round(x[j])) > int_tol:
-            return False
-    for i in range(inst.m):
-        lhs = float(A[i] @ x)
-        rhs = float(inst.b[i])
-        s = 1.0 + abs(rhs)
-        if inst.senses[i] == SENSE_LE and lhs > rhs + feas_tol * s:
-            return False
-        if inst.senses[i] == SENSE_GE and lhs < rhs - feas_tol * s:
-            return False
-        if inst.senses[i] == SENSE_EQ and abs(lhs - rhs) > feas_tol * s:
-            return False
-    return True
-
-
-def brute_binary_optimum(inst):
-    """Test-local exhaustive optimum over all 0/1 assignments (pure-binary
-    instances only); returns (z, x, set of optimal assignments)."""
-    assert inst.n <= 16
-    best = np.inf
-    best_x = None
-    optima = set()
-    for bits in itertools.product((0.0, 1.0), repeat=inst.n):
-        x = np.array(bits)
-        if not reference_feasible(inst, x):
-            continue
-        z = float(inst.c @ x)
-        if z < best - 1e-9:
-            best = z
-            best_x = x
-            optima = {tuple(int(v) for v in x)}
-        elif abs(z - best) <= 1e-9:
-            optima.add(tuple(int(v) for v in x))
-    return best, best_x, optima
 
 
 def mps_without_bounds(inst):

@@ -47,9 +47,9 @@ from divekit.instances import (
     read_instance,
     to_standard_form,
 )
-from divekit.oracles import brute_force_milp
+from divekit.oracles import brute_force_milp, check_feasible_reference
 from divekit.simplex import solve_lp
-from conftest import reference_feasible, rooted
+from conftest import rooted
 
 JOBS = max(1, min(8, os.cpu_count() or 1))
 
@@ -349,7 +349,7 @@ def test_criterion_07_dive_soundness(pipeline):
             res = dive(inst, make_scorer(name, seed=s), d_max=d_max, **root)
             n_dives += 1
             depth_violations += res.depth_reached > d_max
-            unsound += sum(0 if reference_feasible(inst, x) else 1
+            unsound += sum(0 if check_feasible_reference(inst, x) else 1
                            for x in res.solutions)
     # the learned diver joins on the trained corpus's family
     model = load_model(pipeline["root"] / "model.npz")
@@ -359,7 +359,7 @@ def test_criterion_07_dive_soundness(pipeline):
         res = dive(inst, make_scorer("l2dive", model=model), d_max=d_max, **rooted(inst))
         n_dives += 1
         depth_violations += res.depth_reached > d_max
-        unsound += sum(0 if reference_feasible(inst, x) else 1
+        unsound += sum(0 if check_feasible_reference(inst, x) else 1
                        for x in res.solutions)
     ok = n_dives >= 200 and unsound == 0 and depth_violations == 0
     assert report(7, ok, f"{n_dives} dives across all divers at d_max={d_max}: "

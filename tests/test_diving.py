@@ -20,8 +20,9 @@ from divekit import diving
 from divekit.graphnet import GraphNet
 from divekit.instances import GeneratorConfig, generate, read_instance
 from divekit.l2dive import L2DiveScorer
+from divekit.oracles import check_feasible_reference
 from divekit.simplex import NumericalBreakdown
-from conftest import mps_without_bounds, reference_feasible, rooted
+from conftest import mps_without_bounds, rooted
 
 ALL_BASELINES = HEURISTIC_DIVERS
 
@@ -467,7 +468,7 @@ class TestDiveEngine:
                 assert res.termination in (
                     "infeasible", "depth_limit", "iter_limit", "integral")
                 for x in res.solutions:
-                    assert reference_feasible(inst, x)
+                    assert check_feasible_reference(inst, x)
 
     def test_candidate_set_never_grows(self):
         sizes = []

@@ -266,7 +266,7 @@ class TestCollect:
         enumerated optimal assignment is stored with the continuous columns
         its leaf LP completes it with, so the pool holds the optimal face,
         not the branch-and-bound pool it would fall back to."""
-        from conftest import reference_feasible
+        from divekit.oracles import check_feasible_reference
         from divekit.bnb import FACE_TOL, OPTIMAL_PROVEN
         from divekit.instances import read_instance
 
@@ -283,7 +283,7 @@ class TestCollect:
             keys = set()
             for entry in pool["entries"]:
                 x = np.asarray(entry["x"])
-                assert reference_feasible(inst, x)
+                assert check_feasible_reference(inst, x)
                 assert entry["z"] == float(inst.c @ x)
                 assert abs(entry["z"] - pool["bound"]) <= 2 * FACE_TOL
                 keys.add(tuple(x[inst.divable_index]))
@@ -292,7 +292,7 @@ class TestCollect:
     def test_enumerate_completions_sit_at_the_optimum(self, tmp_path):
         """The continuous completion of each enumerated assignment is taken
         at the optimum, not on the face LP's lower row FACE_TOL below it."""
-        from conftest import reference_feasible
+        from divekit.oracles import check_feasible_reference
         from divekit.bnb import branch_and_bound
         from divekit.instances import read_instance
 
@@ -308,7 +308,7 @@ class TestCollect:
             assert pool["entries"]
             for entry in pool["entries"]:
                 x = np.asarray(entry["x"])
-                assert reference_feasible(inst, x)
+                assert check_feasible_reference(inst, x)
                 assert abs(float(inst.c @ x) - z_opt) <= 1e-9
 
     def test_files_sharing_a_stem_are_refused(self, tmp_path):

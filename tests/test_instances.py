@@ -18,7 +18,7 @@ from divekit.instances import (
     to_standard_form,
     write_instance,
 )
-from conftest import reference_feasible
+from divekit.oracles import brute_force_milp, check_feasible_reference
 
 
 class TestStandardForm:
@@ -70,7 +70,7 @@ class TestStandardForm:
                 and np.all(full >= lp.lb - 1e-9)
                 and np.all(full <= np.minimum(lp.ub, 1e30) + 1e-9)
             )
-            assert lp_feasible == reference_feasible(inst, x)
+            assert lp_feasible == check_feasible_reference(inst, x)
 
     def test_full_point_satisfies_rows_exactly(self):
         inst = generate(GeneratorConfig("set-cover", seed=3, rows=8, cols=12, density=0.3))
@@ -95,7 +95,7 @@ class TestGenerators:
         inst = generate(GeneratorConfig("set-cover", seed=7, rows=10, cols=20, density=0.2))
         counts = np.diff(inst.A.tocsr().indptr)
         assert np.all(counts >= 2)
-        assert reference_feasible(inst, np.ones(inst.n))
+        assert check_feasible_reference(inst, np.ones(inst.n))
         assert np.all(inst.divable)
 
     def test_set_cover_columns_nonempty(self):
@@ -107,7 +107,7 @@ class TestGenerators:
         inst = generate(GeneratorConfig("indep-set", seed=1, nodes=5, affinity=0))
         assert inst.m == 0
         # all nodes selectable: minimization of -sum picks everything
-        assert reference_feasible(inst, np.ones(5))
+        assert check_feasible_reference(inst, np.ones(5))
         assert float(inst.c @ np.ones(5)) == -5.0
 
     def test_indep_set_rows_are_cliques(self):
@@ -119,7 +119,7 @@ class TestGenerators:
     def test_comb_auction_zero_feasible_and_negated(self):
         inst = generate(GeneratorConfig("comb-auction", seed=3, items=8, bids=15))
         assert np.all(inst.c < 0)  # maximization stored negated
-        assert reference_feasible(inst, np.zeros(inst.n))
+        assert check_feasible_reference(inst, np.zeros(inst.n))
 
     def test_facility_capacity_covers_demand(self):
         inst = generate(GeneratorConfig("facility-location", seed=4, customers=5, facilities=3))
@@ -127,13 +127,12 @@ class TestGenerators:
         # opening everything and serving greedily must be feasible
         from divekit.oracles import _linprog_completion
         z, x = _linprog_completion(inst, inst.divable_index, np.ones(3))
-        assert x is not None and reference_feasible(inst, x)
+        assert x is not None and check_feasible_reference(inst, x)
 
     def test_generated_instances_admit_integer_point(self):
-        from conftest import brute_binary_optimum
         for seed in range(4):
             inst = generate(GeneratorConfig("set-cover", seed=seed, rows=6, cols=10, density=0.3))
-            z, x, _ = brute_binary_optimum(inst)
+            z, x, _ = brute_force_milp(inst)
             assert x is not None
 
     def test_invalid_configs_rejected(self):

@@ -93,19 +93,47 @@ class TestParity:
         np.testing.assert_allclose(out, start + A @ data["h"], atol=1e-12)
 
     def test_ratio_test(self, rng):
-        for _ in range(300):
-            m = int(rng.integers(1, 30))
-            rate = rng.normal(size=m)
-            rate[rng.random(m) < 0.1] = 0.0
-            xb = rng.uniform(0, 1, size=m)
-            lob = np.where(rng.random(m) < 0.2, -np.inf, 0.0)
-            upb = np.where(rng.random(m) < 0.2, np.inf, 1.0)
-            vidx = rng.permutation(m).astype(np.int64)
+        def check(rate, xb, lob, upb, vidx):
             t1, p1, u1 = kernels.ratio_test(rate, xb, lob, upb, vidx, 1e-9)
             t2, p2, u2 = ratio_test_reference(rate, xb, lob, upb, vidx, 1e-9)
             assert (p1 == p2) and (u1 == u2)
             if np.isfinite(t1) or np.isfinite(t2):
                 assert abs(t1 - t2) < 1e-12
+            else:
+                assert t1 == np.inf and p1 == -1 and not u1
+            return p1
+
+        inf = np.inf
+        for _ in range(300):
+            m = int(rng.integers(1, 30))
+            rate = rng.normal(size=m)
+            rate[rng.random(m) < 0.1] = 0.0
+            rate[rng.random(m) < 0.1] *= 1e-10  # |rate| <= tol
+            xb = rng.uniform(0, 1, size=m)
+            lob = np.where(rng.random(m) < 0.2, -inf, 0.0)
+            upb = np.where(rng.random(m) < 0.2, inf, 1.0)
+            free = rng.random(m) < 0.1  # both bounds infinite, at an infinite value
+            lob[free], upb[free] = -inf, inf
+            xb[free] = rng.choice([-inf, inf], size=int(free.sum()))
+            check(rate, xb, lob, upb, rng.permutation(m).astype(np.int64))
+        vidx = np.arange(6, dtype=np.int64)
+        # inf - inf on either side of a free variable at an infinite value
+        assert check(np.array([1.0, -1.0, 1.0, -1.0, 0.5, -2.0]),
+                     np.array([inf, -inf, -inf, inf, 0.25, 0.5]),
+                     np.array([-inf, -inf, -inf, -inf, 0.0, 0.0]),
+                     np.array([inf, inf, inf, inf, 1.0, 1.0]), vidx) == 5
+        # exact zeros and |rate| <= tol next to infinite bounds never block
+        assert check(np.array([0.0, 1e-10, -1e-10, 0.0, -0.5, 1e-9]),
+                     np.array([0.0, 0.5, 0.5, 1.0, 0.5, 0.0]),
+                     np.array([-inf, 0.0, -inf, 0.0, 0.0, 0.0]),
+                     np.array([inf, inf, 1.0, 1.0, 1.0, 1.0]), vidx) == 4
+        # no blocking entry
+        assert check(np.array([0.0, 1e-12, 2.0, -3.0, 1.0, -1.0]), np.zeros(6),
+                     np.array([0.0, 0.0, 0.0, -inf, -inf, -inf]),
+                     np.array([1.0, 1.0, inf, 1.0, inf, inf]), vidx) == -1
+        # no rows
+        empty = np.zeros(0)
+        assert check(empty, empty, empty, empty, np.zeros(0, dtype=np.int64)) == -1
 
     def test_ratio_test_tie_breaks_by_variable_index(self):
         rate = np.array([1.0, 1.0, 1.0])

@@ -17,8 +17,9 @@ from divekit.l2dive import (
     compute_tighten_set,
     verify_tightening_optimality,
 )
+from divekit.oracles import brute_force_milp, check_feasible_reference
 from divekit.simplex import DualValues, solve_lp
-from conftest import brute_binary_optimum, reference_feasible, rooted
+from conftest import rooted
 
 
 class TestTightenSet:
@@ -238,7 +239,7 @@ class TestScoreRule:
 class TestTighteningOptimality:
     def test_milp_optimum_pair(self):
         inst = generate(GeneratorConfig("set-cover", seed=2, rows=6, cols=10, density=0.3))
-        _, x_opt, _ = brute_binary_optimum(inst)
+        _, x_opt, _ = brute_force_milp(inst)
         rep = verify_tightening_optimality(inst, x_opt)
         assert rep["holds"]
 
@@ -263,7 +264,7 @@ class TestTighteningOptimality:
             import itertools
             for bits in itertools.product((0.0, 1.0), repeat=inst.n):
                 x = np.array(bits)
-                if reference_feasible(inst, x):
+                if check_feasible_reference(inst, x):
                     feas.append(x)
             picks = rng.choice(len(feas), size=min(5, len(feas)), replace=False)
             for k in picks:
@@ -278,7 +279,7 @@ class TestTighteningOptimality:
         for seed in (2, 3, 4):
             inst = generate(GeneratorConfig("set-cover", seed=seed, rows=6, cols=10,
                                             density=0.3))
-            _, x_opt, _ = brute_binary_optimum(inst)
+            _, x_opt, _ = brute_force_milp(inst)
             cands = inst.divable_index
             sc = _FixedPrediction(x_opt, np.ones(inst.n), cands)
             res = dive(inst, sc, d_max=100, **rooted(inst))

@@ -472,8 +472,117 @@ class TestDualPhase:
         alpha = np.array([-1.0, -1.0, -1.0])
         assert solver._dual_ratio_test(d, alpha) == 1
         assert solver._dual_ratio_test(d, -alpha) == -1
-        solver.stat[0] = simplex._AT_UPPER
+        solver._set_nonbasic(0, True)
         assert solver._dual_ratio_test(d, -alpha) == 0
+
+
+def _movable_reference(solver, v, tol):
+    """The eligibility rule from the column statuses and bounds alone: up
+    from the lower bound where ``v < -tol``, down from the upper bound where
+    ``v > tol``, both only when the column's bounds differ, and either way
+    when free."""
+    movable = solver.ub - solver.lb > 0
+    elig = (solver.stat == simplex._AT_LOWER) & (v < -tol) & movable
+    elig |= (solver.stat == simplex._AT_UPPER) & (v > tol) & movable
+    elig |= (solver.stat == simplex._FREE) & (np.abs(v) > tol)
+    return elig
+
+
+def _first_fractional_dive(inst, lp, sol, steps):
+    """Up to ``steps`` warm resolves, each capping the first fractional
+    divable column of the last optimum at its floor."""
+    hi = lp.ub.copy()
+    for _ in range(steps):
+        x = sol.x[inst.divable_index]
+        frac = np.abs(x - np.floor(x + 0.5)) > 1e-6
+        if sol.status != simplex.OPTIMAL or not frac.any():
+            return
+        j = int(inst.divable_index[np.argmax(frac)])
+        hi[j] = np.floor(sol.x[j])
+        sol = solve_lp(lp, warm=sol.basis, upper=hi)
+
+
+class TestEligibilityMasks:
+    """The solver keeps whether each column can rise and can fall; after
+    every start, status change and pivot, its eligibility test agrees with
+    the rule applied to the statuses afresh."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        log = {"checks": 0, "free": 0}
+
+        def check(solver):
+            v = rng.normal(size=solver.N)
+            v[rng.random(solver.N) < 0.2] = 0.0
+            v[rng.random(solver.N) < 0.2] *= 1e-10  # inside the tolerance
+            for tol in (simplex.OPT_TOL, simplex.PIVOT_TOL):
+                got = solver._movable_against(v, tol)
+                assert got.tobytes() == _movable_reference(solver, v, tol).tobytes()
+            log["checks"] += 1
+            log["free"] += int(np.any(solver.stat == simplex._FREE))
+
+        def wrap(name):
+            real = getattr(simplex._Solver, name)
+
+            def wrapped(self, *args):
+                out = real(self, *args)
+                check(self)
+                return out
+
+            monkeypatch.setattr(simplex._Solver, name, wrapped)
+
+        for name in ("start", "_set_nonbasic", "_replace"):
+            wrap(name)
+        return log
+
+    def test_random_bounded_lps(self, checked):
+        from divekit.harness import random_bounded_lp
+
+        rng = np.random.default_rng(4)
+        for trial in range(30):
+            A, senses, b, c, lb, ub = random_bounded_lp(rng)
+            m, n = A.shape
+            inst = make_instance(
+                f"lp{trial}", c=c,
+                rows=[(i, j, A[i, j]) for i in range(m) for j in range(n) if A[i, j] != 0],
+                senses=senses, b=b, lb=lb, ub=ub, integer=[])
+            lp = std(inst)
+            root = solve_lp(lp)
+            if root.status == simplex.OPTIMAL:
+                hi = lp.ub.copy()
+                hi[int(np.argmax(root.x[: lp.slack_start]))] = 0.0
+                solve_lp(lp, warm=root.basis, upper=hi)
+        assert checked["checks"] > 100
+
+    @pytest.mark.parametrize("family", ["set-cover", "comb-auction", "facility-location",
+                                        "indep-set"])
+    def test_default_size_root_and_dive(self, checked, family):
+        inst = generate(GeneratorConfig(family, seed=1))
+        lp = std(inst)
+        _first_fractional_dive(inst, lp, solve_lp(lp), steps=3)
+        assert checked["checks"] > 20
+
+    def test_row_free_lp(self, checked):
+        inf = np.inf
+        # two bound flips; the fixed column and those at their best bound stay
+        lp = std(make_instance("free", c=[-1.0, -1.0, 0.0, -3.0, 2.0],
+                               rows=[], senses=[], b=[],
+                               lb=[0.0, 0.0, -inf, -inf, 1.0], ub=[1.0, 2.0, 3.0, 4.0, 1.0],
+                               integer=[]))
+        sol = solve_lp(lp)
+        assert sol.status == simplex.OPTIMAL and sol.iterations == 2
+        assert checked["checks"] == 3 and checked["free"] == 0
+
+    def test_free_column(self, checked):
+        # x0 free: min x0 + x1 s.t. x0 - x1 >= -2, x0 + x1 >= 1, x1 in [0, 4]
+        lp = std(make_instance("freecol", c=[1.0, 1.0],
+                               rows=[(0, 0, 1.0), (0, 1, -1.0), (1, 0, 1.0), (1, 1, 1.0)],
+                               senses=[SENSE_GE, SENSE_GE], b=[-2.0, 1.0],
+                               lb=[-np.inf, 0.0], ub=[np.inf, 4.0], integer=[]))
+        sol = solve_lp(lp)
+        assert sol.status == simplex.OPTIMAL
+        assert checked["free"] >= 1
 
 
 class TestRowFree:
@@ -557,6 +666,32 @@ class TestCarriedFactors:
         solver = simplex._Solver(lp, None, None)
         solver.start(_bare(root.basis))
         assert solver.Kinv.tobytes() == root.basis.kinv.tobytes()
+
+    def test_optimal_basis_carries_its_index_arrays(self):
+        lp, root, _ = _tightened_cover()
+        assert root.basis.index is not None
+        fresh = simplex._Solver(lp, None, None)
+        fresh.basic[:] = root.basis.basic
+        fresh.refactorize()
+        names = ("pos_L", "pos_S", "rows_L", "rows_U", "sign_L")
+        for name, carried in zip(names, root.basis.index):
+            assert not carried.flags.writeable
+            expect = getattr(fresh, name)
+            assert carried.dtype == expect.dtype and carried.tobytes() == expect.tobytes()
+        solver = simplex._Solver(lp, None, None)
+        solver.start(root.basis)
+        assert all(getattr(solver, n) is a for n, a in zip(names, root.basis.index))
+
+    def test_bare_or_foreign_basis_rebuilds_index_arrays(self):
+        lp, root, _ = _tightened_cover()
+        names = ("pos_L", "pos_S", "rows_L", "rows_U", "sign_L")
+        for target, basis in ((lp, _bare(root.basis)), (dataclasses.replace(lp), root.basis)):
+            solver = simplex._Solver(target, None, None)
+            solver.start(basis)
+            for name, carried in zip(names, root.basis.index):
+                rebuilt = getattr(solver, name)
+                assert rebuilt is not carried and rebuilt.flags.writeable
+                assert rebuilt.tobytes() == carried.tobytes()
 
     def test_no_pivot_resolve_factors_nothing(self, monkeypatch):
         lp, root, _ = _tightened_cover()
